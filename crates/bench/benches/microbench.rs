@@ -4,6 +4,8 @@
 //! compute DORA spends every 100 ms decision interval, so its wall-clock
 //! cost here directly substantiates the Section V-H "< 1 % overhead"
 //! claim (a few microseconds per decision against a 100 ms period).
+//! `algorithm1_select_operating_point_biglittle` is its 2-D counterpart on
+//! the big.LITTLE profile.
 
 // Benchmark setup fails fast; the panic ratchet covers libraries.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -36,6 +38,30 @@ fn bench_algorithm(c: &mut Criterion) {
         b.iter(|| {
             black_box(dora::select_frequency(
                 &p.models,
+                black_box(page),
+                Seconds::new(3.0),
+                black_box(Mpki::clamped(6.5)),
+                Utilization::clamped(0.8),
+                Celsius::new(45.0),
+                true,
+            ))
+        })
+    });
+
+    // The 2-D (cluster, F) search over the big.LITTLE product space: both
+    // clusters' tables, the A7 paying migration cost from the A15.
+    let board = dora_soc::SocProfile::biglittle_a15a7().board_config();
+    let clusters = dora::ClusterModel::from_profile(&p.models, &board);
+    let current = dora_soc::OperatingPoint {
+        cluster: dora_soc::ClusterId::PRIMARY,
+        frequency: clusters[0].models.dvfs.max_frequency(),
+    };
+    c.bench_function("algorithm1_select_operating_point_biglittle", |b| {
+        b.iter(|| {
+            black_box(dora::select_operating_point(
+                &clusters,
+                current,
+                board.migration,
                 black_box(page),
                 Seconds::new(3.0),
                 black_box(Mpki::clamped(6.5)),

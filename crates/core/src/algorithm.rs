@@ -18,7 +18,7 @@
 //! chooses the highest frequency setting to ensure that the web pages are
 //! loaded as fast as possible" (Section V-D).
 
-use crate::models::{DoraModels, PredictorInputs};
+use crate::models::{BoundModels, DoraModels};
 use dora_browser::PageFeatures;
 use dora_sim_core::units::{Celsius, Mpki, Ppw, Seconds, Utilization};
 use dora_soc::{BoardConfig, ClusterId, Frequency, MigrationCost, OperatingPoint};
@@ -97,11 +97,15 @@ pub fn select_frequency(
     );
     let mut curve = Vec::with_capacity(models.dvfs.len());
     let mut best: Option<(Frequency, Ppw)> = None;
-    for f in models.dvfs.frequencies() {
-        let inputs =
-            PredictorInputs::for_frequency(page, f, &models.dvfs, l2_mpki, corun_utilization);
-        let load_time = models.predict_load_time(&inputs);
-        let power = models.predict_total_power(&inputs, temp, include_leakage);
+    let bound = BoundModels::new(
+        models,
+        page,
+        l2_mpki,
+        corun_utilization,
+        temp,
+        include_leakage,
+    );
+    for (f, load_time, power) in bound.candidates() {
         let ppw = Ppw::from_time_power(load_time, power);
         let feasible = load_time <= qos_target;
         if feasible && best.as_ref().is_none_or(|&(_, b)| ppw > b) {
@@ -297,23 +301,21 @@ pub fn select_operating_point(
     assert!(!clusters.is_empty(), "need at least one cluster model");
     let mut curve = Vec::with_capacity(clusters.iter().map(|c| c.models.dvfs.len()).sum::<usize>());
     let mut best: Option<(OperatingPoint, Ppw)> = None;
-    // Index into `curve` of each cluster's fmax row, for the fallback.
-    let mut fmax_rows = Vec::with_capacity(clusters.len());
+    // The fmax row with the smallest load time so far, for the fallback.
+    let mut fastest: Option<PredictedOperatingPoint> = None;
     for cm in clusters {
         let migrating = cm.cluster != current.cluster;
-        for f in cm.models.dvfs.frequencies() {
-            let inputs = PredictorInputs::for_frequency(
-                page,
-                f,
-                &cm.models.dvfs,
-                l2_mpki,
-                corun_utilization,
-            );
-            let mut load_time = cm.models.predict_load_time(&inputs) * cm.time_scale;
-            let power = cm
-                .models
-                .predict_total_power(&inputs, temp, include_leakage)
-                * cm.power_scale;
+        let bound = BoundModels::new(
+            &cm.models,
+            page,
+            l2_mpki,
+            corun_utilization,
+            temp,
+            include_leakage,
+        );
+        for (f, load_time, power) in bound.candidates() {
+            let mut load_time = load_time * cm.time_scale;
+            let power = power * cm.power_scale;
             let mut energy = power * load_time;
             if migrating {
                 load_time += Seconds::new(migration.latency.as_secs_f64());
@@ -337,7 +339,13 @@ pub fn select_operating_point(
                 migrating,
             });
         }
-        fmax_rows.push(curve.len() - 1);
+        // Infeasible fallback: the fastest finisher, flat out. Only a
+        // strictly smaller load time replaces the earlier cluster's row,
+        // so ties go to the earlier cluster and one cluster is plain fmax.
+        let fmax_row = curve[curve.len() - 1];
+        if fastest.is_none_or(|row| fmax_row.load_time.total_cmp(&row.load_time).is_lt()) {
+            fastest = Some(fmax_row);
+        }
     }
     match best {
         Some((chosen, predicted_ppw)) => OperatingPointDecision {
@@ -347,15 +355,8 @@ pub fn select_operating_point(
             curve,
         },
         None => {
-            // Infeasible: prioritize QoS — the fastest finisher, flat out.
-            // `min_by` keeps the first minimum, so ties go to the earlier
-            // cluster, and one cluster reduces to plain fmax.
             #[allow(clippy::expect_used)] // documented panic: `clusters` is asserted non-empty
-            let fastest = fmax_rows
-                .iter()
-                .map(|&i| curve[i])
-                .min_by(|a, b| a.load_time.total_cmp(&b.load_time))
-                .expect("at least one cluster");
+            let fastest = fastest.expect("at least one cluster");
             OperatingPointDecision {
                 chosen: fastest.point,
                 feasible: false,
@@ -369,7 +370,7 @@ pub fn select_operating_point(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{FrequencyEncoding, PiecewiseSurface};
+    use crate::models::{FrequencyEncoding, PiecewiseSurface, PredictorInputs};
     use dora_modeling::leakage::Eq5Params;
     use dora_modeling::surface::{FittedSurface, ResponseSurface, SurfaceKind};
     use dora_soc::DvfsTable;

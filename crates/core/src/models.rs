@@ -16,10 +16,20 @@
 
 use dora_browser::PageFeatures;
 use dora_modeling::leakage::Eq5Params;
-use dora_modeling::surface::FittedSurface;
+use dora_modeling::surface::{BoundSurface, Feature, FittedSurface};
 use dora_modeling::ModelError;
 use dora_sim_core::units::{Celsius, Mpki, Ppw, Seconds, Utilization, Watts};
-use dora_soc::{BusTier, DvfsTable, Frequency};
+use dora_soc::{BusTier, DvfsTable, Frequency, Opp};
+
+/// The number of Table I inputs every surface of a bundle is fit over.
+pub(crate) const INPUTS: usize = Feature::ALL.len();
+
+/// The inputs that move across Algorithm 1's candidates (X7, X8); every
+/// other input is fixed for the whole decision.
+const CANDIDATE_INPUTS: [usize; 2] = [
+    Feature::CoreFrequency.index(),
+    Feature::BusFrequency.index(),
+];
 
 /// The full nine-variable input vector of Table I, assembled from static
 /// page features plus dynamic system conditions.
@@ -58,8 +68,13 @@ impl PredictorInputs {
 
     /// The vector in Table I order (X1..X9) for the regression models.
     pub fn to_vector(self) -> Vec<f64> {
+        self.to_array().to_vec()
+    }
+
+    /// [`PredictorInputs::to_vector`] on the stack.
+    fn to_array(self) -> [f64; INPUTS] {
         let [n, c, h, a, d] = self.page.as_vector();
-        vec![
+        [
             n,
             c,
             h,
@@ -110,6 +125,15 @@ impl FrequencyEncoding {
             x[7] = 1000.0 / x[7].max(1e-3);
         }
     }
+
+    /// X7 and X8 for a core clock and its bus clock, encoded.
+    fn encode_frequencies(self, core: Frequency, bus: Frequency) -> [f64; 2] {
+        let mut x = [0.0; INPUTS];
+        x[6] = core.as_ghz();
+        x[7] = bus.as_mhz();
+        self.encode(&mut x);
+        [x[6], x[7]]
+    }
 }
 
 impl PiecewiseSurface {
@@ -131,12 +155,19 @@ impl PiecewiseSurface {
 
     /// Predicts using the tier-specific fit when available.
     pub fn predict(&self, tier: BusTier, inputs: &PredictorInputs) -> f64 {
-        let mut x = inputs.to_vector();
+        let mut x = inputs.to_array();
         self.encoding.encode(&mut x);
-        match &self.per_tier[tier.index()] {
-            Some(fit) => fit.predict(&x),
-            None => self.global.predict(&x),
-        }
+        self.fit_for(tier).predict(&x)
+    }
+
+    /// The fit that serves `tier`: its own, else the global one.
+    fn fit_for(&self, tier: BusTier) -> &FittedSurface {
+        self.per_tier[tier.index()].as_ref().unwrap_or(&self.global)
+    }
+
+    /// The global fit, then every tier fit present.
+    fn fits(&self) -> impl Iterator<Item = &FittedSurface> {
+        std::iter::once(&self.global).chain(self.per_tier.iter().flatten())
     }
 
     /// How many tiers carry their own fit.
@@ -186,7 +217,7 @@ impl DoraModels {
     /// load time would poison the PPW comparison.
     pub fn predict_load_time(&self, inputs: &PredictorInputs) -> Seconds {
         let tier = self.tier_of(inputs);
-        Seconds::new(self.load_time.predict(tier, inputs).max(1e-3))
+        load_time_of(self.load_time.predict(tier, inputs))
     }
 
     /// Predicts total device power at the candidate frequency (Algorithm
@@ -200,12 +231,29 @@ impl DoraModels {
         temp: Celsius,
         include_leakage: bool,
     ) -> Watts {
-        let tier = self.tier_of(inputs);
-        let dynamic = Watts::new(self.power.predict(tier, inputs).max(1e-2));
+        let opp = self.dvfs.nearest_opp(inputs.core_frequency);
+        let tier = self.dvfs.bus_tier(opp.frequency);
+        self.total_power_of(
+            self.power.predict(tier, inputs),
+            opp.voltage,
+            temp,
+            include_leakage,
+        )
+    }
+
+    /// Total power from the dynamic surface's raw output: floored, plus
+    /// the Eq. 5 leakage at `voltage` unless it is left out.
+    fn total_power_of(
+        &self,
+        dynamic: f64,
+        voltage: f64,
+        temp: Celsius,
+        include_leakage: bool,
+    ) -> Watts {
+        let dynamic = Watts::new(dynamic.max(1e-2));
         if !include_leakage {
             return dynamic;
         }
-        let voltage = self.voltage_at(inputs.core_frequency);
         dynamic + self.leakage.eval(voltage, temp)
     }
 
@@ -231,30 +279,127 @@ impl DoraModels {
         self.dvfs.nearest_opp(core_frequency).voltage
     }
 
-    /// Convenience check that the bundle is internally consistent.
+    /// Convenience check that the bundle is internally consistent: every
+    /// fit of both surfaces, global and per tier, takes the nine Table I
+    /// inputs, so no prediction can panic on arity.
     ///
     /// # Errors
     ///
-    /// [`ModelError::ShapeMismatch`] when a surface is not over nine
-    /// inputs.
+    /// [`ModelError::ShapeMismatch`] naming the first surface with a fit
+    /// over another number of inputs.
     pub fn validate(&self) -> Result<(), ModelError> {
-        // Probe with a nominal input; panics inside predict would indicate
-        // wrong arity, so construct the probe through the public path.
-        let page = PageFeatures::new(1000, 600, 200, 220, 280)
-            .map_err(|e| ModelError::ShapeMismatch(format!("probe page invalid: {e}")))?;
-        let probe = PredictorInputs::for_frequency(
-            page,
-            self.dvfs.min_frequency(),
-            &self.dvfs,
-            Mpki::clamped(1.0),
-            Utilization::clamped(0.5),
-        );
-        if probe.to_vector().len() != 9 {
-            return Err(ModelError::ShapeMismatch(
-                "predictor inputs must have 9 entries".into(),
-            ));
+        for (name, surface) in [("load_time", &self.load_time), ("power", &self.power)] {
+            if let Some(fit) = surface.fits().find(|f| f.surface().inputs() != INPUTS) {
+                return Err(ModelError::ShapeMismatch(format!(
+                    "{name} surface has a fit over {} inputs; Table I has {INPUTS}",
+                    fit.surface().inputs()
+                )));
+            }
         }
         Ok(())
+    }
+}
+
+/// Load time from the time surface's raw output, floored at 1 ms.
+fn load_time_of(raw: f64) -> Seconds {
+    Seconds::new(raw.max(1e-3))
+}
+
+/// A [`DoraModels`] bundle bound at one decision's fixed inputs: the
+/// candidate sweep both Algorithm 1 searches run through.
+///
+/// Algorithm 1 evaluates every candidate under the same page (X1–X5),
+/// MPKI (X6) and co-runner utilization (X9); only X7 and X8 move. Each
+/// surface fit is bound at those inputs the first time a candidate in its
+/// bus tier comes up ([`FittedSurface::bind`]), so a candidate pays only
+/// for its frequency-dependent terms. Predictions equal
+/// [`DoraModels::predict_load_time`] and
+/// [`DoraModels::predict_total_power`] bit for bit.
+pub(crate) struct BoundModels<'a> {
+    models: &'a DoraModels,
+    /// X1–X9 with X7/X8 unset; the binding ignores them.
+    fixed: [f64; INPUTS],
+    temp: Celsius,
+    include_leakage: bool,
+    load_time: BoundPiecewise<'a>,
+    power: BoundPiecewise<'a>,
+}
+
+impl<'a> BoundModels<'a> {
+    /// Binds `models` at one decision's sampled conditions.
+    pub(crate) fn new(
+        models: &'a DoraModels,
+        page: PageFeatures,
+        l2_mpki: Mpki,
+        corun_utilization: Utilization,
+        temp: Celsius,
+        include_leakage: bool,
+    ) -> Self {
+        let inputs = PredictorInputs {
+            page,
+            l2_mpki,
+            core_frequency: Frequency::default(),
+            bus_frequency: Frequency::default(),
+            corun_utilization,
+        };
+        BoundModels {
+            models,
+            fixed: inputs.to_array(),
+            temp,
+            include_leakage,
+            load_time: BoundPiecewise::new(&models.load_time),
+            power: BoundPiecewise::new(&models.power),
+        }
+    }
+
+    /// `(frequency, load time, total power)` at every operating point of
+    /// the bundle's DVFS table, ascending in frequency.
+    pub(crate) fn candidates(mut self) -> impl Iterator<Item = (Frequency, Seconds, Watts)> + 'a {
+        self.models.dvfs.opps().iter().map(move |&opp| {
+            let (load_time, power) = self.predict(opp);
+            (opp.frequency, load_time, power)
+        })
+    }
+
+    /// Predicted load time and total power at table operating point
+    /// `opp`, as `predict_load_time` and `predict_total_power` give them
+    /// for the inputs `PredictorInputs::for_frequency` builds.
+    fn predict(&mut self, opp: Opp) -> (Seconds, Watts) {
+        let tier = self.models.dvfs.bus_tier(opp.frequency);
+        let time = self.load_time.evaluate(&self.fixed, tier, opp.frequency);
+        let dynamic = self.power.evaluate(&self.fixed, tier, opp.frequency);
+        (
+            load_time_of(time),
+            self.models
+                .total_power_of(dynamic, opp.voltage, self.temp, self.include_leakage),
+        )
+    }
+}
+
+/// One [`PiecewiseSurface`] with each tier's fit bound on first use.
+struct BoundPiecewise<'a> {
+    surface: &'a PiecewiseSurface,
+    tiers: [Option<BoundSurface<'a>>; 3],
+}
+
+impl<'a> BoundPiecewise<'a> {
+    fn new(surface: &'a PiecewiseSurface) -> Self {
+        BoundPiecewise {
+            surface,
+            tiers: [None, None, None],
+        }
+    }
+
+    /// The surface at core clock `core` in bus tier `tier`, the other
+    /// inputs at `fixed`.
+    fn evaluate(&mut self, fixed: &[f64; INPUTS], tier: BusTier, core: Frequency) -> f64 {
+        let surface = self.surface;
+        let free = surface
+            .encoding
+            .encode_frequencies(core, tier.bus_frequency());
+        self.tiers[tier.index()]
+            .get_or_insert_with(|| surface.fit_for(tier).bind(fixed, &CANDIDATE_INPUTS))
+            .evaluate(&free)
     }
 }
 
@@ -411,6 +556,52 @@ mod tests {
         assert!((tiered.predict(BusTier::Low, &inputs) - 10.0).abs() < 1e-6);
         assert!((tiered.predict(BusTier::High, &inputs) - 99.0).abs() < 1e-6);
         assert_eq!(tiered.tier_count(), 1);
+    }
+
+    #[test]
+    fn validate_rejects_fits_over_other_than_nine_inputs() {
+        let eight = ResponseSurface::new(SurfaceKind::Linear, 8);
+        let short = FittedSurface::from_parts(eight, vec![0.0; 8], vec![1.0; 8], vec![1.0; 9])
+            .expect("valid parts");
+        assert!(models(1.0, 1.0).validate().is_ok());
+        let mut m = models(1.0, 1.0);
+        m.power = PiecewiseSurface::new(
+            [None, Some(short.clone()), None],
+            constant_surface(1.0),
+            FrequencyEncoding::Natural,
+        );
+        assert!(m.validate().is_err(), "a short tier fit must be caught");
+        let mut m = models(1.0, 1.0);
+        m.load_time = PiecewiseSurface::new([None, None, None], short, FrequencyEncoding::Period);
+        assert!(m.validate().is_err(), "a short global fit must be caught");
+    }
+
+    #[test]
+    fn bound_models_match_point_predictions() {
+        let m = models(2.0, 2.5);
+        let warm = Celsius::new(40.0);
+        for include_leakage in [false, true] {
+            let mut bound = BoundModels::new(
+                &m,
+                page(),
+                Mpki::clamped(3.0),
+                Utilization::clamped(0.5),
+                warm,
+                include_leakage,
+            );
+            for &opp in m.dvfs.opps() {
+                let inputs = PredictorInputs::for_frequency(
+                    page(),
+                    opp.frequency,
+                    &m.dvfs,
+                    Mpki::clamped(3.0),
+                    Utilization::clamped(0.5),
+                );
+                let (t, p) = bound.predict(opp);
+                assert_eq!(t, m.predict_load_time(&inputs));
+                assert_eq!(p, m.predict_total_power(&inputs, warm, include_leakage));
+            }
+        }
     }
 
     #[test]

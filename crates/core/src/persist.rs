@@ -23,7 +23,7 @@
 //! All floats are written with `{:?}` (shortest round-trippable form), so
 //! a save/load round trip is bit-exact.
 
-use crate::models::{DoraModels, FrequencyEncoding, PiecewiseSurface};
+use crate::models::{DoraModels, FrequencyEncoding, PiecewiseSurface, INPUTS};
 use dora_modeling::leakage::Eq5Params;
 use dora_modeling::surface::{FittedSurface, ResponseSurface, SurfaceKind};
 use dora_soc::DvfsTable;
@@ -182,6 +182,12 @@ fn parse_fit(
     let n: usize = tokens[2]
         .parse()
         .map_err(|_| PersistError::malformed(line_no, "bad input count"))?;
+    if n != INPUTS {
+        return Err(PersistError::malformed(
+            line_no,
+            format!("fit over {n} inputs; Table I has {INPUTS}"),
+        ));
+    }
     let surface = ResponseSurface::new(kind, n);
     let want = 2 * n + surface.term_count();
     let values = &tokens[3..];
@@ -342,12 +348,16 @@ pub fn from_text(text: &str) -> Result<DoraModels, PersistError> {
     if tail != "end" {
         return Err(PersistError::malformed(n, "expected end marker"));
     }
-    Ok(DoraModels {
+    let models = DoraModels {
         load_time,
         power,
         leakage,
         dvfs,
-    })
+    };
+    models
+        .validate()
+        .map_err(|e| PersistError::malformed(n, e.to_string()))?;
+    Ok(models)
 }
 
 #[cfg(test)]
@@ -475,6 +485,53 @@ mod tests {
         let mut lines: Vec<&str> = good.lines().collect();
         lines.swap(2, 3);
         assert!(from_text(&lines.join("\n")).is_err());
+    }
+
+    /// `good` with the global load-time fit's input count replaced.
+    fn with_input_count(good: &str, count: &str) -> String {
+        good.replacen("fit global 9 ", &format!("fit global {count} "), 1)
+    }
+
+    fn assert_malformed(text: &str) {
+        assert!(
+            matches!(from_text(text), Err(PersistError::Malformed { .. })),
+            "expected a malformed-input error"
+        );
+    }
+
+    #[test]
+    fn rejects_zero_input_count() {
+        let good = to_text(&trained_models());
+        assert_malformed(&with_input_count(&good, "0"));
+    }
+
+    #[test]
+    fn rejects_huge_input_count() {
+        let good = to_text(&trained_models());
+        assert_malformed(&with_input_count(&good, &usize::MAX.to_string()));
+        assert_malformed(&with_input_count(&good, "4294967296"));
+    }
+
+    #[test]
+    fn rejects_input_count_other_than_nine() {
+        let good = to_text(&trained_models());
+        // Eight inputs with a number list that is self-consistent for
+        // eight: only the count check can catch it.
+        let surface = ResponseSurface::new(SurfaceKind::Interaction, 8);
+        let fit = FittedSurface::from_parts(
+            surface,
+            vec![0.0; 8],
+            vec![1.0; 8],
+            vec![0.5; surface.term_count()],
+        )
+        .expect("valid parts");
+        let mut line = String::new();
+        write_fit(&mut line, "global", &fit);
+        let global = good
+            .lines()
+            .find(|l| l.starts_with("fit global"))
+            .expect("has a global fit");
+        assert_malformed(&good.replacen(global, line.trim_end(), 1));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and aggregates — the standard protocol, deterministic under a seed.
 
 use crate::metrics::mape;
-use crate::surface::{ResponseSurface, SurfaceKind};
+use crate::surface::{ResponseSurface, SurfaceKind, MAX_INPUTS};
 use crate::ModelError;
 use dora_sim_core::Rng;
 
@@ -41,7 +41,8 @@ impl CvReport {
 ///
 /// # Errors
 ///
-/// [`ModelError::ShapeMismatch`] for inconsistent inputs or `k < 2`;
+/// [`ModelError::ShapeMismatch`] for inconsistent inputs, rows of no or
+/// more than [`MAX_INPUTS`] inputs, or `k < 2`;
 /// [`ModelError::TooFewObservations`] when a training split cannot
 /// identify the surface; fit errors propagate.
 ///
@@ -86,6 +87,11 @@ pub fn cross_validate(
         });
     }
     let n_inputs = xs[0].len();
+    if !(1..=MAX_INPUTS).contains(&n_inputs) {
+        return Err(ModelError::ShapeMismatch(format!(
+            "rows of {n_inputs} inputs; a surface takes 1 to {MAX_INPUTS}"
+        )));
+    }
     let surface = ResponseSurface::new(kind, n_inputs);
 
     let mut order: Vec<usize> = (0..xs.len()).collect();

@@ -15,9 +15,23 @@
 //! expansion so the Table I features, which span five orders of magnitude
 //! (thousands of DOM nodes vs. single-digit GHz), don't wreck the
 //! conditioning of the normal equations.
+//!
+//! Prediction runs through one partial-evaluation kernel.
+//! [`FittedSurface::bind`] fixes some inputs: it standardizes them once
+//! and sums the terms that come before the first free input. The returned
+//! [`BoundSurface`] then standardizes only the free inputs per call and
+//! adds the remaining terms, with no heap allocation. Every term is the
+//! same `term × coefficient` product added in the canonical order, so a
+//! bound evaluation is bit-identical to the plain expand-then-dot formula.
+//! Algorithm 1 binds X1–X6 and X9 once per decision and varies only X7
+//! and X8 across its candidate frequencies.
 
 use crate::linalg::{least_squares_ridge, Matrix};
 use crate::ModelError;
+
+/// The most raw inputs a surface may take: Table I's nine variables
+/// (X1–X9). The prediction kernel sizes its stack buffers by it.
+pub const MAX_INPUTS: usize = Feature::ALL.len();
 
 /// The paper's nine independent variables (Table I), in order X1–X9.
 ///
@@ -72,6 +86,11 @@ impl Feature {
             Feature::BusFrequency => "X8",
             Feature::CoRunUtilization => "X9",
         }
+    }
+
+    /// The zero-based position of the feature in a Table I vector.
+    pub const fn index(self) -> usize {
+        self as usize
     }
 
     /// A human-readable description matching Table I.
@@ -133,9 +152,12 @@ impl ResponseSurface {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics unless `1 <= n <= MAX_INPUTS`.
     pub fn new(kind: SurfaceKind, n: usize) -> Self {
-        assert!(n > 0, "a surface needs at least one input");
+        assert!(
+            (1..=MAX_INPUTS).contains(&n),
+            "a surface takes 1 to {MAX_INPUTS} inputs, got {n}"
+        );
         ResponseSurface { kind, n }
     }
 
@@ -170,24 +192,26 @@ impl ResponseSurface {
         let mut terms = Vec::with_capacity(self.term_count());
         terms.push(1.0);
         terms.extend_from_slice(x);
-        match self.kind {
-            SurfaceKind::Linear => {}
-            SurfaceKind::Quadratic => {
-                for i in 0..self.n {
-                    for j in i..self.n {
-                        terms.push(x[i] * x[j]);
-                    }
-                }
-            }
-            SurfaceKind::Interaction => {
-                for i in 0..self.n {
-                    for j in i + 1..self.n {
-                        terms.push(x[i] * x[j]);
-                    }
-                }
+        self.for_each_product(|i, j| terms.push(x[i] * x[j]));
+        terms
+    }
+
+    /// Visits the product terms `(i, j)` in their canonical order, row by
+    /// row. They follow the intercept and the `n` linear terms; fitting,
+    /// [`ResponseSurface::expand`] and the prediction kernel all walk this
+    /// one order.
+    fn for_each_product(&self, mut visit: impl FnMut(usize, usize)) {
+        let squares = match self.kind {
+            SurfaceKind::Linear => return,
+            SurfaceKind::Quadratic => true,
+            SurfaceKind::Interaction => false,
+        };
+        for i in 0..self.n {
+            let first = if squares { i } else { i + 1 };
+            for j in first..self.n {
+                visit(i, j);
             }
         }
-        terms
     }
 
     /// Fits the surface to observations by least squares, standardizing
@@ -265,26 +289,77 @@ pub struct FittedSurface {
 impl FittedSurface {
     /// Predicts the response for a raw (unstandardized) input vector.
     ///
+    /// This binds every input and evaluates, so it runs the same
+    /// arithmetic as a [`BoundSurface`] and allocates nothing.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len()` disagrees with the surface's input count.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        assert_eq!(
-            x.len(),
-            self.surface.n,
-            "input length disagrees with surface"
+        self.bind(x, &[]).evaluate(&[])
+    }
+
+    /// Partially evaluates the surface with every input except `free`
+    /// fixed at its value in `x` (the entries of `x` at `free` positions
+    /// are ignored).
+    ///
+    /// Binding standardizes the fixed inputs once and sums every term
+    /// before the first one that involves a free input: the intercept and
+    /// the linear terms of the fixed inputs that precede it.
+    /// [`BoundSurface::evaluate`] then standardizes only the free inputs
+    /// and adds the remaining terms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` disagrees with the surface's input count, or if
+    /// `free` is not strictly ascending within it.
+    pub fn bind<'a>(&'a self, x: &[f64], free: &'a [usize]) -> BoundSurface<'a> {
+        let n = self.surface.n;
+        assert_eq!(x.len(), n, "input length disagrees with surface");
+        assert!(
+            free.windows(2).all(|w| w[0] < w[1]) && free.last().is_none_or(|&i| i < n),
+            "free inputs {free:?} must ascend within 0..{n}"
         );
-        let z: Vec<f64> = x
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v - self.means[j]) / self.stds[j])
-            .collect();
-        self.surface
-            .expand(&z)
-            .iter()
-            .zip(&self.coefficients)
-            .map(|(t, c)| t * c)
-            .sum()
+        let mut z = [0.0; MAX_INPUTS];
+        for i in (0..n).filter(|i| !free.contains(i)) {
+            z[i] = self.standardize(i, x[i]);
+        }
+        // Terms are added left to right onto the intercept term `1 · c0`,
+        // exactly as an iterator sum over the whole term vector adds them.
+        let first_free = free.first().map_or(n, |&i| i);
+        let c = &self.coefficients;
+        let mut prefix = c[0];
+        for i in 0..first_free {
+            prefix += z[i] * c[1 + i];
+        }
+        BoundSurface {
+            fit: self,
+            z,
+            free,
+            first_free,
+            prefix,
+        }
+    }
+
+    /// The z-score of raw input `i`.
+    fn standardize(&self, i: usize, v: f64) -> f64 {
+        (v - self.means[i]) / self.stds[i]
+    }
+
+    /// Adds the terms from the linear term of input `from` on to `sum`, in
+    /// canonical order: the remaining linear terms, then every product.
+    fn fold_from(&self, z: &[f64; MAX_INPUTS], from: usize, mut sum: f64) -> f64 {
+        let n = self.surface.n;
+        let c = &self.coefficients;
+        for i in from..n {
+            sum += z[i] * c[1 + i];
+        }
+        let mut k = 1 + n;
+        self.surface.for_each_product(|i, j| {
+            sum += z[i] * z[j] * c[k];
+            k += 1;
+        });
+        sum
     }
 
     /// The underlying surface definition.
@@ -351,6 +426,50 @@ impl FittedSurface {
             stds,
             coefficients,
         })
+    }
+}
+
+/// A [`FittedSurface`] with some inputs fixed, from [`FittedSurface::bind`].
+///
+/// Its buffers live on the stack, sized by [`MAX_INPUTS`], so evaluating
+/// never allocates.
+#[derive(Debug, Clone)]
+pub struct BoundSurface<'a> {
+    fit: &'a FittedSurface,
+    /// Standardized inputs; the free slots are filled per evaluation.
+    z: [f64; MAX_INPUTS],
+    /// The free inputs, ascending.
+    free: &'a [usize],
+    /// The lowest free input (the input count when none is free): its
+    /// linear term is the first term the prefix leaves out.
+    first_free: usize,
+    /// Sum of the terms before the first free one.
+    prefix: f64,
+}
+
+impl BoundSurface<'_> {
+    /// Predicts the response with the free inputs set to `free_values`
+    /// (raw, in the order they were passed to [`FittedSurface::bind`]).
+    ///
+    /// The result is bit-identical to the expand-then-dot formula on the
+    /// full input vector: every term is the same `term × coefficient`
+    /// product, added in canonical order onto the stored prefix, and no
+    /// sum is reassociated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `free_values.len()` differs from the number of free inputs.
+    pub fn evaluate(&self, free_values: &[f64]) -> f64 {
+        assert_eq!(
+            free_values.len(),
+            self.free.len(),
+            "one value per free input"
+        );
+        let mut z = self.z;
+        for (&i, &v) in self.free.iter().zip(free_values) {
+            z[i] = self.fit.standardize(i, v);
+        }
+        self.fit.fold_from(&z, self.first_free, self.prefix)
     }
 }
 

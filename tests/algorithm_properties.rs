@@ -12,12 +12,34 @@ use dora_repro::dora::{
 use dora_repro::modeling::leakage::Eq5Params;
 use dora_repro::modeling::surface::{ResponseSurface, SurfaceKind};
 use dora_repro::soc::{ClusterId, DvfsTable, MigrationCost, OperatingPoint, SocProfile};
-use dora_repro::units::{Celsius, Mpki, Seconds, Utilization};
+use dora_repro::units::{Celsius, Mpki, Ppw, Seconds, Utilization};
 use proptest::prelude::*;
 
 /// Builds a trained bundle from a randomized physical ground truth:
-/// `T = work/f·(1 + k·mpki)`, `P = floor + c·v²·f`.
+/// `T = work/f·(1 + k·mpki)`, `P = floor + c·v²·f`, in the paper's shapes.
 fn synth_models(work: f64, mpki_k: f64, floor: f64, c: f64) -> DoraModels {
+    synth_models_with(
+        work,
+        mpki_k,
+        floor,
+        c,
+        [FrequencyEncoding::Period, FrequencyEncoding::Natural],
+        0,
+    )
+}
+
+/// [`synth_models`] with the load-time and power surfaces presenting
+/// X7/X8 in `encodings`, and bus tier `i` carrying its own fit (to a
+/// slightly different truth than the global one) when bit `i` of
+/// `tier_mask` is set.
+fn synth_models_with(
+    work: f64,
+    mpki_k: f64,
+    floor: f64,
+    c: f64,
+    encodings: [FrequencyEncoding; 2],
+    tier_mask: u64,
+) -> DoraModels {
     let dvfs = DvfsTable::default();
     let page = PageFeatures::new(2000, 1200, 500, 550, 600).expect("valid");
     let mut xs = Vec::new();
@@ -34,34 +56,37 @@ fn synth_models(work: f64, mpki_k: f64, floor: f64, c: f64) -> DoraModels {
                     Mpki::clamped(mpki),
                     Utilization::clamped(util),
                 );
-                let mut x = inputs.to_vector();
-                FrequencyEncoding::Period.encode(&mut x);
-                xs.push(x);
+                xs.push(inputs.to_vector());
                 t_ys.push(work / f.as_ghz() * (1.0 + mpki_k * mpki));
                 p_ys.push(floor + c * v * v * f.as_ghz());
             }
         }
     }
-    let time = ResponseSurface::new(SurfaceKind::Interaction, 9)
-        .fit(&xs, &t_ys)
-        .expect("well posed");
-    // Power uses the natural encoding: rebuild the design.
-    let xs_nat: Vec<Vec<f64>> = xs
-        .iter()
-        .map(|x| {
-            let mut raw = x.clone();
-            // Undo the period encoding for the power design.
-            raw[6] = 1.0 / raw[6];
-            raw[7] = 1000.0 / raw[7];
-            raw
-        })
-        .collect();
-    let power = ResponseSurface::new(SurfaceKind::Linear, 9)
-        .fit(&xs_nat, &p_ys)
-        .expect("well posed");
+    // One surface fit to `scale · ys`, with X7/X8 in `encoding`.
+    let fit = |kind: SurfaceKind, encoding: FrequencyEncoding, ys: &[f64], scale: f64| {
+        let design: Vec<Vec<f64>> = xs
+            .iter()
+            .map(|x| {
+                let mut x = x.clone();
+                encoding.encode(&mut x);
+                x
+            })
+            .collect();
+        let ys: Vec<f64> = ys.iter().map(|y| y * scale).collect();
+        ResponseSurface::new(kind, 9)
+            .fit(&design, &ys)
+            .expect("well posed")
+    };
+    let piecewise = |kind: SurfaceKind, encoding: FrequencyEncoding, ys: &[f64]| {
+        let tiers = std::array::from_fn(|i| {
+            (tier_mask & (1 << i) != 0)
+                .then(|| fit(kind, encoding, ys, 1.0 + 0.05 * (i + 1) as f64))
+        });
+        PiecewiseSurface::new(tiers, fit(kind, encoding, ys, 1.0), encoding)
+    };
     DoraModels {
-        load_time: PiecewiseSurface::new([None, None, None], time, FrequencyEncoding::Period),
-        power: PiecewiseSurface::new([None, None, None], power, FrequencyEncoding::Natural),
+        load_time: piecewise(SurfaceKind::Interaction, encodings[0], &t_ys),
+        power: piecewise(SurfaceKind::Linear, encodings[1], &p_ys),
         leakage: Eq5Params {
             k1: 0.22,
             alpha: 800.0,
@@ -361,6 +386,84 @@ proptest! {
             prop_assert_eq!(p2.ppw.value().to_bits(), p1.ppw.value().to_bits());
             prop_assert_eq!(p2.feasible, p1.feasible);
             prop_assert!(!p2.migrating);
+        }
+    }
+
+    /// Every curve row of both searches is exactly what the point
+    /// predictions give for that candidate, whatever the encodings, with
+    /// leakage on or off and with or without per-tier fits: the bound
+    /// candidate sweep changes how the rows are computed, not one bit of
+    /// what they are.
+    #[test]
+    fn curve_rows_are_the_point_predictions(
+        work in 0.5f64..6.0,
+        mpki in 0.0f64..20.0,
+        util in 0.0f64..1.0,
+        temp in 25.0f64..75.0,
+        deadline in 0.3f64..8.0,
+        encoding_bits in 0usize..4,
+        tier_mask in 0u64..8,
+        leakage in 0u64..2,
+    ) {
+        let page = PageFeatures::new(2000, 1200, 500, 550, 600).expect("valid");
+        let encoding = [FrequencyEncoding::Natural, FrequencyEncoding::Period];
+        let models = synth_models_with(
+            work,
+            0.03,
+            1.5,
+            0.8,
+            [encoding[encoding_bits & 1], encoding[encoding_bits >> 1]],
+            tier_mask,
+        );
+        let include_leakage = leakage == 1;
+        let (mpki, util, temp) = (Mpki::clamped(mpki), Utilization::clamped(util), Celsius::new(temp));
+        let point = |m: &DoraModels, f| {
+            let inputs = PredictorInputs::for_frequency(page, f, &m.dvfs, mpki, util);
+            (m.predict_load_time(&inputs), m.predict_total_power(&inputs, temp, include_leakage))
+        };
+
+        let flat = select_frequency(&models, page, Seconds::new(deadline), mpki, util, temp, include_leakage);
+        prop_assert_eq!(flat.curve.len(), models.dvfs.len());
+        for (row, f) in flat.curve.iter().zip(models.dvfs.frequencies()) {
+            let (t, p) = point(&models, f);
+            prop_assert_eq!(row.frequency, f);
+            prop_assert_eq!(row.load_time.value().to_bits(), t.value().to_bits());
+            prop_assert_eq!(row.power.value().to_bits(), p.value().to_bits());
+            prop_assert_eq!(row.ppw.value().to_bits(), Ppw::from_time_power(t, p).value().to_bits());
+            prop_assert_eq!(row.feasible, t <= Seconds::new(deadline));
+        }
+
+        let board = SocProfile::biglittle_a15a7().board_config();
+        let clusters = ClusterModel::from_profile(&models, &board);
+        let migration = MigrationCost::biglittle();
+        let current = OperatingPoint {
+            cluster: ClusterId::PRIMARY,
+            frequency: clusters[0].models.dvfs.max_frequency(),
+        };
+        let d = select_operating_point(
+            &clusters, current, migration, page, Seconds::new(deadline), mpki, util, temp,
+            include_leakage,
+        );
+        let candidates: Vec<_> = clusters
+            .iter()
+            .flat_map(|cm| cm.models.dvfs.frequencies().map(move |f| (cm, f)))
+            .collect();
+        prop_assert_eq!(d.curve.len(), candidates.len());
+        for (row, (cm, f)) in d.curve.iter().zip(candidates) {
+            let (t, p) = point(&cm.models, f);
+            let mut t = t * cm.time_scale;
+            let p = p * cm.power_scale;
+            let mut energy = p * t;
+            if row.migrating {
+                t += Seconds::new(migration.latency.as_secs_f64());
+                energy = p * t + migration.energy;
+            }
+            prop_assert_eq!(row.point, OperatingPoint { cluster: cm.cluster, frequency: f });
+            prop_assert_eq!(row.migrating, cm.cluster != current.cluster);
+            prop_assert_eq!(row.load_time.value().to_bits(), t.value().to_bits());
+            prop_assert_eq!(row.power.value().to_bits(), p.value().to_bits());
+            prop_assert_eq!(row.ppw.value().to_bits(), Ppw::from_energy(energy).value().to_bits());
+            prop_assert_eq!(row.feasible, t <= Seconds::new(deadline));
         }
     }
 
