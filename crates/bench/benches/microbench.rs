@@ -4,8 +4,8 @@
 //! compute DORA spends every 100 ms decision interval, so its wall-clock
 //! cost here directly substantiates the Section V-H "< 1 % overhead"
 //! claim (a few microseconds per decision against a 100 ms period).
-//! `algorithm1_select_operating_point_biglittle` is its 2-D counterpart on
-//! the big.LITTLE profile.
+//! `algorithm1_select_operating_point_biglittle` runs the same sweep over
+//! both clusters of the big.LITTLE profile.
 
 // Benchmark setup fails fast; the panic ratchet covers libraries.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -48,7 +48,7 @@ fn bench_algorithm(c: &mut Criterion) {
         })
     });
 
-    // The 2-D (cluster, F) search over the big.LITTLE product space: both
+    // The (cluster, F) search over the big.LITTLE product space: both
     // clusters' tables, the A7 paying migration cost from the A15.
     let board = dora_soc::SocProfile::biglittle_a15a7().board_config();
     let clusters = dora::ClusterModel::from_profile(&p.models, &board);

@@ -10,9 +10,6 @@
 //! optional probe (who watches single runs), and every campaign
 //! operation is a method on it.
 //!
-//! The old free functions remain as thin deprecated shims for one
-//! release; in-repo code uses the driver.
-//!
 //! # Example
 //!
 //! ```no_run
@@ -133,7 +130,7 @@ impl CampaignDriver {
     }
 
     /// Runs every workload under every policy (the Section V comparison
-    /// grid). Replaces `evaluate` / `evaluate_with`.
+    /// grid).
     ///
     /// # Errors
     ///
@@ -156,7 +153,7 @@ impl CampaignDriver {
     }
 
     /// Exhaustively determines `fD`, `fE` and `fopt` for a workload by
-    /// sweeping every table frequency. Replaces `oracle` / `oracle_with`.
+    /// sweeping every table frequency.
     pub fn oracle(&self, workload: &Workload, config: &ScenarioConfig) -> OracleFrequencies {
         oracle_impl(workload, &self.scenario(config), &self.executor)
     }
@@ -178,7 +175,6 @@ impl CampaignDriver {
     }
 
     /// The offline training sweep over the Webpage-Inclusive workloads.
-    /// Replaces `training_campaign` / `training_campaign_with`.
     pub fn training_campaign(
         &self,
         set: &WorkloadSet,
@@ -192,8 +188,7 @@ impl CampaignDriver {
     }
 
     /// Idle thermal-soak leakage measurements across operating points and
-    /// ambients. Replaces `leakage_calibration` /
-    /// `leakage_calibration_with`.
+    /// ambients.
     pub fn leakage_calibration(
         &self,
         base: &BoardConfig,

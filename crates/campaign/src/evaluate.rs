@@ -12,7 +12,7 @@ use crate::runner::{
     ScenarioConfig, SweepPoint,
 };
 use crate::workload::{Workload, WorkloadSet};
-use dora::{DoraConfig, DoraGovernor, DoraModels, DoraPolicy, HeterogeneousDoraGovernor};
+use dora::{DoraConfig, DoraGovernor, DoraModels, DoraPolicy};
 use dora_governors::{
     ConservativeGovernor, Governor, InteractiveGovernor, PerformanceGovernor, PinnedGovernor,
     PowersaveGovernor,
@@ -102,12 +102,12 @@ pub(crate) fn make_governor(
             .ok_or(EvaluateError::ModelsRequired(policy.name()))
     };
     let need_oracle = || oracle_freqs.ok_or(EvaluateError::MissingOracle(policy.name()));
-    // On multi-cluster boards the DORA family searches the full
-    // (cluster, F) product space; single-cluster boards keep the exact
-    // 1-D governor so its decisions stay byte-identical to history.
+    // Both arms build the same governor and differ only in whose DVFS
+    // table it searches: the board's, one per cluster, on multi-cluster
+    // boards; the table the models were trained on otherwise.
     let dora = |models: DoraModels, cfg: DoraConfig| -> Box<dyn Governor> {
         if config.board.clusters.len() > 1 {
-            Box::new(HeterogeneousDoraGovernor::from_profile(
+            Box::new(DoraGovernor::from_profile(
                 &models,
                 &config.board,
                 workload.page.features,
@@ -133,40 +133,6 @@ pub(crate) fn make_governor(
         Policy::DeadlineOnly => dora(need_models()?, dora_config(DoraPolicy::DeadlineOnly, true)),
         Policy::EnergyOnly => dora(need_models()?, dora_config(DoraPolicy::EnergyOnly, true)),
     })
-}
-
-/// Runs every workload under every policy, sequentially.
-///
-/// # Errors
-///
-/// [`EvaluateError::ModelsRequired`] when a DORA-family policy is
-/// requested without trained models.
-#[deprecated(note = "use CampaignDriver::evaluate")]
-pub fn evaluate(
-    set: &WorkloadSet,
-    policies: &[Policy],
-    models: Option<&DoraModels>,
-    config: &ScenarioConfig,
-) -> Result<Evaluation, EvaluateError> {
-    evaluate_impl(set, policies, models, config, &Executor::sequential())
-}
-
-/// Runs every workload under every policy, fanning independent scenarios
-/// out across `executor`.
-///
-/// # Errors
-///
-/// [`EvaluateError::ModelsRequired`] when a DORA-family policy is
-/// requested without trained models.
-#[deprecated(note = "use CampaignDriver::evaluate with an executor")]
-pub fn evaluate_with(
-    set: &WorkloadSet,
-    policies: &[Policy],
-    models: Option<&DoraModels>,
-    config: &ScenarioConfig,
-    executor: &Executor,
-) -> Result<Evaluation, EvaluateError> {
-    evaluate_impl(set, policies, models, config, executor)
 }
 
 /// The evaluation grid behind [`crate::driver::CampaignDriver::evaluate`].

@@ -634,23 +634,7 @@ pub struct OracleFrequencies {
 }
 
 /// Exhaustively determines `fD`, `fE` and `fopt` for a workload by
-/// sweeping every frequency in the table.
-#[deprecated(note = "use CampaignDriver::oracle")]
-pub fn oracle(workload: &Workload, config: &ScenarioConfig) -> OracleFrequencies {
-    oracle_impl(workload, config, &Executor::sequential())
-}
-
-/// [`oracle`] with the frequency sweep fanned out across `executor`.
-#[deprecated(note = "use CampaignDriver::oracle with an executor")]
-pub fn oracle_with(
-    workload: &Workload,
-    config: &ScenarioConfig,
-    executor: &Executor,
-) -> OracleFrequencies {
-    oracle_impl(workload, config, executor)
-}
-
-/// The full-table oracle sweep behind
+/// sweeping every frequency in the table, behind
 /// [`crate::driver::CampaignDriver::oracle`].
 pub(crate) fn oracle_impl(
     workload: &Workload,

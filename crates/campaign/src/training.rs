@@ -61,30 +61,9 @@ pub fn measure_observation(
     }
 }
 
-/// The full offline training sweep over the Webpage-Inclusive workloads.
-///
-/// Returns one observation per (training workload, frequency).
-#[deprecated(note = "use CampaignDriver::training_campaign")]
-pub fn training_campaign(
-    set: &WorkloadSet,
-    config: &TrainingCampaignConfig,
-) -> Vec<TrainingObservation> {
-    training_campaign_impl(set, config, &Executor::sequential())
-}
-
-/// [`training_campaign`] with the (workload, frequency) grid fanned out
-/// across `executor`.
-#[deprecated(note = "use CampaignDriver::training_campaign with an executor")]
-pub fn training_campaign_with(
-    set: &WorkloadSet,
-    config: &TrainingCampaignConfig,
-    executor: &Executor,
-) -> Vec<TrainingObservation> {
-    training_campaign_impl(set, config, executor)
-}
-
-/// The training grid behind
-/// [`crate::driver::CampaignDriver::training_campaign`].
+/// The full offline training sweep over the Webpage-Inclusive workloads,
+/// behind [`crate::driver::CampaignDriver::training_campaign`]: one
+/// observation per (training workload, frequency).
 ///
 /// Each measurement is an independent seeded simulation, so the returned
 /// observations are bit-identical to the sequential sweep, in the same
@@ -107,34 +86,17 @@ pub(crate) fn training_campaign_impl(
     })
 }
 
-/// Idle leakage calibration: for each operating point and ambient
-/// temperature, soak the idle board until the die settles, then record
+/// Idle leakage calibration, behind
+/// [`crate::driver::CampaignDriver::leakage_calibration`]: for each
+/// operating point and ambient temperature, soak the idle board until the
+/// die settles, then record
 /// `(voltage, die temperature, idle power − platform floor)`.
 ///
 /// The subtraction mirrors the bench procedure: the platform floor
 /// (display and rails) is measured once with the SoC rails gated and
 /// removed from every sample, leaving the SoC leakage, since idle cores
-/// clock-gate their dynamic power away.
-#[deprecated(note = "use CampaignDriver::leakage_calibration")]
-pub fn leakage_calibration(base: &BoardConfig, ambients: &[Celsius]) -> Vec<LeakageObservation> {
-    leakage_calibration_impl(base, ambients, &Executor::sequential())
-}
-
-/// [`leakage_calibration`] with the (ambient, operating point) grid
-/// fanned out across `executor`.
-#[deprecated(note = "use CampaignDriver::leakage_calibration with an executor")]
-pub fn leakage_calibration_with(
-    base: &BoardConfig,
-    ambients: &[Celsius],
-    executor: &Executor,
-) -> Vec<LeakageObservation> {
-    leakage_calibration_impl(base, ambients, executor)
-}
-
-/// The soak grid behind
-/// [`crate::driver::CampaignDriver::leakage_calibration`]; each soak is
-/// an independent board, so observations are bit-identical to the
-/// sequential sweep.
+/// clock-gate their dynamic power away. Each soak is an independent
+/// board, so observations are bit-identical to the sequential sweep.
 #[allow(clippy::expect_used)] // table-sourced frequency: documented invariant
 pub(crate) fn leakage_calibration_impl(
     base: &BoardConfig,

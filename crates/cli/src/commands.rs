@@ -2,7 +2,7 @@
 
 use crate::args::{Args, OutputFormat};
 use dora::units::{Celsius, Mpki, Seconds, Utilization, WattHours};
-use dora::{from_text, to_text, DoraConfig, DoraGovernor, DoraModels, HeterogeneousDoraGovernor};
+use dora::{from_text, to_text, DoraConfig, DoraGovernor, DoraModels};
 use dora_browser::{Catalog, PageFeatures};
 use dora_campaign::driver::CampaignDriver;
 use dora_campaign::evaluate::Policy;
@@ -154,7 +154,7 @@ pub fn predict(raw: &[String]) -> Result<(), String> {
     for p in &decision.curve {
         println!(
             "{:<11} {:>9.3} {:>9.3} {:>9.4} {:>9}",
-            p.frequency.to_string(),
+            p.point.frequency.to_string(),
             p.load_time.value(),
             p.power.value(),
             p.ppw.value(),
@@ -163,12 +163,12 @@ pub fn predict(raw: &[String]) -> Result<(), String> {
     }
     println!(
         "fopt = {}  (feasible: {}; fD = {}, fE = {})",
-        decision.chosen,
+        decision.chosen.frequency,
         decision.feasible,
         decision
-            .f_deadline()
-            .map_or("none".to_string(), |f| f.to_string()),
-        decision.f_energy()
+            .point_deadline()
+            .map_or("none".to_string(), |p| p.frequency.to_string()),
+        decision.point_energy().frequency
     );
     Ok(())
 }
@@ -268,8 +268,10 @@ pub fn govern(raw: &[String]) -> Result<(), String> {
                 qos_target: Seconds::new(deadline),
                 ..DoraConfig::default()
             };
+            // One governor type either way; a multi-cluster board searches
+            // its own per-cluster tables, otherwise the models' table.
             if config.board.clusters.len() > 1 {
-                Box::new(HeterogeneousDoraGovernor::from_profile(
+                Box::new(DoraGovernor::from_profile(
                     &models,
                     &config.board,
                     page.features,
@@ -452,8 +454,10 @@ pub fn session(raw: &[String]) -> Result<(), String> {
                 qos_target: config.deadline,
                 ..DoraConfig::default()
             };
+            // One governor type either way; a multi-cluster board searches
+            // its own per-cluster tables, otherwise the models' table.
             if config.board.clusters.len() > 1 {
-                Box::new(HeterogeneousDoraGovernor::from_profile(
+                Box::new(DoraGovernor::from_profile(
                     &models,
                     &config.board,
                     pages[0].features,

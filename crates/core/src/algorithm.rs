@@ -17,128 +17,16 @@
 //! When no frequency meets the target, "DORA prioritizes for QoS and
 //! chooses the highest frequency setting to ensure that the web pages are
 //! loaded as fast as possible" (Section V-D).
+//!
+//! There is one candidate loop. It sweeps (cluster, F) operating points,
+//! so a heterogeneous SoC searches every cluster's table with migration
+//! cost in the model ([`select_operating_point`]), and the paper's
+//! homogeneous SoC is its one-cluster case ([`select_frequency`]).
 
 use crate::models::{BoundModels, DoraModels};
 use dora_browser::PageFeatures;
 use dora_sim_core::units::{Celsius, Mpki, Ppw, Seconds, Utilization};
-use dora_soc::{BoardConfig, ClusterId, Frequency, MigrationCost, OperatingPoint};
-
-/// One row of the predicted curve: what the models expect at a candidate
-/// frequency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PredictedPoint {
-    /// The candidate frequency.
-    pub frequency: Frequency,
-    /// Predicted page load time.
-    pub load_time: Seconds,
-    /// Predicted total device power.
-    pub power: dora_sim_core::units::Watts,
-    /// Predicted energy efficiency `1/(T·P)`.
-    pub ppw: Ppw,
-    /// Whether the predicted load time meets the QoS target.
-    pub feasible: bool,
-}
-
-/// The outcome of one Algorithm 1 evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrequencyDecision {
-    /// The chosen frequency (`fopt`, or `fmax` when infeasible).
-    pub chosen: Frequency,
-    /// Whether any frequency met the QoS target.
-    pub feasible: bool,
-    /// The predicted PPW at the chosen frequency.
-    pub predicted_ppw: Ppw,
-    /// The full predicted curve, ascending in frequency — the paper's
-    /// Fig. 4 sketch shows DORA sweeping exactly this.
-    pub curve: Vec<PredictedPoint>,
-}
-
-impl FrequencyDecision {
-    /// The lowest frequency whose prediction meets the deadline (`fD`),
-    /// if any.
-    pub fn f_deadline(&self) -> Option<Frequency> {
-        self.curve.iter().find(|p| p.feasible).map(|p| p.frequency)
-    }
-
-    /// The unconstrained PPW-optimal frequency (`fE`), ignoring the
-    /// deadline entirely.
-    /// Returns the minimum table frequency on an empty curve (which
-    /// [`select_frequency`] never produces).
-    pub fn f_energy(&self) -> Frequency {
-        self.curve
-            .iter()
-            .max_by(|a, b| a.ppw.total_cmp(&b.ppw))
-            .map_or(self.chosen, |p| p.frequency)
-    }
-}
-
-/// Runs Algorithm 1 over every frequency in the model's DVFS table.
-///
-/// * `qos_target` — the load-time deadline.
-/// * `l2_mpki`, `corun_utilization`, `temp` — the sampled dynamic
-///   conditions.
-/// * `include_leakage` — `false` reproduces `DORA_no_lkg`.
-///
-/// # Panics
-///
-/// Panics if `qos_target` is not positive and finite.
-pub fn select_frequency(
-    models: &DoraModels,
-    page: PageFeatures,
-    qos_target: Seconds,
-    l2_mpki: Mpki,
-    corun_utilization: Utilization,
-    temp: Celsius,
-    include_leakage: bool,
-) -> FrequencyDecision {
-    assert!(
-        qos_target.is_finite() && qos_target > Seconds::ZERO,
-        "bad QoS target {qos_target}"
-    );
-    let mut curve = Vec::with_capacity(models.dvfs.len());
-    let mut best: Option<(Frequency, Ppw)> = None;
-    let bound = BoundModels::new(
-        models,
-        page,
-        l2_mpki,
-        corun_utilization,
-        temp,
-        include_leakage,
-    );
-    for (f, load_time, power) in bound.candidates() {
-        let ppw = Ppw::from_time_power(load_time, power);
-        let feasible = load_time <= qos_target;
-        if feasible && best.as_ref().is_none_or(|&(_, b)| ppw > b) {
-            best = Some((f, ppw));
-        }
-        curve.push(PredictedPoint {
-            frequency: f,
-            load_time,
-            power,
-            ppw,
-            feasible,
-        });
-    }
-    match best {
-        Some((chosen, predicted_ppw)) => FrequencyDecision {
-            chosen,
-            feasible: true,
-            predicted_ppw,
-            curve,
-        },
-        None => {
-            // Infeasible: prioritize QoS — run flat out.
-            let fmax = models.dvfs.max_frequency();
-            let ppw = curve.last().map_or(Ppw::ZERO, |p| p.ppw);
-            FrequencyDecision {
-                chosen: fmax,
-                feasible: false,
-                predicted_ppw: ppw,
-                curve,
-            }
-        }
-    }
-}
+use dora_soc::{BoardConfig, ClusterId, MigrationCost, OperatingPoint};
 
 /// The prediction machinery for one cluster of a heterogeneous SoC.
 ///
@@ -168,8 +56,8 @@ impl ClusterModel {
     ///
     /// Predictions through this wrapper are bit-identical to calling the
     /// models directly (an IEEE multiply by `1.0` is exact), which is what
-    /// lets [`select_operating_point`] reduce to [`select_frequency`] on
-    /// homogeneous profiles.
+    /// makes a one-cluster [`select_operating_point`] the paper's
+    /// Algorithm 1 on homogeneous profiles.
     pub fn primary(models: DoraModels) -> Self {
         ClusterModel {
             cluster: ClusterId::PRIMARY,
@@ -262,6 +150,43 @@ impl OperatingPointDecision {
     }
 }
 
+/// Runs Algorithm 1 over every frequency in the model's DVFS table: the
+/// one-cluster case of [`select_operating_point`], searched over the
+/// trained cluster with no migration candidates.
+///
+/// * `qos_target` — the load-time deadline.
+/// * `l2_mpki`, `corun_utilization`, `temp` — the sampled dynamic
+///   conditions.
+/// * `include_leakage` — `false` reproduces `DORA_no_lkg`.
+///
+/// Every returned point is on [`ClusterId::PRIMARY`]; when no frequency
+/// meets the target the choice is `fmax`, at the last row's PPW.
+///
+/// # Panics
+///
+/// Panics if `qos_target` is not positive and finite.
+pub fn select_frequency(
+    models: &DoraModels,
+    page: PageFeatures,
+    qos_target: Seconds,
+    l2_mpki: Mpki,
+    corun_utilization: Utilization,
+    temp: Celsius,
+    include_leakage: bool,
+) -> OperatingPointDecision {
+    sweep(
+        std::iter::once((ClusterId::PRIMARY, models, 1.0, 1.0)),
+        ClusterId::PRIMARY,
+        MigrationCost::none(),
+        page,
+        qos_target,
+        l2_mpki,
+        corun_utilization,
+        temp,
+        include_leakage,
+    )
+}
+
 /// Runs Algorithm 1 over the full (cluster, frequency) product space.
 ///
 /// For every cluster model and every frequency in its table, the
@@ -275,17 +200,50 @@ impl OperatingPointDecision {
 /// search prioritizes QoS and picks `fmax` of the cluster with the
 /// smallest predicted load time.
 ///
-/// With a single [`ClusterModel::primary`] entry and zero migration cost
-/// this reduces bit-identically to [`select_frequency`].
+/// With a single [`ClusterModel::primary`] entry this is the paper's
+/// Algorithm 1 exactly: scales of `1.0` are exact and no candidate
+/// migrates.
 ///
 /// # Panics
 ///
 /// Panics if `qos_target` is not positive and finite, or if `clusters`
 /// is empty.
-#[allow(clippy::too_many_arguments)] // mirrors select_frequency + the 2-D inputs
+#[allow(clippy::too_many_arguments)] // the 2-D inputs plus the sampled conditions
 pub fn select_operating_point(
     clusters: &[ClusterModel],
     current: OperatingPoint,
+    migration: MigrationCost,
+    page: PageFeatures,
+    qos_target: Seconds,
+    l2_mpki: Mpki,
+    corun_utilization: Utilization,
+    temp: Celsius,
+    include_leakage: bool,
+) -> OperatingPointDecision {
+    assert!(!clusters.is_empty(), "need at least one cluster model");
+    sweep(
+        clusters
+            .iter()
+            .map(|cm| (cm.cluster, &cm.models, cm.time_scale, cm.power_scale)),
+        current.cluster,
+        migration,
+        page,
+        qos_target,
+        l2_mpki,
+        corun_utilization,
+        temp,
+        include_leakage,
+    )
+}
+
+/// The one Algorithm 1 candidate loop behind both entry points.
+///
+/// `clusters` yields `(cluster, models, time_scale, power_scale)` per
+/// cluster, in search order; candidates off `current` migrate.
+#[allow(clippy::too_many_arguments)] // the search space plus the sampled conditions
+fn sweep<'a>(
+    clusters: impl Iterator<Item = (ClusterId, &'a DoraModels, f64, f64)> + Clone,
+    current: ClusterId,
     migration: MigrationCost,
     page: PageFeatures,
     qos_target: Seconds,
@@ -298,15 +256,14 @@ pub fn select_operating_point(
         qos_target.is_finite() && qos_target > Seconds::ZERO,
         "bad QoS target {qos_target}"
     );
-    assert!(!clusters.is_empty(), "need at least one cluster model");
-    let mut curve = Vec::with_capacity(clusters.iter().map(|c| c.models.dvfs.len()).sum::<usize>());
+    let mut curve = Vec::with_capacity(clusters.clone().map(|(_, m, ..)| m.dvfs.len()).sum());
     let mut best: Option<(OperatingPoint, Ppw)> = None;
     // The fmax row with the smallest load time so far, for the fallback.
     let mut fastest: Option<PredictedOperatingPoint> = None;
-    for cm in clusters {
-        let migrating = cm.cluster != current.cluster;
+    for (cluster, models, time_scale, power_scale) in clusters {
+        let migrating = cluster != current;
         let bound = BoundModels::new(
-            &cm.models,
+            models,
             page,
             l2_mpki,
             corun_utilization,
@@ -314,8 +271,8 @@ pub fn select_operating_point(
             include_leakage,
         );
         for (f, load_time, power) in bound.candidates() {
-            let mut load_time = load_time * cm.time_scale;
-            let power = power * cm.power_scale;
+            let mut load_time = load_time * time_scale;
+            let power = power * power_scale;
             let mut energy = power * load_time;
             if migrating {
                 load_time += Seconds::new(migration.latency.as_secs_f64());
@@ -324,7 +281,7 @@ pub fn select_operating_point(
             let ppw = Ppw::from_energy(energy);
             let feasible = load_time <= qos_target;
             let point = OperatingPoint {
-                cluster: cm.cluster,
+                cluster,
                 frequency: f,
             };
             if feasible && best.as_ref().is_none_or(|&(_, b)| ppw > b) {
@@ -355,7 +312,7 @@ pub fn select_operating_point(
             curve,
         },
         None => {
-            #[allow(clippy::expect_used)] // documented panic: `clusters` is asserted non-empty
+            #[allow(clippy::expect_used)] // documented panic: callers pass at least one cluster
             let fastest = fastest.expect("at least one cluster");
             OperatingPointDecision {
                 chosen: fastest.point,
@@ -368,12 +325,13 @@ pub fn select_operating_point(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::models::{FrequencyEncoding, PiecewiseSurface, PredictorInputs};
     use dora_modeling::leakage::Eq5Params;
     use dora_modeling::surface::{FittedSurface, ResponseSurface, SurfaceKind};
-    use dora_soc::DvfsTable;
+    use dora_sim_core::units::Watts;
+    use dora_soc::{DvfsTable, Frequency};
 
     fn page() -> PageFeatures {
         PageFeatures::new(2100, 1300, 620, 680, 590).expect("valid")
@@ -448,7 +406,7 @@ mod tests {
         let chosen_point = d
             .curve
             .iter()
-            .find(|p| p.frequency == d.chosen)
+            .find(|p| p.point == d.chosen)
             .expect("chosen is in curve");
         assert!(chosen_point.feasible);
     }
@@ -474,7 +432,7 @@ mod tests {
             Celsius::new(40.0),
             true,
         );
-        assert!(tight.chosen >= relaxed.chosen);
+        assert!(tight.chosen.frequency >= relaxed.chosen.frequency);
         assert!(tight.feasible);
     }
 
@@ -492,7 +450,8 @@ mod tests {
             true,
         );
         assert!(!d.feasible);
-        assert_eq!(d.chosen, m.dvfs.max_frequency());
+        assert_eq!(d.chosen.cluster, ClusterId::PRIMARY);
+        assert_eq!(d.chosen.frequency, m.dvfs.max_frequency());
     }
 
     #[test]
@@ -508,10 +467,10 @@ mod tests {
             Celsius::new(40.0),
             true,
         );
-        let fd = d.f_deadline().expect("feasible");
-        let fe = d.f_energy();
+        let fd = d.point_deadline().expect("feasible").frequency;
+        let fe = d.point_energy().frequency;
         let expected = if fd <= fe { fe } else { fd };
-        assert_eq!(d.chosen, expected, "fD={fd} fE={fe}");
+        assert_eq!(d.chosen.frequency, expected, "fD={fd} fE={fe}");
     }
 
     #[test]
@@ -535,8 +494,11 @@ mod tests {
             Celsius::new(40.0),
             true,
         );
-        let fd_calm = calm.f_deadline().expect("feasible");
-        let fd_noisy = noisy.f_deadline().expect("feasible under pressure");
+        let fd_calm = calm.point_deadline().expect("feasible").frequency;
+        let fd_noisy = noisy
+            .point_deadline()
+            .expect("feasible under pressure")
+            .frequency;
         assert!(
             fd_noisy >= fd_calm,
             "more interference cannot lower fD: {fd_calm} -> {fd_noisy}"
@@ -561,7 +523,7 @@ mod tests {
         );
         assert_eq!(d.curve.len(), m.dvfs.len());
         for pair in d.curve.windows(2) {
-            assert!(pair[0].frequency < pair[1].frequency);
+            assert!(pair[0].point.frequency < pair[1].point.frequency);
         }
         // The fitted surface may wiggle locally (a polynomial approximating
         // 1/f), but end-to-end the trend must hold and times stay positive.
@@ -598,41 +560,74 @@ mod tests {
         }
     }
 
+    /// Asserts, bit for bit, that `d` is the paper's Algorithm 1 over
+    /// `table` written out literally from the point predictions
+    /// `predict(F) = (T, P)`: a strict `>` PPW argmax over the feasible
+    /// frequencies (the lowest F wins a tie), else `fmax` at the last
+    /// row's PPW; every row on the primary cluster, none migrating.
+    pub(crate) fn assert_paper_algorithm_one(
+        d: &OperatingPointDecision,
+        table: &DvfsTable,
+        target: Seconds,
+        predict: impl Fn(Frequency) -> (Seconds, Watts),
+    ) {
+        assert_eq!(d.curve.len(), table.len());
+        let mut max_ppw: Option<(Frequency, Ppw)> = None;
+        let mut last_ppw = Ppw::ZERO;
+        for (row, f) in d.curve.iter().zip(table.frequencies()) {
+            let (pred_time, pred_power) = predict(f);
+            let pred_ppw = Ppw::from_time_power(pred_time, pred_power);
+            let feasible = pred_time <= target;
+            if feasible && max_ppw.is_none_or(|(_, best)| pred_ppw > best) {
+                max_ppw = Some((f, pred_ppw));
+            }
+            last_ppw = pred_ppw;
+            let bits = |x: f64| x.to_bits();
+            assert_eq!(row.point.cluster, ClusterId::PRIMARY);
+            assert_eq!(row.point.frequency, f);
+            assert_eq!(bits(row.load_time.value()), bits(pred_time.value()));
+            assert_eq!(bits(row.power.value()), bits(pred_power.value()));
+            assert_eq!(bits(row.ppw.value()), bits(pred_ppw.value()));
+            assert_eq!(row.feasible, feasible);
+            assert!(!row.migrating);
+        }
+        let (chosen, ppw) = max_ppw.unwrap_or((table.max_frequency(), last_ppw));
+        assert_eq!(d.chosen.cluster, ClusterId::PRIMARY);
+        assert_eq!(d.chosen.frequency, chosen);
+        assert_eq!(d.feasible, max_ppw.is_some());
+        assert_eq!(d.predicted_ppw.value().to_bits(), ppw.value().to_bits());
+    }
+
     #[test]
-    fn single_cluster_search_reduces_to_select_frequency_bitwise() {
+    fn single_cluster_search_is_the_paper_algorithm_bitwise() {
         let m = physical_models();
-        let d1 = select_frequency(
-            &m,
-            page(),
-            Seconds::new(3.0),
-            Mpki::clamped(2.0),
-            Utilization::clamped(0.5),
-            Celsius::new(40.0),
-            true,
-        );
-        let d2 = select_operating_point(
-            &[ClusterModel::primary(m)],
-            at(0, 960.0),
-            MigrationCost::none(),
-            page(),
-            Seconds::new(3.0),
-            Mpki::clamped(2.0),
-            Utilization::clamped(0.5),
-            Celsius::new(40.0),
-            true,
-        );
-        assert_eq!(d2.chosen.cluster, ClusterId::PRIMARY);
-        assert_eq!(d2.chosen.frequency, d1.chosen);
-        assert_eq!(d2.feasible, d1.feasible);
-        assert_eq!(d2.predicted_ppw, d1.predicted_ppw);
-        assert_eq!(d2.curve.len(), d1.curve.len());
-        for (p2, p1) in d2.curve.iter().zip(d1.curve.iter()) {
-            assert_eq!(p2.point.frequency, p1.frequency);
-            assert_eq!(p2.load_time, p1.load_time);
-            assert_eq!(p2.power, p1.power);
-            assert_eq!(p2.ppw, p1.ppw);
-            assert_eq!(p2.feasible, p1.feasible);
-            assert!(!p2.migrating);
+        let util = Utilization::clamped(0.5);
+        for (deadline, mpki, temp) in [(3.0, 2.0, 40.0), (1.3, 12.0, 70.0), (0.1, 2.0, 40.0)] {
+            let (target, mpki, temp) = (
+                Seconds::new(deadline),
+                Mpki::clamped(mpki),
+                Celsius::new(temp),
+            );
+            let flat = select_frequency(&m, page(), target, mpki, util, temp, true);
+            let point = select_operating_point(
+                &[ClusterModel::primary(m.clone())],
+                at(0, 960.0),
+                MigrationCost::none(),
+                page(),
+                target,
+                mpki,
+                util,
+                temp,
+                true,
+            );
+            assert_eq!(flat, point);
+            assert_paper_algorithm_one(&point, &m.dvfs, target, |f| {
+                let inputs = PredictorInputs::for_frequency(page(), f, &m.dvfs, mpki, util);
+                (
+                    m.predict_load_time(&inputs),
+                    m.predict_total_power(&inputs, temp, true),
+                )
+            });
         }
     }
 

@@ -8,10 +8,7 @@
 //! utilization and temperature, and reprograms the clock only when `fopt`
 //! moved.
 
-use crate::algorithm::{
-    select_frequency, select_operating_point, ClusterModel, FrequencyDecision,
-    OperatingPointDecision,
-};
+use crate::algorithm::{select_operating_point, ClusterModel, OperatingPointDecision};
 use crate::models::DoraModels;
 use dora_browser::PageFeatures;
 use dora_governors::{Governor, GovernorObservation};
@@ -105,7 +102,17 @@ impl DoraConfig {
 }
 
 /// The DORA governor: statically-trained models + Algorithm 1, run every
-/// decision interval.
+/// decision interval over the (cluster, frequency) operating points of
+/// the SoC.
+///
+/// A homogeneous SoC is the one-cluster case ([`DoraGovernor::new`]); a
+/// heterogeneous (big.LITTLE) one gets one [`ClusterModel`] per cluster
+/// and the profile's cited migration-cost model
+/// ([`DoraGovernor::from_profile`]). Candidates on the currently governed
+/// cluster are scored as the paper scores frequencies; a candidate on
+/// another cluster must additionally amortize the migration latency
+/// (against the QoS target) and energy (in the PPW denominator) before it
+/// can win.
 ///
 /// # Example
 ///
@@ -113,22 +120,66 @@ impl DoraConfig {
 /// `trainer` module and `examples/quickstart.rs` for the full pipeline.
 #[derive(Debug, Clone)]
 pub struct DoraGovernor {
-    models: DoraModels,
+    clusters: Vec<ClusterModel>,
+    migration: MigrationCost,
     config: DoraConfig,
     page: PageFeatures,
     name: String,
-    last_decision: Option<FrequencyDecision>,
+    last_decision: Option<OperatingPointDecision>,
     decision_count: u64,
 }
 
+/// The per-cluster governor's name from before the homogeneous and
+/// heterogeneous governors merged, kept so code written against it (the
+/// benchmark harness calls `HeterogeneousDoraGovernor::from_profile`)
+/// still builds.
+pub type HeterogeneousDoraGovernor = DoraGovernor;
+
 impl DoraGovernor {
     /// Creates a DORA governor for loading `page` under the given trained
-    /// models and configuration.
+    /// models and configuration, searching the models' own DVFS table as
+    /// a single cluster with no migration candidates.
     ///
     /// # Panics
     ///
     /// Panics if `config` fails validation.
     pub fn new(models: DoraModels, page: PageFeatures, config: DoraConfig) -> Self {
+        DoraGovernor::with_clusters(
+            vec![ClusterModel::primary(models)],
+            MigrationCost::none(),
+            page,
+            config,
+        )
+    }
+
+    /// Creates the governor for a board profile: one scaled model per
+    /// cluster ([`ClusterModel::from_profile`]), each searching its
+    /// cluster's DVFS table, and the profile's migration-cost model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails validation or `board` has no clusters.
+    pub fn from_profile(
+        models: &DoraModels,
+        board: &BoardConfig,
+        page: PageFeatures,
+        config: DoraConfig,
+    ) -> Self {
+        DoraGovernor::with_clusters(
+            ClusterModel::from_profile(models, board),
+            board.migration,
+            page,
+            config,
+        )
+    }
+
+    /// Validates `config` and names the governor after its policy.
+    fn with_clusters(
+        clusters: Vec<ClusterModel>,
+        migration: MigrationCost,
+        page: PageFeatures,
+        config: DoraConfig,
+    ) -> Self {
         #[allow(clippy::expect_used)] // constructor contract: documented panic
         config.validate().expect("invalid DORA configuration");
         let name = match (config.policy, config.include_leakage) {
@@ -138,7 +189,8 @@ impl DoraGovernor {
             (DoraPolicy::EnergyOnly, _) => "EE".to_string(),
         };
         DoraGovernor {
-            models,
+            clusters,
+            migration,
             config,
             page,
             name,
@@ -167,200 +219,12 @@ impl DoraGovernor {
 
     /// The most recent Algorithm 1 outcome, if any — exposes the full
     /// predicted curve for diagnosis and for the Fig. 6/11 experiments.
-    pub fn last_decision(&self) -> Option<&FrequencyDecision> {
+    pub fn last_decision(&self) -> Option<&OperatingPointDecision> {
         self.last_decision.as_ref()
     }
 
     /// How many Algorithm 1 evaluations have run (for overhead accounting,
     /// Section V-H).
-    pub fn decision_count(&self) -> u64 {
-        self.decision_count
-    }
-
-    /// The trained models (e.g. for offline inspection).
-    pub fn models(&self) -> &DoraModels {
-        &self.models
-    }
-}
-
-impl Governor for DoraGovernor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn decision_interval(&self) -> SimDuration {
-        self.config.decision_interval
-    }
-
-    fn decide(&mut self, observation: &GovernorObservation) -> Frequency {
-        self.decision_count += 1;
-        let decision = select_frequency(
-            &self.models,
-            self.page,
-            self.config.qos_target * (1.0 - self.config.qos_margin),
-            observation.shared_l2_mpki,
-            observation.corun_utilization,
-            observation.temperature,
-            self.config.include_leakage,
-        );
-        let mut chosen = match self.config.policy {
-            DoraPolicy::Dora => decision.chosen,
-            DoraPolicy::DeadlineOnly => decision
-                .f_deadline()
-                .unwrap_or_else(|| self.models.dvfs.max_frequency()),
-            DoraPolicy::EnergyOnly => decision.f_energy(),
-        };
-        // Hysteresis: keep the programmed frequency when it is predicted
-        // to stay feasible (irrelevant for EE) and its PPW is within the
-        // configured margin of the new optimum — a switch costs a stall.
-        // DL optimizes feasibility alone, so hysteresis does not apply.
-        if chosen != observation.frequency && self.config.policy != DoraPolicy::DeadlineOnly {
-            let current = decision
-                .curve
-                .iter()
-                .find(|p| p.frequency == observation.frequency);
-            let target = decision.curve.iter().find(|p| p.frequency == chosen);
-            if let (Some(current), Some(target)) = (current, target) {
-                let feasible_enough =
-                    current.feasible || self.config.policy == DoraPolicy::EnergyOnly;
-                let close_enough = if target.ppw > Ppw::ZERO {
-                    (target.ppw.value() - current.ppw.value()) / target.ppw.value()
-                        < self.config.switch_margin
-                } else {
-                    false
-                };
-                if feasible_enough && close_enough {
-                    chosen = observation.frequency;
-                }
-            }
-        }
-        self.last_decision = Some(decision);
-        chosen
-    }
-
-    fn reset(&mut self) {
-        self.last_decision = None;
-        self.decision_count = 0;
-    }
-
-    fn page_changed(&mut self, page: &PageFeatures) {
-        self.retarget(*page);
-    }
-
-    fn decision_curve(&self) -> Option<Vec<dora_sim_core::probe::CandidatePrediction>> {
-        self.last_decision.as_ref().map(|d| {
-            d.curve
-                .iter()
-                .map(|p| dora_sim_core::probe::CandidatePrediction {
-                    cluster: 0,
-                    frequency_khz: p.frequency.as_khz(),
-                    load_time: p.load_time,
-                    power: p.power,
-                    ppw: p.ppw,
-                    feasible: p.feasible,
-                })
-                .collect()
-        })
-    }
-}
-
-/// DORA generalized to a heterogeneous (big.LITTLE) SoC: Algorithm 1 over
-/// the full (cluster, frequency) product space, with the profile's cited
-/// migration-cost model inside the decision.
-///
-/// Every decision interval it runs [`select_operating_point`] across one
-/// [`ClusterModel`] per cluster. Candidates on the currently governed
-/// cluster are scored exactly as the homogeneous governor scores them; a
-/// candidate on the *other* cluster must additionally amortize the
-/// migration latency (against the QoS target) and energy (in the PPW
-/// denominator) before it can win. On a one-cluster profile every
-/// decision is bit-identical to [`DoraGovernor`]'s.
-#[derive(Debug, Clone)]
-pub struct HeterogeneousDoraGovernor {
-    clusters: Vec<ClusterModel>,
-    migration: MigrationCost,
-    config: DoraConfig,
-    page: PageFeatures,
-    name: String,
-    last_decision: Option<OperatingPointDecision>,
-    decision_count: u64,
-}
-
-impl HeterogeneousDoraGovernor {
-    /// Creates the governor from explicit per-cluster models.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails validation or `clusters` is empty.
-    pub fn new(
-        clusters: Vec<ClusterModel>,
-        migration: MigrationCost,
-        page: PageFeatures,
-        config: DoraConfig,
-    ) -> Self {
-        #[allow(clippy::expect_used)] // constructor contract: documented panic
-        config.validate().expect("invalid DORA configuration");
-        assert!(!clusters.is_empty(), "need at least one cluster model");
-        let name = match (config.policy, config.include_leakage) {
-            (DoraPolicy::Dora, true) => "DORA".to_string(),
-            (DoraPolicy::Dora, false) => "DORA_no_lkg".to_string(),
-            (DoraPolicy::DeadlineOnly, _) => "DL".to_string(),
-            (DoraPolicy::EnergyOnly, _) => "EE".to_string(),
-        };
-        HeterogeneousDoraGovernor {
-            clusters,
-            migration,
-            config,
-            page,
-            name,
-            last_decision: None,
-            decision_count: 0,
-        }
-    }
-
-    /// Creates the governor for a board profile: one scaled model per
-    /// cluster ([`ClusterModel::from_profile`]) and the profile's
-    /// migration-cost model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails validation or `board` has no clusters.
-    pub fn from_profile(
-        models: &DoraModels,
-        board: &BoardConfig,
-        page: PageFeatures,
-        config: DoraConfig,
-    ) -> Self {
-        HeterogeneousDoraGovernor::new(
-            ClusterModel::from_profile(models, board),
-            board.migration,
-            page,
-            config,
-        )
-    }
-
-    /// The governor's configuration.
-    pub fn config(&self) -> DoraConfig {
-        self.config
-    }
-
-    /// The page the governor is optimizing for.
-    pub fn page(&self) -> PageFeatures {
-        self.page
-    }
-
-    /// Points the governor at a new page (models are page-independent).
-    pub fn retarget(&mut self, page: PageFeatures) {
-        self.page = page;
-        self.last_decision = None;
-    }
-
-    /// The most recent product-space sweep, if any.
-    pub fn last_decision(&self) -> Option<&OperatingPointDecision> {
-        self.last_decision.as_ref()
-    }
-
-    /// How many Algorithm 1 evaluations have run.
     pub fn decision_count(&self) -> u64 {
         self.decision_count
     }
@@ -407,15 +271,16 @@ impl HeterogeneousDoraGovernor {
         let mut chosen = match self.config.policy {
             DoraPolicy::Dora => decision.chosen,
             // DL when infeasible: the sweep's fallback is already the
-            // QoS-prioritizing fastest point.
+            // QoS-prioritizing fastest point (`fmax` on one cluster).
             DoraPolicy::DeadlineOnly => decision.point_deadline().unwrap_or(decision.chosen),
             DoraPolicy::EnergyOnly => decision.point_energy(),
         };
-        // Hysteresis, exactly as the homogeneous governor applies it: keep
-        // the programmed point when it stays feasible and its PPW is
-        // within the margin of the new optimum — a migration costs far
-        // more than a DVFS write, so marginal cross-cluster wins
-        // especially are not worth chasing.
+        // Hysteresis: keep the programmed point when it is predicted to
+        // stay feasible (irrelevant for EE) and its PPW is within the
+        // configured margin of the new optimum — a DVFS write costs a
+        // stall and a migration far more, so marginal wins are not worth
+        // chasing. DL optimizes feasibility alone, so hysteresis does not
+        // apply.
         if chosen != current && self.config.policy != DoraPolicy::DeadlineOnly {
             let current_row = decision.curve.iter().find(|p| p.point == current);
             let target_row = decision.curve.iter().find(|p| p.point == chosen);
@@ -438,7 +303,7 @@ impl HeterogeneousDoraGovernor {
     }
 }
 
-impl Governor for HeterogeneousDoraGovernor {
+impl Governor for DoraGovernor {
     fn name(&self) -> &str {
         &self.name
     }
@@ -489,6 +354,7 @@ impl Governor for HeterogeneousDoraGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::tests::assert_paper_algorithm_one;
     use crate::models::{FrequencyEncoding, PiecewiseSurface, PredictorInputs};
     use dora_modeling::leakage::Eq5Params;
     use dora_modeling::surface::{ResponseSurface, SurfaceKind};
@@ -584,7 +450,7 @@ mod tests {
         let probe_curve = g.decision_curve().expect("recorded");
         assert_eq!(probe_curve.len(), d.curve.len());
         for (traced, predicted) in probe_curve.iter().zip(d.curve.iter()) {
-            assert_eq!(traced.frequency_khz, predicted.frequency.as_khz());
+            assert_eq!(traced.frequency_khz, predicted.point.frequency.as_khz());
             assert_eq!(traced.load_time, predicted.load_time);
             assert_eq!(traced.ppw, predicted.ppw);
             assert_eq!(traced.feasible, predicted.feasible);
@@ -662,7 +528,7 @@ mod tests {
         assert_eq!(dl.name(), "DL");
         let f = dl.decide(&obs(2.0, 40.0));
         let d = dl.last_decision().expect("recorded").clone();
-        assert_eq!(Some(f), d.f_deadline());
+        assert_eq!(Some(f), d.point_deadline().map(|p| p.frequency));
         // DL never picks above DORA's fopt when fE >= fD... but it always
         // picks the *lowest* feasible, so it is <= the full policy's pick.
         let mut full = DoraGovernor::new(m, page(), DoraConfig::default());
@@ -686,7 +552,7 @@ mod tests {
         let f = ee.decide(&obs(2.0, 40.0));
         // EE still picks its PPW optimum rather than falling back to fmax.
         let d = ee.last_decision().expect("recorded").clone();
-        assert_eq!(f, d.f_energy());
+        assert_eq!(f, d.point_energy().frequency);
         assert!(f < m.dvfs.max_frequency());
     }
 
@@ -712,28 +578,47 @@ mod tests {
         assert_eq!(g.decision_interval(), SimDuration::from_millis(100));
     }
 
-    fn biglittle_governor(config: DoraConfig) -> HeterogeneousDoraGovernor {
+    fn biglittle_governor(config: DoraConfig) -> DoraGovernor {
         let board = dora_soc::SocProfile::biglittle_a15a7().board_config();
-        HeterogeneousDoraGovernor::from_profile(&physical_models(), &board, page(), config)
+        DoraGovernor::from_profile(&physical_models(), &board, page(), config)
     }
 
     #[test]
-    fn heterogeneous_single_cluster_matches_the_homogeneous_governor_bitwise() {
+    fn single_cluster_governors_run_the_paper_algorithm_bitwise() {
+        // Both one-cluster constructions, with the margins zeroed so the
+        // decision is Algorithm 1's own, against the paper's loop written
+        // out from the point predictions.
         let m = physical_models();
         let board = dora_soc::SocProfile::msm8974().board_config();
-        let mut flat = DoraGovernor::new(m.clone(), page(), DoraConfig::default());
-        let mut hetero =
-            HeterogeneousDoraGovernor::from_profile(&m, &board, page(), DoraConfig::default());
-        for mpki in [0.5, 2.0, 8.0, 16.0] {
+        let config = DoraConfig {
+            qos_margin: 0.0,
+            switch_margin: 0.0,
+            ..DoraConfig::default()
+        };
+        let mut governors = [
+            DoraGovernor::new(m.clone(), page(), config),
+            DoraGovernor::from_profile(&m, &board, page(), config),
+        ];
+        for mpki in [0.5, 2.0, 8.0, 16.0, 40.0] {
             let o = obs(mpki, 42.0);
-            let f_flat = flat.decide(&o);
-            let p_hetero = hetero.decide_point(&o);
-            assert_eq!(p_hetero.cluster, ClusterId::PRIMARY);
-            assert_eq!(p_hetero.frequency, f_flat, "mpki={mpki}");
-            let d_flat = flat.last_decision().expect("recorded");
-            let d_het = hetero.last_decision().expect("recorded");
-            assert_eq!(d_het.feasible, d_flat.feasible);
-            assert_eq!(d_het.predicted_ppw, d_flat.predicted_ppw);
+            for g in &mut governors {
+                let point = g.decide_point(&o);
+                let d = g.last_decision().expect("recorded");
+                assert_eq!(point, d.chosen, "mpki={mpki}");
+                assert_paper_algorithm_one(d, &m.dvfs, config.qos_target, |f| {
+                    let inputs = PredictorInputs::for_frequency(
+                        page(),
+                        f,
+                        &m.dvfs,
+                        o.shared_l2_mpki,
+                        o.corun_utilization,
+                    );
+                    (
+                        m.predict_load_time(&inputs),
+                        m.predict_total_power(&inputs, o.temperature, true),
+                    )
+                });
+            }
         }
     }
 
@@ -842,17 +727,6 @@ mod tests {
         assert!(
             sticky.cluster == ClusterId::new(0) || sticky == moved,
             "hysteresis may only keep the current cluster, got {sticky}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cluster")]
-    fn heterogeneous_rejects_empty_cluster_list() {
-        let _ = HeterogeneousDoraGovernor::new(
-            Vec::new(),
-            dora_soc::MigrationCost::none(),
-            page(),
-            DoraConfig::default(),
         );
     }
 }

@@ -25,16 +25,19 @@
 //! * [`models`] — the trained model bundle ([`models::DoraModels`]):
 //!   piecewise-per-bus-tier response surfaces for load time and dynamic
 //!   power, plus fitted Eq. 5 leakage parameters.
-//! * [`algorithm`] — Algorithm 1 ([`algorithm::select_frequency`]),
-//!   returning the full predicted curve for inspection, and its 2-D
-//!   generalization ([`algorithm::select_operating_point`]) that sweeps
-//!   the (cluster, frequency) product space of a heterogeneous SoC with
-//!   migration cost inside the decision model.
+//! * [`algorithm`] — Algorithm 1 over the (cluster, frequency) operating
+//!   points of the SoC ([`algorithm::select_operating_point`]), returning
+//!   the full predicted curve for inspection, with migration cost inside
+//!   the decision model. A homogeneous SoC is the one-cluster case;
+//!   [`algorithm::select_frequency`] is that case over a bundle's own DVFS
+//!   table.
 //! * [`governor`] — [`governor::DoraGovernor`], implementing the shared
-//!   [`dora_governors::Governor`] trait; a constructor flag produces the
-//!   paper's `DORA_no_lkg` ablation (Fig. 10). On big.LITTLE profiles
-//!   [`governor::HeterogeneousDoraGovernor`] runs the 2-D search and
-//!   returns full operating points via `decide_point`.
+//!   [`dora_governors::Governor`] trait; config flags produce the paper's
+//!   `DORA_no_lkg` ablation (Fig. 10) and its `DL`/`EE` comparison
+//!   governors (Section V-C).
+//!   [`governor::DoraGovernor::new`] governs one cluster;
+//!   [`governor::DoraGovernor::from_profile`] one model per cluster of a
+//!   board profile, migrating the browser via `decide_point`.
 //! * [`trainer`] — the offline training pipeline (Section IV-C: "over 300
 //!   measurements … used to determine the coefficients").
 //! * [`persist`] — versioned text serialization of the trained bundle,
@@ -62,8 +65,8 @@ pub mod persist;
 pub mod trainer;
 
 pub use algorithm::{
-    select_frequency, select_operating_point, ClusterModel, FrequencyDecision,
-    OperatingPointDecision, PredictedOperatingPoint, PredictedPoint,
+    select_frequency, select_operating_point, ClusterModel, OperatingPointDecision,
+    PredictedOperatingPoint,
 };
 pub use governor::{DoraConfig, DoraGovernor, DoraPolicy, HeterogeneousDoraGovernor};
 pub use models::{DoraModels, FrequencyEncoding, PredictorInputs};

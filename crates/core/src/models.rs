@@ -364,6 +364,10 @@ impl<'a> BoundModels<'a> {
     /// Predicted load time and total power at table operating point
     /// `opp`, as `predict_load_time` and `predict_total_power` give them
     /// for the inputs `PredictorInputs::for_frequency` builds.
+    ///
+    /// Kept out of line: inlined into the Algorithm 1 sweep it made each
+    /// one-cluster decision about 5 % slower (`decide-replay`, x86-64).
+    #[inline(never)]
     fn predict(&mut self, opp: Opp) -> (Seconds, Watts) {
         let tier = self.models.dvfs.bus_tier(opp.frequency);
         let time = self.load_time.evaluate(&self.fixed, tier, opp.frequency);

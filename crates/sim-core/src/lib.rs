@@ -18,9 +18,8 @@
 //!
 //! Observation rides on the typed [`probe`] bus: simulators emit
 //! [`probe::ProbeEvent`]s lazily (zero cost with no probe attached) and
-//! consumers attach [`probe::Probe`] sinks. A small bounded
-//! [`trace::TraceRing`] remains as the string-formatted compatibility
-//! layer over the bus.
+//! consumers attach [`probe::Probe`] sinks, such as the bounded
+//! [`probe::ProbeRing`].
 //!
 //! # Example
 //!
@@ -47,7 +46,6 @@ mod time;
 pub mod probe;
 pub mod sketch;
 pub mod stats;
-pub mod trace;
 pub mod units;
 
 pub use rng::Rng;

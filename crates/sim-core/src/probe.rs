@@ -20,8 +20,7 @@
 //!   never calls it unless at least one probe is attached — so the
 //!   probe-off hot path performs no allocation and no formatting at all.
 //! * [`ProbeRing`] — a bounded, ready-made sink that records
-//!   `(timestamp, event)` pairs for later inspection, the typed
-//!   successor of [`crate::trace::TraceRing`].
+//!   `(timestamp, event)` pairs for later inspection.
 //!
 //! Determinism: the bus holds sinks in attachment order and dispatches
 //! synchronously on the simulation thread, so two runs of the same
@@ -252,10 +251,8 @@ pub struct RecordedEvent {
     pub event: ProbeEvent,
 }
 
-/// A bounded ring sink: keeps the most recent `capacity` events and
-/// counts the rest as dropped. The typed successor of
-/// [`crate::trace::TraceRing`] — same memory-bounding contract, but the
-/// payloads stay structured.
+/// A bounded ring sink: keeps the most recent `capacity` events, with
+/// their structured payloads, and counts the rest as dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbeRing {
     capacity: usize,

@@ -13,9 +13,8 @@
 //! ([`Board::attach_probe`]): events are built lazily, so with no probe
 //! attached the stepping path performs no allocation and no formatting.
 //! The `probe-purity` xtask pass enforces that property on this file.
-//! The string [`Board::trace_events`] view survives as a thin shim probe
-//! (see `trace_compat`). Boards can also be checkpointed and forked
-//! mid-run via [`Board::snapshot`] (see `snapshot`).
+//! Boards can also be checkpointed and forked mid-run via
+//! [`Board::snapshot`] (see `snapshot`).
 
 use crate::contention::{ContentionParams, ContentionSolver};
 use crate::counters::{CoreCounters, CounterSet};
@@ -24,7 +23,6 @@ use crate::power::{PowerBreakdown, PowerModel};
 use crate::profile::ClusterId;
 use crate::task::Task;
 use crate::thermal::ThermalNode;
-use crate::trace_compat::LifecycleTrace;
 use dora_sim_core::probe::{Probe, ProbeBus, ProbeEvent, ProbeId};
 use dora_sim_core::stats::TimeWeighted;
 use dora_sim_core::units::{Celsius, Joules, Seconds, Watts};
@@ -110,8 +108,6 @@ pub struct Board {
     pub(crate) seed: u64,
     /// Observers. Not simulation state: excluded from snapshots.
     probes: ProbeBus,
-    /// The string-trace shim, when enabled, with its bus handle.
-    trace: Option<(ProbeId, Rc<RefCell<LifecycleTrace>>)>,
     /// Fixed-point solver with reusable buffers.
     solver: ContentionSolver,
     /// Per-quantum working storage.
@@ -162,7 +158,6 @@ impl Board {
             energy_breakdown: EnergyBreakdown::default(),
             seed,
             probes: ProbeBus::new(),
-            trace: None,
             solver: ContentionSolver::new(),
             scratch: StepScratch::default(),
             config,
@@ -183,7 +178,7 @@ impl Board {
         self.probes.detach(id)
     }
 
-    /// Whether any probe (including the trace shim) is listening.
+    /// Whether any probe is listening.
     pub fn probes_active(&self) -> bool {
         self.probes.is_active()
     }
@@ -194,32 +189,6 @@ impl Board {
     /// governor decisions.
     pub fn emit_event(&mut self, event: ProbeEvent) {
         self.probes.emit(self.now, event);
-    }
-
-    /// Enables event tracing: DVFS transitions, task assignments and task
-    /// completions are recorded into a bounded ring of `capacity` events
-    /// (oldest evicted first). Pass 0 to disable again.
-    ///
-    /// This is a compatibility shim: the ring is an ordinary probe on the
-    /// bus that formats lifecycle events into the historical strings.
-    /// New code should attach a typed probe instead.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        if let Some((id, _)) = self.trace.take() {
-            self.probes.detach(id);
-        }
-        if capacity > 0 {
-            let shim = LifecycleTrace::shared(capacity);
-            let id = self.probes.attach(shim.clone());
-            self.trace = Some((id, shim));
-        }
-    }
-
-    /// The recorded events, oldest first (empty when tracing is off).
-    pub fn trace_events(&self) -> Vec<dora_sim_core::trace::TraceEvent> {
-        self.trace
-            .as_ref()
-            .map(|(_, shim)| shim.borrow().events())
-            .unwrap_or_default()
     }
 
     /// The static configuration.
@@ -720,13 +689,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_nexus5_shims_still_validate() {
-        assert!(BoardConfig::nexus5().validate().is_ok());
-        assert!(BoardConfig::nexus5_cold().validate().is_ok());
-    }
-
-    #[test]
     fn assign_errors() {
         let mut b = board();
         assert_eq!(
@@ -965,40 +927,81 @@ mod tests {
         assert!(e.platform > e.dram, "{e:?}");
     }
 
+    /// The lifecycle events of a run, in emission order, as a ring sink
+    /// on the bus records them (per-quantum samples filtered out).
+    fn lifecycle(ring: &dora_sim_core::probe::ProbeRing) -> Vec<ProbeEvent> {
+        ring.iter()
+            .map(|r| r.event.clone())
+            .filter(|e| {
+                matches!(
+                    e,
+                    ProbeEvent::TaskAssigned { .. }
+                        | ProbeEvent::DvfsSwitch { .. }
+                        | ProbeEvent::TaskFinished { .. }
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn trace_records_lifecycle_events() {
+    fn probe_ring_records_lifecycle_events() {
+        use dora_sim_core::probe::ProbeRing;
+
         let mut b = board();
-        b.enable_trace(16);
+        let ring = ProbeRing::shared(1 << 14);
+        b.attach_probe(ring.clone());
         b.set_frequency(Frequency::from_mhz(1958.4)).expect("ok");
         b.assign(0, compute_task(1.0e7)).expect("free");
         while !b.task_finished(0) {
             b.step(SimDuration::from_millis(5));
         }
-        let events: Vec<String> = b.trace_events().into_iter().map(|e| e.message).collect();
-        assert!(
-            events.iter().any(|m| m.contains("dvfs: -> 1.958GHz")),
-            "{events:?}"
+        let finished = b.finish_time(0).expect("finished");
+        assert_eq!(
+            lifecycle(&ring.borrow()),
+            vec![
+                ProbeEvent::DvfsSwitch {
+                    cluster: 0,
+                    from_khz: 300_000,
+                    to_khz: 1_958_400,
+                },
+                ProbeEvent::TaskAssigned {
+                    core: 0,
+                    name: "job".to_string(),
+                },
+                ProbeEvent::TaskFinished {
+                    core: 0,
+                    at: finished,
+                },
+            ]
         );
-        assert!(
-            events.iter().any(|m| m.contains("assigned task \"job\"")),
-            "{events:?}"
-        );
-        assert!(
-            events.iter().any(|m| m.contains("core0: task finished")),
-            "{events:?}"
-        );
+        assert_eq!(ring.borrow().dropped(), 0);
     }
 
     #[test]
-    fn trace_off_by_default_and_disableable() {
+    fn probe_ring_off_by_default_bounded_and_detachable() {
+        use dora_sim_core::probe::ProbeRing;
+
         let mut b = board();
         b.set_frequency(Frequency::from_mhz(729.6)).expect("ok");
-        assert!(b.trace_events().is_empty());
-        b.enable_trace(4);
+        assert!(!b.probes_active());
+        let ring = ProbeRing::shared(1);
+        let id = b.attach_probe(ring.clone());
         b.set_frequency(Frequency::from_mhz(960.0)).expect("ok");
-        assert_eq!(b.trace_events().len(), 1);
-        b.enable_trace(0);
-        assert!(b.trace_events().is_empty());
+        b.set_frequency(Frequency::from_mhz(1190.4)).expect("ok");
+        // Capacity one: the newest switch stays, the older one is dropped.
+        assert_eq!(
+            lifecycle(&ring.borrow()),
+            vec![ProbeEvent::DvfsSwitch {
+                cluster: 0,
+                from_khz: 960_000,
+                to_khz: 1_190_400,
+            }]
+        );
+        assert_eq!(ring.borrow().dropped(), 1);
+        assert!(b.detach_probe(id));
+        assert!(!b.probes_active());
+        b.set_frequency(Frequency::from_mhz(960.0)).expect("ok");
+        assert_eq!(ring.borrow().len(), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::dvfs::{DvfsTable, Frequency};
 use crate::memory::MemorySystem;
 use crate::power::{PowerBreakdown, PowerParams};
-use crate::profile::{ClusterConfig, MigrationCost, SocProfile};
+use crate::profile::{ClusterConfig, MigrationCost};
 use crate::thermal::ThermalParams;
 use dora_sim_core::units::{Celsius, Joules, Seconds};
 use dora_sim_core::SimDuration;
@@ -96,30 +96,6 @@ pub struct BoardConfig {
 }
 
 impl BoardConfig {
-    /// The Nexus 5 platform of the paper's Table II: four Krait cores
-    /// (fourth switched off, as in Section IV-B), 2 MB shared L2, LPDDR3,
-    /// the 14-entry MSM8974 DVFS table, room ambient.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use the profile registry: `SocProfile::msm8974().board_config()`"
-    )]
-    pub fn nexus5() -> Self {
-        SocProfile::msm8974().board_config()
-    }
-
-    /// Same platform at the cold ambient of Fig. 10(b).
-    #[deprecated(
-        since = "0.11.0",
-        note = "use `SocProfile::msm8974().board_config().with_ambient(...)` \
-                or `ThermalParams::nexus5_cold()`"
-    )]
-    pub fn nexus5_cold() -> Self {
-        BoardConfig {
-            thermal: ThermalParams::nexus5_cold(),
-            ..SocProfile::msm8974().board_config()
-        }
-    }
-
     /// This platform with its thermal node re-anchored at `ambient` —
     /// the typed knob fleet archetypes turn instead of reaching into
     /// [`ThermalParams`] by hand.

@@ -243,22 +243,6 @@ impl DvfsTable {
         DvfsTable::new(&points)
     }
 
-    /// The 14-entry MSM8974 Snapdragon 800 table used throughout the
-    /// reproduction (Table II: "14 different frequency settings available,
-    /// ranging from 300 MHz to 2265 MHz"). Voltages follow the published
-    /// Krait voltage-ladder shape: ~0.80 V at the bottom, ~1.10 V at the top
-    /// with a super-linear tail.
-    ///
-    /// Built from [`MSM8974_KHZ_MV`], whose ordering is checked at
-    /// compile time.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use the profile registry: `SocProfile::msm8974().dvfs()`"
-    )]
-    pub fn msm8974() -> Self {
-        DvfsTable::from_khz_mv(&MSM8974_KHZ_MV)
-    }
-
     /// Number of operating points.
     pub fn len(&self) -> usize {
         self.opps.len()
@@ -380,6 +364,9 @@ impl DvfsTable {
     }
 }
 
+/// The 14-entry MSM8974 Snapdragon 800 table used throughout the
+/// reproduction (Table II: "14 different frequency settings available,
+/// ranging from 300 MHz to 2265 MHz"), built from [`MSM8974_KHZ_MV`].
 impl Default for DvfsTable {
     fn default() -> Self {
         DvfsTable::from_khz_mv(&MSM8974_KHZ_MV)

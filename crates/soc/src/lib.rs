@@ -71,7 +71,6 @@ pub mod profile;
 pub mod snapshot;
 pub mod task;
 pub mod thermal;
-mod trace_compat;
 
 pub use board::{Board, BoardConfig, BoardError};
 pub use dvfs::{BusTier, DvfsTable, Frequency, Opp};

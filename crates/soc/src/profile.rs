@@ -394,8 +394,7 @@ impl SocProfile {
         self.board.clone()
     }
 
-    /// The primary cluster's DVFS table — the successor of the
-    /// deprecated `DvfsTable::msm8974()` free constructor.
+    /// The primary cluster's DVFS table.
     pub fn dvfs(&self) -> DvfsTable {
         self.board.dvfs.clone()
     }
@@ -404,6 +403,7 @@ impl SocProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dvfs::MSM8974_KHZ_MV;
 
     #[test]
     fn every_registered_profile_validates() {
@@ -420,12 +420,21 @@ mod tests {
 
     #[test]
     fn msm8974_profile_matches_the_historical_config() {
-        #[allow(deprecated)]
-        let legacy = BoardConfig::nexus5();
         let board = SocProfile::msm8974().board_config();
-        assert_eq!(board.name, legacy.name);
-        assert_eq!(board.dvfs, legacy.dvfs);
-        assert_eq!(board.power, legacy.power);
+        assert_eq!(board.dvfs, DvfsTable::default());
+        assert_eq!(board.clusters[0].dvfs, DvfsTable::default());
+        let opps: Vec<(u64, u32)> = board
+            .dvfs
+            .opps()
+            .iter()
+            .map(|opp| {
+                (
+                    opp.frequency.as_khz(),
+                    (opp.voltage * 1000.0).round() as u32,
+                )
+            })
+            .collect();
+        assert_eq!(opps, MSM8974_KHZ_MV);
         assert_eq!(board.clusters.len(), 1);
         assert_eq!(board.clusters[0].cpi_scale, 1.0);
         assert_eq!(board.migration, MigrationCost::none());

@@ -11,8 +11,8 @@ use dora_repro::dora::{
 };
 use dora_repro::modeling::leakage::Eq5Params;
 use dora_repro::modeling::surface::{ResponseSurface, SurfaceKind};
-use dora_repro::soc::{ClusterId, DvfsTable, MigrationCost, OperatingPoint, SocProfile};
-use dora_repro::units::{Celsius, Mpki, Ppw, Seconds, Utilization};
+use dora_repro::soc::{ClusterId, DvfsTable, Frequency, MigrationCost, OperatingPoint, SocProfile};
+use dora_repro::units::{Celsius, Mpki, Ppw, Seconds, Utilization, Watts};
 use proptest::prelude::*;
 
 /// Builds a trained bundle from a randomized physical ground truth:
@@ -99,6 +99,45 @@ fn synth_models_with(
     }
 }
 
+/// One `(F, T, P, PPW, feasible)` row of [`paper_algorithm_one`].
+type PaperRow = (Frequency, Seconds, Watts, Ppw, bool);
+
+/// The paper's Algorithm 1 as written, from the point predictions and
+/// independent of the library's candidate sweep: predict T and P at every
+/// table frequency, keep a strict `>` PPW argmax over the feasible rows
+/// (so the lowest F wins a tie), and when nothing is feasible choose
+/// `fmax` at the last row's PPW. Returns `(chosen, feasible, PPW, rows)`.
+fn paper_algorithm_one(
+    models: &DoraModels,
+    page: PageFeatures,
+    qos_target: Seconds,
+    mpki: Mpki,
+    util: Utilization,
+    temp: Celsius,
+    include_leakage: bool,
+) -> (Frequency, bool, Ppw, Vec<PaperRow>) {
+    let mut rows = Vec::new();
+    let mut max_ppw: Option<(Frequency, Ppw)> = None;
+    for f in models.dvfs.frequencies() {
+        let inputs = PredictorInputs::for_frequency(page, f, &models.dvfs, mpki, util);
+        let pred_time = models.predict_load_time(&inputs);
+        let pred_power = models.predict_total_power(&inputs, temp, include_leakage);
+        let pred_ppw = Ppw::from_time_power(pred_time, pred_power);
+        let feasible = pred_time <= qos_target;
+        if feasible && max_ppw.is_none_or(|(_, best)| pred_ppw > best) {
+            max_ppw = Some((f, pred_ppw));
+        }
+        rows.push((f, pred_time, pred_power, pred_ppw, feasible));
+    }
+    match max_ppw {
+        Some((f, ppw)) => (f, true, ppw, rows),
+        None => {
+            let last_ppw = rows.last().expect("non-empty table").3;
+            (models.dvfs.max_frequency(), false, last_ppw, rows)
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -123,14 +162,15 @@ proptest! {
             Celsius::new(temp),
             true,
         );
-        prop_assert!(models.dvfs.index_of(d.chosen).is_some());
+        prop_assert_eq!(d.chosen.cluster, ClusterId::PRIMARY);
+        prop_assert!(models.dvfs.index_of(d.chosen.frequency).is_some());
         prop_assert_eq!(d.curve.len(), models.dvfs.len());
         let any_feasible = d.curve.iter().any(|p| p.feasible);
         prop_assert_eq!(d.feasible, any_feasible);
         if !d.feasible {
-            prop_assert_eq!(d.chosen, models.dvfs.max_frequency());
+            prop_assert_eq!(d.chosen.frequency, models.dvfs.max_frequency());
         } else {
-            let chosen = d.curve.iter().find(|p| p.frequency == d.chosen).expect("in curve");
+            let chosen = d.curve.iter().find(|p| p.point == d.chosen).expect("in curve");
             prop_assert!(chosen.feasible);
         }
         // Every prediction is positive and finite.
@@ -193,11 +233,12 @@ proptest! {
             Celsius::new(45.0),
             true,
         );
-        if let Some(fd) = d.f_deadline() {
-            prop_assert!(fd <= d.chosen, "fD {fd} above chosen {}", d.chosen);
-            let fe = d.f_energy();
+        if let Some(fd) = d.point_deadline().map(|p| p.frequency) {
+            let chosen = d.chosen.frequency;
+            prop_assert!(fd <= chosen, "fD {fd} above chosen {chosen}");
+            let fe = d.point_energy().frequency;
             let expected = if fd <= fe { fe } else { fd };
-            prop_assert_eq!(d.chosen, expected);
+            prop_assert_eq!(chosen, expected);
         }
     }
 
@@ -334,28 +375,31 @@ proptest! {
         }
     }
 
-    /// A single-cluster product-space search is the 1-D Algorithm 1,
-    /// bit for bit — the homogeneous profile reproduces legacy decisions
-    /// exactly.
+    /// A single-cluster product-space search is the paper's Algorithm 1,
+    /// bit for bit: both entry points agree with the loop written out
+    /// from the point predictions, so a homogeneous profile decides as
+    /// the paper does.
     #[test]
-    fn single_cluster_point_search_matches_select_frequency(
+    fn single_cluster_point_search_is_the_paper_algorithm(
         work in 0.5f64..6.0,
         mpki in 0.0f64..20.0,
         util in 0.0f64..1.0,
         temp in 25.0f64..75.0,
         deadline in 0.3f64..8.0,
+        leakage in 0u64..2,
     ) {
         let page = PageFeatures::new(2000, 1200, 500, 550, 600).expect("valid");
         let models = synth_models(work, 0.03, 1.5, 0.8);
-        let flat = select_frequency(
-            &models,
-            page,
+        let include_leakage = leakage == 1;
+        let (target, mpki, util, temp) = (
             Seconds::new(deadline),
             Mpki::clamped(mpki),
             Utilization::clamped(util),
             Celsius::new(temp),
-            true,
         );
+        let (chosen, feasible, ppw, rows) =
+            paper_algorithm_one(&models, page, target, mpki, util, temp, include_leakage);
+        let flat = select_frequency(&models, page, target, mpki, util, temp, include_leakage);
         let current = OperatingPoint {
             cluster: ClusterId::PRIMARY,
             frequency: models.dvfs.max_frequency(),
@@ -365,27 +409,24 @@ proptest! {
             current,
             MigrationCost::none(),
             page,
-            Seconds::new(deadline),
-            Mpki::clamped(mpki),
-            Utilization::clamped(util),
-            Celsius::new(temp),
-            true,
+            target,
+            mpki,
+            util,
+            temp,
+            include_leakage,
         );
-        prop_assert_eq!(point.chosen.cluster, ClusterId::PRIMARY);
-        prop_assert_eq!(point.chosen.frequency, flat.chosen);
-        prop_assert_eq!(point.feasible, flat.feasible);
-        prop_assert_eq!(
-            point.predicted_ppw.value().to_bits(),
-            flat.predicted_ppw.value().to_bits()
-        );
-        prop_assert_eq!(point.curve.len(), flat.curve.len());
-        for (p2, p1) in point.curve.iter().zip(&flat.curve) {
-            prop_assert_eq!(p2.point.frequency, p1.frequency);
-            prop_assert_eq!(p2.load_time.value().to_bits(), p1.load_time.value().to_bits());
-            prop_assert_eq!(p2.power.value().to_bits(), p1.power.value().to_bits());
-            prop_assert_eq!(p2.ppw.value().to_bits(), p1.ppw.value().to_bits());
-            prop_assert_eq!(p2.feasible, p1.feasible);
-            prop_assert!(!p2.migrating);
+        prop_assert_eq!(&flat, &point);
+        prop_assert_eq!(point.chosen, OperatingPoint { cluster: ClusterId::PRIMARY, frequency: chosen });
+        prop_assert_eq!(point.feasible, feasible);
+        prop_assert_eq!(point.predicted_ppw.value().to_bits(), ppw.value().to_bits());
+        prop_assert_eq!(point.curve.len(), rows.len());
+        for (row, &(f, t, p, ppw, feasible)) in point.curve.iter().zip(&rows) {
+            prop_assert_eq!(row.point, OperatingPoint { cluster: ClusterId::PRIMARY, frequency: f });
+            prop_assert_eq!(row.load_time.value().to_bits(), t.value().to_bits());
+            prop_assert_eq!(row.power.value().to_bits(), p.value().to_bits());
+            prop_assert_eq!(row.ppw.value().to_bits(), ppw.value().to_bits());
+            prop_assert_eq!(row.feasible, feasible);
+            prop_assert!(!row.migrating);
         }
     }
 
@@ -426,7 +467,7 @@ proptest! {
         prop_assert_eq!(flat.curve.len(), models.dvfs.len());
         for (row, f) in flat.curve.iter().zip(models.dvfs.frequencies()) {
             let (t, p) = point(&models, f);
-            prop_assert_eq!(row.frequency, f);
+            prop_assert_eq!(row.point, OperatingPoint { cluster: ClusterId::PRIMARY, frequency: f });
             prop_assert_eq!(row.load_time.value().to_bits(), t.value().to_bits());
             prop_assert_eq!(row.power.value().to_bits(), p.value().to_bits());
             prop_assert_eq!(row.ppw.value().to_bits(), Ppw::from_time_power(t, p).value().to_bits());
@@ -482,4 +523,97 @@ proptest! {
         // And a re-serialization is byte-identical (canonical form).
         prop_assert_eq!(text, to_text(&parsed));
     }
+}
+
+/// Golden digest of DORA's runtime decisions over a fixed observation
+/// grid: every `decide_point`/`decide` result and every
+/// `decision_curve()` row, folded by bit pattern. The grid spans MPKI,
+/// co-runner utilization, die temperature and the currently programmed
+/// point, the four policy/leakage variants, three deadlines (feasible
+/// and infeasible), and both the homogeneous governor on the msm8974
+/// table and the per-cluster governor on `biglittle-a15a7`. Re-pin only
+/// alongside an intentional change to Algorithm 1 or the governor.
+#[test]
+fn dora_decision_digest_is_pinned() {
+    use dora_repro::dora::{DoraConfig, DoraGovernor, DoraPolicy};
+    use dora_repro::governors::{Governor, GovernorObservation};
+    use dora_repro::sim::sketch::Digest64;
+    use dora_repro::sim::{SimDuration, SimTime};
+
+    let page = PageFeatures::new(2000, 1200, 500, 550, 600).expect("valid");
+    let models = synth_models(2.2, 0.03, 1.5, 0.8);
+    let biglittle = SocProfile::biglittle_a15a7().board_config();
+    let variants = [
+        (DoraPolicy::Dora, true),
+        (DoraPolicy::Dora, false),
+        (DoraPolicy::DeadlineOnly, true),
+        (DoraPolicy::EnergyOnly, true),
+    ];
+    let mut digest = Digest64::new();
+    let mut decisions = 0u64;
+    for (policy, include_leakage) in variants {
+        for deadline in [0.6, 3.0, 10.0] {
+            let config = DoraConfig {
+                qos_target: Seconds::new(deadline),
+                include_leakage,
+                policy,
+                ..DoraConfig::default()
+            };
+            let governors: [(Box<dyn Governor>, Vec<DvfsTable>); 2] = [
+                (
+                    Box::new(DoraGovernor::new(models.clone(), page, config)),
+                    vec![models.dvfs.clone()],
+                ),
+                (
+                    Box::new(DoraGovernor::from_profile(
+                        &models, &biglittle, page, config,
+                    )),
+                    biglittle.clusters.iter().map(|c| c.dvfs.clone()).collect(),
+                ),
+            ];
+            for (mut gov, tables) in governors {
+                digest.write_str(gov.name());
+                for (cluster, table) in tables.iter().enumerate() {
+                    let freqs: Vec<_> = table.frequencies().collect();
+                    for current in [freqs[0], freqs[freqs.len() / 2], freqs[freqs.len() - 1]] {
+                        for mpki in [0.5, 6.0, 18.0] {
+                            for util in [0.2, 0.9] {
+                                for temp in [30.0, 70.0] {
+                                    let obs = GovernorObservation {
+                                        now: SimTime::from_millis(100),
+                                        interval: SimDuration::from_millis(100),
+                                        frequency: current,
+                                        cluster,
+                                        per_core_utilization: vec![Utilization::clamped(util); 4],
+                                        shared_l2_mpki: Mpki::clamped(mpki),
+                                        corun_utilization: Utilization::clamped(util),
+                                        temperature: Celsius::new(temp),
+                                    };
+                                    let point = gov.decide_point(&obs);
+                                    let single = gov.decide(&obs);
+                                    let mut fold = |d: &mut Digest64, gov: &dyn Governor| {
+                                        for row in gov.decision_curve().expect("decided") {
+                                            d.write_u64(row.cluster as u64);
+                                            d.write_u64(row.frequency_khz);
+                                            d.write_f64(row.load_time.value());
+                                            d.write_f64(row.power.value());
+                                            d.write_f64(row.ppw.value());
+                                            d.write_u64(u64::from(row.feasible));
+                                        }
+                                        decisions += 1;
+                                    };
+                                    digest.write_u64(point.cluster.index() as u64);
+                                    digest.write_u64(point.frequency.as_khz());
+                                    digest.write_u64(single.as_khz());
+                                    fold(&mut digest, gov.as_ref());
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(decisions, 4 * 3 * (1 + 2) * 3 * 3 * 2 * 2);
+    assert_eq!(format!("{:016x}", digest.finish()), "7771eeccca2e3768");
 }

@@ -109,8 +109,8 @@ fn snapshot_restore_replays_the_trajectory_bitwise_with_events() {
     board
         .set_frequency(Frequency::from_mhz(1190.4))
         .expect("in table");
-    // A finite foreground task (so both runs see a TaskFinished and a
-    // lifecycle trace line) next to an endless streaming co-runner.
+    // A finite foreground task (so both runs see a TaskFinished event)
+    // next to an endless streaming co-runner.
     board
         .assign(
             0,
@@ -135,8 +135,7 @@ fn snapshot_restore_replays_the_trajectory_bitwise_with_events() {
     let d = SimDuration::from_millis(700);
 
     // Observers go on after the snapshot so both runs watch the same
-    // window: a fresh trace shim and ring per run.
-    board.enable_trace(1 << 10);
+    // window: a fresh ring per run.
     let ring_a = ProbeRing::shared(1 << 14);
     let id_a = board.attach_probe(ring_a.clone());
     board.step(d);
@@ -149,7 +148,6 @@ fn snapshot_restore_replays_the_trajectory_bitwise_with_events() {
         board.counters(0),
         board.counters(2),
         board.finish_time(0),
-        board.trace_events(),
     );
     let events_a = ring_a.borrow().to_vec();
     assert!(
@@ -159,9 +157,8 @@ fn snapshot_restore_replays_the_trajectory_bitwise_with_events() {
     assert!(!events_a.is_empty(), "run A should observe events");
 
     board.restore(&snapshot).expect("snapshot fits");
-    // Fresh observers for run B: the trace shim and ring still hold run
-    // A's events (observers are deliberately outside the snapshot).
-    board.enable_trace(1 << 10);
+    // A fresh observer for run B: ring A still holds run A's events
+    // (observers are deliberately outside the snapshot).
     let ring_b = ProbeRing::shared(1 << 14);
     board.attach_probe(ring_b.clone());
     board.step(d);
@@ -173,7 +170,6 @@ fn snapshot_restore_replays_the_trajectory_bitwise_with_events() {
         board.counters(0),
         board.counters(2),
         board.finish_time(0),
-        board.trace_events(),
     );
     assert_eq!(run_a, run_b, "restore + re-step must replay run A bitwise");
     assert_eq!(

@@ -35,24 +35,15 @@ pub struct ApiItem {
 }
 
 /// Extracts the public declarations of one file's stripped source.
-///
-/// Items carrying a `#[deprecated]` attribute are excluded: deprecated
-/// shims are scheduled for removal, and keeping them out of the snapshot
-/// means landing the shim and landing its deletion both avoid a bless —
-/// the snapshot describes the *supported* surface.
 pub fn extract_file(file: &SourceFile) -> Vec<ApiItem> {
     let lines: Vec<&str> = file.stripped.lines().collect();
     let mut items = Vec::new();
     let mut i = 0;
-    let mut deprecated = false;
     while i < lines.len() {
         let trimmed = lines[i].trim_start();
         // Attributes stack up in front of the item they decorate; a
         // wrapped attribute spans lines until its brackets balance.
         if trimmed.starts_with("#[") {
-            if trimmed.starts_with("#[deprecated") {
-                deprecated = true;
-            }
             let mut depth: i64 = 0;
             loop {
                 let line = lines.get(i).copied().unwrap_or("");
@@ -73,11 +64,9 @@ pub fn extract_file(file: &SourceFile) -> Vec<ApiItem> {
         }
         // `pub(crate)`/`pub(super)` are not public API.
         if !trimmed.starts_with("pub ") {
-            deprecated = false;
             i += 1;
             continue;
         }
-        let skip = std::mem::take(&mut deprecated);
         let start = i;
         let mut sig = String::new();
         loop {
@@ -114,7 +103,7 @@ pub fn extract_file(file: &SourceFile) -> Vec<ApiItem> {
             }
         }
         let signature = sig.split_whitespace().collect::<Vec<_>>().join(" ");
-        if signature != "pub" && !signature.is_empty() && !skip {
+        if signature != "pub" && !signature.is_empty() {
             items.push(ApiItem {
                 signature,
                 file: file.rel.clone(),
@@ -252,16 +241,11 @@ pub fn evaluate(
 pub const GOVERNORS: [&str; 2] = ["a", "b"];
 pub use crate::policy::Policy;
 
-#[deprecated(note = "use CampaignDriver::evaluate")]
-pub fn evaluate_with(set: &WorkloadSet) -> Result<Evaluation, EvaluateError> {
-    todo!()
-}
-
-#[deprecated(
-    note = "a note long enough that rustfmt wrapped the attribute"
+#[allow(
+    clippy::too_many_arguments // a reason long enough that rustfmt wrapped it
 )]
 #[must_use]
-pub fn old_helper() -> u8 {
+pub fn helper() -> u8 {
     0
 }
 
@@ -292,6 +276,7 @@ mod tests {
                  Result<Evaluation, EvaluateError>",
                 "pub const GOVERNORS: [&str; 2]",
                 "pub use crate::policy::Policy",
+                "pub fn helper() -> u8",
             ]
         );
     }
