@@ -3,8 +3,8 @@
 # gate (xtask), then the tier-1 build + test pass
 # (ROADMAP.md: `cargo build --release && cargo test -q`).
 
-.PHONY: verify fmt lint xtask-lint lint-changed lint-cache-clear sarif \
-        bless-api lint-fix build test bench check-interleave miri
+.PHONY: verify fmt lint xtask-lint sarif bless-api lint-fix build test \
+        bench check-interleave miri
 
 verify: fmt lint xtask-lint build test
 
@@ -14,28 +14,22 @@ fmt:
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# The nineteen-pass diagnostics framework (DESIGN.md §8, §12–§14),
-# configured by xtask/xtask.toml: panic reachability, unit-suffix /
-# units-escape and partial_cmp bans, dimensional flow, lint headers,
-# DVFS guard, crate layering, export determinism (per-file and
-# call-graph taint), state coverage, merge associativity, snapshot
+# The fifteen-pass diagnostics framework (DESIGN.md §8, §12–§14),
+# configured by xtask/xtask.toml: panic reachability, units-escape
+# (unit-suffixed pub fields and typed-units boundary signatures),
+# dimensional flow, the partial_cmp ban, crate layering (plus workspace
+# lint inheritance), export determinism (export-file hash collections
+# and call-graph taint), state coverage, merge associativity, snapshot
 # pairing, probe balance, stale-config validation, sync hygiene, probe
-# purity, paper-constant provenance, API-surface snapshots.
+# purity, paper-constant provenance, API-surface snapshots. The crate
+# headers are rustc's job (`[workspace.lints.rust]` in Cargo.toml) and
+# the DVFS tables check themselves at compile time.
 # `cargo run -p xtask -- lint --explain <lint-id>` prints any pass's
 # long-form rationale. `--timing --budget-ms` is the runtime-regression
 # gate CI applies to the suite itself (total wall-clock AND a per-pass
 # share ceiling).
 xtask-lint:
 	cargo run -q -p xtask -- lint --timing --budget-ms 10000
-
-# Fast inner loop: re-lint only files whose cache entry is stale
-# (tree-scoped passes are skipped and reported on stderr).
-lint-changed:
-	cargo run -q -p xtask -- lint --changed
-
-# Drop the incremental lint cache; the next run is fully cold.
-lint-cache-clear:
-	rm -rf target/xtask-cache
 
 # Machine-readable reports (also uploaded as a CI artifact).
 sarif:

@@ -7,6 +7,10 @@
 //! allocator and holds the prediction paths to zero allocations and
 //! `select_frequency` to exactly one.
 
+#![allow(
+    unsafe_code,
+    reason = "counting allocations means implementing the unsafe `GlobalAlloc` trait"
+)]
 // Test code asserts invariants directly; the panic ratchet covers libraries.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

@@ -281,6 +281,7 @@ macro_rules! criterion_group {
         config = $config:expr;
         targets = $($target:path),+ $(,)?
     ) => {
+        /// Runs every benchmark target of this group.
         pub fn $name() {
             let mut criterion: $crate::Criterion = $config;
             $crate::Criterion::configure_from_args_pub(&mut criterion);

@@ -133,15 +133,14 @@ pub struct Opp {
 
 /// The MSM8974 operating points as integer `(kHz, millivolt)` pairs.
 ///
-/// Kept as a `const` so sortedness and duplicate-freedom are proven at
-/// compile time by the `const` assertion below — a corrupted table edit
-/// fails `cargo build`, not a campaign three layers up. (`xtask lint`
-/// additionally verifies this guard stays in place.)
+/// Defined through [`checked_khz_mv`], so sortedness and
+/// duplicate-freedom are proven at compile time — a corrupted table
+/// edit fails `cargo build`, not a campaign three layers up.
 ///
 /// paper: Section II — Nexus 5 (Snapdragon 800 / MSM8974) with 14 OPPs
 /// from 300 MHz to 2.2656 GHz; voltages follow the msm8974 regulator
 /// tables from the platform's ACPU clock driver.
-pub const MSM8974_KHZ_MV: [(u64, u32); 14] = [
+pub const MSM8974_KHZ_MV: [(u64, u32); 14] = checked_khz_mv([
     (300_000, 800),
     (422_400, 810),
     (576_000, 825),
@@ -156,33 +155,27 @@ pub const MSM8974_KHZ_MV: [(u64, u32); 14] = [
     (1_958_400, 1_030),
     (2_112_000, 1_065),
     (2_265_600, 1_100),
-];
+]);
 
-/// Compile-time check that a `(kHz, mV)` table is strictly ascending in
-/// frequency (which also rules out duplicates) with positive voltages.
-/// Shared with the profile registry, whose per-cluster tables carry the
-/// same guard.
-pub(crate) const fn khz_mv_table_is_valid(table: &[(u64, u32)]) -> bool {
-    if table.is_empty() {
-        return false;
-    }
+/// Returns a `(kHz, mV)` table unchanged after checking that it is
+/// non-empty, strictly ascending in frequency (which also rules out
+/// duplicates) and free of zero voltages; panics otherwise. Every such
+/// table in this crate is a `const` defined through this constructor,
+/// so the check runs during const evaluation and a bad edit fails
+/// `cargo build`.
+pub(crate) const fn checked_khz_mv<const N: usize>(table: [(u64, u32); N]) -> [(u64, u32); N] {
+    assert!(N > 0, "DVFS table must not be empty");
     let mut i = 0;
-    while i < table.len() {
-        if table[i].1 == 0 {
-            return false;
-        }
-        if i > 0 && table[i - 1].0 >= table[i].0 {
-            return false;
-        }
+    while i < N {
+        assert!(table[i].1 > 0, "DVFS table voltages must be positive");
+        assert!(
+            i == 0 || table[i - 1].0 < table[i].0,
+            "DVFS table must be strictly ascending in frequency"
+        );
         i += 1;
     }
-    true
+    table
 }
-
-const _: () = assert!(
-    khz_mv_table_is_valid(&MSM8974_KHZ_MV),
-    "MSM8974 DVFS table must be strictly ascending with positive voltages"
-);
 
 /// The table of available operating points, sorted ascending by frequency.
 ///
@@ -376,6 +369,30 @@ impl Default for DvfsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn checked_table_rejects_unsorted_frequencies() {
+        checked_khz_mv([(400_000, 900), (300_000, 900)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn checked_table_rejects_duplicate_frequencies() {
+        checked_khz_mv([(300_000, 800), (300_000, 900)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "voltages must be positive")]
+    fn checked_table_rejects_zero_voltage() {
+        checked_khz_mv([(300_000, 800), (400_000, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be empty")]
+    fn checked_table_rejects_an_empty_table() {
+        checked_khz_mv::<0>([]);
+    }
 
     #[test]
     fn msm8974_shape() {

@@ -21,7 +21,7 @@
 //! numbering (and hence every golden output) untouched.
 
 use crate::config::BoardConfig;
-use crate::dvfs::{DvfsTable, Frequency};
+use crate::dvfs::{checked_khz_mv, DvfsTable, Frequency};
 use crate::memory::MemorySystem;
 use crate::power::{LeakageParams, PowerParams};
 use crate::thermal::ThermalParams;
@@ -41,7 +41,7 @@ use std::fmt;
 ///
 /// paper: 1710.03559 Section 3 (ODROID XU3, Exynos 5422 A15 0.2–2.0 GHz);
 /// paper: 1906.08689 Section 2.1 (same platform and frequency range)
-pub const EXYNOS5422_A15_KHZ_MV: [(u64, u32); 10] = [
+pub const EXYNOS5422_A15_KHZ_MV: [(u64, u32); 10] = checked_khz_mv([
     (200_000, 900),
     (400_000, 912),
     (600_000, 925),
@@ -52,13 +52,13 @@ pub const EXYNOS5422_A15_KHZ_MV: [(u64, u32); 10] = [
     (1_600_000, 1_100),
     (1_800_000, 1_162),
     (2_000_000, 1_237),
-];
+]);
 
 /// Exynos 5422 Cortex-A7 ("LITTLE") operating points as `(kHz, mV)` pairs.
 ///
 /// paper: 1710.03559 Section 3 (Exynos 5422 A7 0.2–1.4 GHz);
 /// paper: 1906.08689 Section 2.1 (same platform and frequency range)
-pub const EXYNOS5422_A7_KHZ_MV: [(u64, u32); 7] = [
+pub const EXYNOS5422_A7_KHZ_MV: [(u64, u32); 7] = checked_khz_mv([
     (200_000, 900),
     (400_000, 912),
     (600_000, 925),
@@ -66,16 +66,7 @@ pub const EXYNOS5422_A7_KHZ_MV: [(u64, u32); 7] = [
     (1_000_000, 1_000),
     (1_200_000, 1_050),
     (1_400_000, 1_100),
-];
-
-const _: () = assert!(
-    crate::dvfs::khz_mv_table_is_valid(&EXYNOS5422_A15_KHZ_MV),
-    "A15 DVFS table must be strictly ascending with positive voltages"
-);
-const _: () = assert!(
-    crate::dvfs::khz_mv_table_is_valid(&EXYNOS5422_A7_KHZ_MV),
-    "A7 DVFS table must be strictly ascending with positive voltages"
-);
+]);
 
 /// Effective switching capacitance per Cortex-A15 core, farads.
 const BIGLITTLE_A15_CEFF_CORE_F: f64 = 0.65e-9; // paper: 1906.08689 Section 2.2 C·V²·f power-model fit, big cluster

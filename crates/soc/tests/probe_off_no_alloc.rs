@@ -7,6 +7,11 @@
 //! counting wrapper around the system allocator and holds the stepping
 //! hot path to exactly zero allocations.
 
+#![allow(
+    unsafe_code,
+    reason = "counting allocations means implementing the unsafe `GlobalAlloc` trait"
+)]
+
 use dora_sim_core::SimDuration;
 use dora_soc::board::Board;
 use dora_soc::task::{LoopTask, PhaseProfile};

@@ -324,10 +324,10 @@ mod tests {
     const SAMPLE: &str = r#"
 [levels]
 partial-cmp = "warn"
-dvfs-guard = "allow"
+sync-hygiene = "allow"
 
 [allow]
-unit-suffix = ["crates/experiments/", "crates/cli/"]
+units-escape = ["crates/experiments/", "crates/cli/"]
 
 [layering]
 layers = [
@@ -376,10 +376,10 @@ fns = ["campaign::runner::Runner::sweep_frequencies_with"]
     fn full_sample_round_trips() {
         let c = Config::from_toml(SAMPLE).expect("parses");
         assert_eq!(c.level("partial-cmp"), Level::Warn);
-        assert_eq!(c.level("dvfs-guard"), Level::Allow);
+        assert_eq!(c.level("sync-hygiene"), Level::Allow);
         assert_eq!(c.level("panic-reachability"), Level::Deny);
-        assert!(c.is_allowed("unit-suffix", "crates/cli/src/args.rs"));
-        assert!(!c.is_allowed("unit-suffix", "crates/soc/src/dvfs.rs"));
+        assert!(c.is_allowed("units-escape", "crates/cli/src/args.rs"));
+        assert!(!c.is_allowed("units-escape", "crates/soc/src/dvfs.rs"));
         assert_eq!(c.layers.len(), 2);
         assert_eq!(c.layers[0], vec!["dora-sim-core", "dora-soc"]);
         assert_eq!(c.panic_allow, vec!["campaign::runner::Runner::run"]);

@@ -11,8 +11,7 @@
 //!
 //! Passes consume the stream through [`code_tokens`] (trivia and literal
 //! *contents* filtered out by kind, so a `// TODO: panic!` comment or a
-//! `"HashMap"` string can never produce a finding) and the small
-//! pattern-matching helpers ([`seq_at`], [`Pat`]).
+//! `"HashMap"` string can never produce a finding).
 
 use std::fmt;
 
@@ -466,46 +465,6 @@ pub fn code_tokens(tokens: &[Token]) -> Vec<usize> {
         .collect()
 }
 
-/// One element of a token pattern for [`seq_at`].
-#[derive(Debug, Clone, Copy)]
-pub enum Pat<'a> {
-    /// An identifier with this exact text.
-    Ident(&'a str),
-    /// Any identifier.
-    AnyIdent,
-    /// A punctuation token with this exact text.
-    P(&'a str),
-}
-
-/// Whether the non-trivia token sequence starting at `code[at]` matches
-/// `pats` exactly (each pattern consumes one token).
-pub fn seq_at(src: &str, tokens: &[Token], code: &[usize], at: usize, pats: &[Pat<'_>]) -> bool {
-    for (k, pat) in pats.iter().enumerate() {
-        let Some(&idx) = code.get(at + k) else {
-            return false;
-        };
-        let tok = &tokens[idx];
-        match pat {
-            Pat::Ident(s) => {
-                if tok.kind != TokenKind::Ident || tok.text(src) != *s {
-                    return false;
-                }
-            }
-            Pat::AnyIdent => {
-                if tok.kind != TokenKind::Ident {
-                    return false;
-                }
-            }
-            Pat::P(s) => {
-                if tok.kind != TokenKind::Punct || tok.text(src) != *s {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 /// Parses the numeric value of an [`TokenKind::Int`] or
 /// [`TokenKind::Float`] token's text (underscores and suffix stripped).
 pub fn literal_value(text: &str) -> Option<f64> {
@@ -637,25 +596,5 @@ mod tests {
         assert_eq!(idx.line_col(1), (1, 2));
         assert_eq!(idx.line_col(3), (2, 1));
         assert_eq!(idx.line_col(5), (2, 3));
-    }
-
-    #[test]
-    fn seq_matching() {
-        let src = "use std::sync::Mutex;";
-        let toks = lex(src);
-        let code = code_tokens(&toks);
-        assert!(seq_at(
-            src,
-            &toks,
-            &code,
-            1,
-            &[
-                Pat::Ident("std"),
-                Pat::P(":"),
-                Pat::P(":"),
-                Pat::Ident("sync")
-            ]
-        ));
-        assert!(!seq_at(src, &toks, &code, 0, &[Pat::Ident("std")]));
     }
 }

@@ -22,11 +22,13 @@
 //!   panic-reachability entry allowlists, units-boundary paths.
 //! * [`passes`] — the [`Pass`] trait and registry. Each lint is a plugin
 //!   over a shared read-only [`Context`].
-//! * [`render`] — human, `--format json` and `--format sarif` emitters.
+//! * [`render`] — human, `--format json` and `--format sarif` emitters,
+//!   plus the `BENCH_lint.json` record.
 //!
 //! Every pass is pure over the [`Context`], so fixtures test them without
 //! touching the filesystem; only [`Context::load`] and the `bless-api`
-//! command do I/O.
+//! command do I/O. [`run_passes_timed`] is the one driver: every pass
+//! over the whole tree, the passes spread over scoped worker threads.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,7 +38,6 @@ pub mod cfg;
 pub mod config;
 pub mod dataflow;
 pub mod diag;
-pub mod engine;
 pub mod fieldindex;
 pub mod items;
 pub mod justify;
@@ -55,6 +56,7 @@ pub use workspace::Manifest;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Everything the passes see: loaded library sources, workspace
 /// manifests, API snapshots, and the parsed `xtask.toml`.
@@ -197,30 +199,39 @@ pub fn run_passes(cx: &Context) -> Vec<Diagnostic> {
     run_passes_timed(cx).0
 }
 
-/// Wall-clock runtime of one pass, as reported by `lint --timing`.
+/// One pass's cost and yield, as reported by `lint --timing`.
 #[derive(Debug, Clone)]
 pub struct PassTiming {
     /// The pass's stable lint id.
     pub id: &'static str,
     /// How long its `run` took over the whole tree.
     pub elapsed: std::time::Duration,
+    /// How many findings it raised before `xtask.toml` policy.
+    pub findings: usize,
 }
 
-/// [`run_passes`], also returning per-pass wall-clock timings in
-/// registry order. Backs `lint --timing` and the CI `--budget-ms`
-/// runtime-regression gate.
+/// [`run_passes`], also returning per-pass timings in registry order.
+/// Backs `lint --timing` and the CI `--budget-ms` runtime-regression
+/// gate. Passes run concurrently on scoped worker threads; findings are
+/// reassembled in registry order and sorted, so the output does not
+/// depend on scheduling.
 pub fn run_passes_timed(cx: &Context) -> (Vec<Diagnostic>, Vec<PassTiming>) {
-    let mut out = Vec::new();
-    let mut timings = Vec::new();
-    for pass in passes::registry() {
+    let passes = passes::registry();
+    let results = parallel_map(passes.len(), |i| {
         // Timing the driver is the one sanctioned wall-clock use in this
         // workspace: durations are reported, never fed into results.
         #[allow(clippy::disallowed_methods)]
         let start = std::time::Instant::now();
-        let raw = pass.run(cx);
+        let raw = passes[i].run(cx);
+        (raw, start.elapsed())
+    });
+    let mut out = Vec::new();
+    let mut timings = Vec::new();
+    for (pass, (raw, elapsed)) in passes.iter().zip(results) {
         timings.push(PassTiming {
             id: pass.id(),
-            elapsed: start.elapsed(),
+            elapsed,
+            findings: raw.len(),
         });
         out.extend(apply_policy(&cx.config, raw));
     }
@@ -228,10 +239,50 @@ pub fn run_passes_timed(cx: &Context) -> (Vec<Diagnostic>, Vec<PassTiming>) {
     (out, timings)
 }
 
+/// Runs `work` over `0..n` on a fixed pool of scoped worker threads
+/// (at most one per CPU, capped at 8) and returns the results in index
+/// order. A panicking worker's panic is resumed on the caller.
+fn parallel_map<R, F>(n: usize, work: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .clamp(1, 8)
+        .min(n.max(1));
+    let cursor = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::SeqCst);
+                        if i >= n {
+                            break local;
+                        }
+                        local.push((i, work(i)));
+                    }
+                })
+            })
+            .collect();
+        let mut all = Vec::new();
+        for h in handles {
+            match h.join() {
+                Ok(v) => all.extend(v),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        all
+    });
+    indexed.sort_by_key(|(i, _)| *i);
+    indexed.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Applies `xtask.toml` policy to one pass's raw findings: per-lint/
 /// per-file allowlists drop findings, `level = "allow"` drops a lint
-/// entirely, `level = "warn"` downgrades errors to warnings. Shared by
-/// the sequential driver above and the incremental [`engine`].
+/// entirely, `level = "warn"` downgrades errors to warnings.
 pub fn apply_policy(config: &Config, raw: Vec<Diagnostic>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for mut d in raw {
@@ -252,8 +303,28 @@ pub fn apply_policy(config: &Config, raw: Vec<Diagnostic>) -> Vec<Diagnostic> {
     out
 }
 
-/// The canonical diagnostic order: span, then lint id. All drivers sort
+/// The canonical diagnostic order: span, then lint id. The driver sorts
 /// with this so output is identical regardless of pass or worker order.
 pub fn sort_diags(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| (&a.span, a.lint).cmp(&(&b.span, b.lint)));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parallel_map_preserves_input_order() {
+        let out = parallel_map(100, |i| i * 2);
+        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn parallel_map_resumes_worker_panics() {
+        parallel_map(4, |i| {
+            assert!(i != 2, "boom");
+            i
+        });
+    }
 }

@@ -4,19 +4,16 @@
 //! Commands:
 //!
 //! * `lint [--format human|json|sarif] [--only <id,id>] [--timing]
-//!   [--budget-ms <n>] [--no-cache] [--changed] [--explain <id>]` — run
-//!   every registered pass over the tree via the incremental parallel
-//!   engine (`xtask::engine`); exit 1 when any error-severity finding
-//!   survives `xtask.toml` policy, 2 on tool failure. `--timing` prints
-//!   a per-pass runtime + cache report to stderr and writes
-//!   `BENCH_lint.json` at the repo root; `--budget-ms` additionally
-//!   fails the run when wall-clock exceeds the budget or any single
-//!   pass exceeds its per-pass share of it (the CI runtime-regression
-//!   gate). `--no-cache` bypasses `target/xtask-cache/`; `--changed`
-//!   re-lints only files whose cache entry is stale and skips the
-//!   tree-scoped passes. `--explain <id>` prints one pass's reference
-//!   text (what it checks, config keys, justification syntax) and
-//!   exits without linting.
+//!   [--budget-ms <n>] [--explain <id>]` — run every registered pass
+//!   over the tree (`xtask::run_passes_timed`); exit 1 when any
+//!   error-severity finding survives `xtask.toml` policy, 2 on tool
+//!   failure. `--timing` prints a per-pass runtime + finding-count
+//!   report to stderr and writes `BENCH_lint.json` at the repo root;
+//!   `--budget-ms` additionally fails the run when wall-clock exceeds
+//!   the budget or any single pass exceeds its per-pass share of it (the
+//!   CI runtime-regression gate). `--explain <id>` prints one pass's
+//!   reference text (what it checks, config keys, justification syntax)
+//!   and exits without linting.
 //! * `bless-api` — regenerate the `xtask/api/<crate>.txt` public-API
 //!   snapshots after an intentional surface change.
 //! * `passes` — list registered lint ids and descriptions.
@@ -28,21 +25,19 @@
 
 use std::path::Path;
 use xtask::passes::{api_surface, registry};
-use xtask::{render, repo_root, Context};
+use xtask::{render, repo_root, run_passes_timed, Context};
 
 const USAGE: &str = "\
 usage: cargo run -p xtask -- <command>
 
 commands:
   lint [--format human|json|sarif] [--only <id,id>] [--timing] [--budget-ms <n>]
-       [--no-cache] [--changed] [--explain <id>]
+       [--explain <id>]
         run the static-analysis passes; non-zero exit on findings
-        --timing prints a per-pass runtime + cache report and writes
-        BENCH_lint.json; --budget-ms fails the run when wall-clock
-        exceeds the budget or any pass exceeds its per-pass share;
-        --no-cache bypasses target/xtask-cache/; --changed lints only
-        cache-stale files (skips tree passes); --explain <id> prints
-        one pass's reference text and exits
+        --timing prints a per-pass runtime + finding-count report and
+        writes BENCH_lint.json; --budget-ms fails the run when
+        wall-clock exceeds the budget or any pass exceeds its per-pass
+        share; --explain <id> prints one pass's reference text and exits
   bless-api
         regenerate xtask/api/<crate>.txt public-API snapshots
   passes
@@ -62,8 +57,6 @@ struct LintArgs {
     only: Option<Vec<String>>,
     timing: bool,
     budget_ms: Option<u64>,
-    no_cache: bool,
-    changed: bool,
     explain: Option<String>,
 }
 
@@ -73,8 +66,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
         only: None,
         timing: false,
         budget_ms: None,
-        no_cache: false,
-        changed: false,
         explain: None,
     };
     let mut i = 0;
@@ -99,14 +90,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
                 parsed.timing = true;
                 i += 1;
             }
-            "--no-cache" => {
-                parsed.no_cache = true;
-                i += 1;
-            }
-            "--changed" => {
-                parsed.changed = true;
-                i += 1;
-            }
             "--explain" => {
                 let value = args.get(i + 1).ok_or("--explain needs a lint id")?;
                 parsed.explain = Some(value.clone());
@@ -124,32 +107,27 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
             other => return Err(format!("unknown lint option `{other}`")),
         }
     }
-    if parsed.changed && parsed.no_cache {
-        return Err("--changed needs the cache; drop --no-cache".to_string());
-    }
     Ok(parsed)
 }
 
-/// Renders the `--timing` report: one line per pass, the engine's
-/// wall-clock total and cache behavior, with the budget verdict when
-/// `--budget-ms` is set. Two gates share the budget: total wall-clock
-/// must stay under it, and each single pass must stay under its
-/// per-pass share (budget ÷ passes run) — a pass that eats the whole
+/// Renders the `--timing` report: one line per pass (runtime and raw
+/// finding count) and the wall-clock total, with the budget verdict
+/// when `--budget-ms` is set. Two gates share the budget: total
+/// wall-clock must stay under it, and each single pass must stay under
+/// its per-pass share (budget ÷ passes run) — a pass that eats the whole
 /// budget alone is a regression even while the total still fits.
-/// Wall-clock is the primary gate (per-pass durations are summed
-/// across workers, so their *sum* can exceed it on a healthy run, but
-/// no single pass should).
 fn timing_report(
-    outcome: &xtask::engine::LintOutcome,
+    timings: &[xtask::PassTiming],
     wall: std::time::Duration,
     budget_ms: Option<u64>,
 ) -> (String, bool) {
     let mut out = String::from("pass timings:\n");
-    for t in &outcome.timings {
+    for t in timings {
         out.push_str(&format!(
-            "  {:<20} {:>9.3} ms\n",
+            "  {:<20} {:>9.3} ms {:>5} finding(s)\n",
             t.id,
-            t.elapsed.as_secs_f64() * 1e3
+            t.elapsed.as_secs_f64() * 1e3,
+            t.findings
         ));
     }
     out.push_str(&format!(
@@ -157,23 +135,12 @@ fn timing_report(
         "total (wall)",
         wall.as_secs_f64() * 1e3
     ));
-    let c = &outcome.cache;
-    if !c.enabled {
-        out.push_str("  cache: disabled\n");
-    } else if c.tree_hit {
-        out.push_str(&format!("  cache: tree hit ({} files)\n", outcome.files));
-    } else {
-        out.push_str(&format!(
-            "  cache: {} file hit(s), {} miss(es)\n",
-            c.file_hits, c.file_misses
-        ));
-    }
     let mut over = false;
     if let Some(budget) = budget_ms {
         let wall_ms = wall.as_secs_f64() * 1e3;
         over = wall_ms > budget as f64;
-        let share = budget as f64 / outcome.timings.len().max(1) as f64;
-        for t in &outcome.timings {
+        let share = budget as f64 / timings.len().max(1) as f64;
+        for t in timings {
             let ms = t.elapsed.as_secs_f64() * 1e3;
             if ms > share {
                 over = true;
@@ -199,8 +166,6 @@ fn lint(root: &Path, args: &[String]) -> Result<i32, String> {
         only,
         timing,
         budget_ms,
-        no_cache,
-        changed,
         explain,
     } = opts;
     if let Some(id) = &explain {
@@ -216,33 +181,22 @@ fn lint(root: &Path, args: &[String]) -> Result<i32, String> {
         }
     }
     let cx = Context::load(root)?;
-    let engine_opts = xtask::engine::EngineOptions {
-        use_cache: !no_cache,
-        changed_only: changed,
-        ..xtask::engine::EngineOptions::at_root(root)
-    };
     let start = std::time::Instant::now();
-    let outcome = xtask::engine::run_lint(&cx, &engine_opts)?;
+    let (mut diags, timings) = run_passes_timed(&cx);
     let wall = start.elapsed();
-    if !outcome.skipped_tree_passes.is_empty() {
-        eprintln!(
-            "xtask lint: --changed skipped tree passes: {}",
-            outcome.skipped_tree_passes.join(", ")
-        );
-    }
-    let mut diags = outcome.diags.clone();
     if let Some(ids) = &only {
         diags.retain(|d| ids.iter().any(|id| id == d.lint));
     }
     let mut budget_exceeded = false;
     if timing || budget_ms.is_some() {
-        let (report, over) = timing_report(&outcome, wall, budget_ms);
+        let (report, over) = timing_report(&timings, wall, budget_ms);
         eprint!("{report}");
         budget_exceeded = over;
     }
     if timing {
         let bench = root.join("BENCH_lint.json");
-        xtask::engine::write_bench(&bench, &outcome, wall.as_secs_f64() * 1e3)?;
+        let json = render::bench_json(cx.files.len(), wall.as_secs_f64() * 1e3, &timings);
+        std::fs::write(&bench, json).map_err(|e| format!("writing {}: {e}", bench.display()))?;
         eprintln!("wrote {}", bench.display());
     }
     let (errors, warnings, notes) = render::tally(&diags);
@@ -294,8 +248,10 @@ fn bless_api(root: &Path) -> Result<i32, String> {
 }
 
 fn passes_list() -> i32 {
-    for pass in registry() {
-        println!("{:<16} {}", pass.id(), pass.description());
+    let passes = registry();
+    let width = passes.iter().map(|p| p.id().len()).max().unwrap_or(0);
+    for pass in &passes {
+        println!("{:<width$} {}", pass.id(), pass.description());
     }
     0
 }

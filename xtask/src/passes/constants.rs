@@ -83,10 +83,6 @@ impl super::Pass for PaperConstants {
          Justification: the `// paper:` citation itself."
     }
 
-    fn scope(&self) -> super::PassScope {
-        super::PassScope::File
-    }
-
     fn run(&self, cx: &Context) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for file in &cx.files {

@@ -1,23 +1,30 @@
-//! `determinism-taint` — nondeterminism sources must not be reachable
-//! from export/golden/sketch-merge code through the call graph.
+//! `determinism-taint` — export/golden code must not draw on
+//! nondeterminism, in the export files themselves or anywhere the call
+//! graph leads from them.
 //!
-//! `map-determinism` bans hash collections *inside* the export files
-//! themselves; this pass upgrades the guarantee to reachability: a
-//! `HashMap` iteration, wall-clock read (`Instant` / `SystemTime`), or a
-//! declared unordered-reduction helper (`[determinism-taint]
-//! source_fns`) anywhere in the workspace is an error if some function
-//! in `[determinism] export_paths` can reach it, and the finding prints
-//! the call chain from the sink. Byte-identical goldens (the fleet
-//! digest, SARIF snapshots, CSV exports) are the repo's core
-//! reproducibility claim — order- or time-dependent values feeding them
-//! must be caught before they reach an artifact.
+//! Byte-identical goldens (the fleet digest, SARIF snapshots, CSV
+//! exports) are the repo's core reproducibility claim, so the files
+//! listed under `[determinism] export_paths` are checked two ways:
+//!
+//! 1. **Export files.** Every non-test `HashMap`/`HashSet` token in them
+//!    is an error — struct fields, `use` lines and signatures included,
+//!    not only function bodies: iteration order varies run to run, so
+//!    any CSV/JSON row order derived from one breaks bit-reproducibility.
+//! 2. **Reachability.** Every function defined in an export file is a
+//!    sink. A `HashMap` iteration, wall-clock read (`Instant` /
+//!    `SystemTime`), or a declared unordered-reduction helper
+//!    (`[determinism-taint] source_fns`) anywhere in the workspace is an
+//!    error if some sink can reach it, and the finding prints the call
+//!    chain from the sink.
 //!
 //! Sources are token-level idents, so strings, comments, and
-//! `#[cfg(test)]` code never count.
+//! `#[cfg(test)]` code never count; `FxHashMap` and `HashMapExt` are
+//! different tokens.
 
 use crate::callgraph::CallGraph;
 use crate::diag::{Diagnostic, Span};
 use crate::lex::{LineIndex, TokenKind};
+use crate::source::SourceFile;
 use crate::Context;
 
 /// The pass. See the module docs.
@@ -26,21 +33,49 @@ pub struct DeterminismTaint;
 const HASH_SOURCES: [&str; 2] = ["HashMap", "HashSet"];
 const CLOCK_SOURCES: [&str; 2] = ["Instant", "SystemTime"];
 
+/// `(1-based line, 1-based column, type name)` of hash-collection
+/// mentions in non-test code.
+pub fn hash_collection_sites(file: &SourceFile) -> Vec<(usize, usize, &'static str)> {
+    let src = file.text.as_str();
+    let index = LineIndex::new(src);
+    let in_cfg_test = |lo: usize| {
+        file.items
+            .cfg_test_spans
+            .iter()
+            .any(|&(a, b)| a <= lo && lo < b)
+    };
+    let mut out = Vec::new();
+    for tok in &file.tokens {
+        if tok.kind != TokenKind::Ident || in_cfg_test(tok.lo) {
+            continue;
+        }
+        if let Some(&name) = HASH_SOURCES.iter().find(|&&n| tok.text(src) == n) {
+            let (line, col) = index.line_col(tok.lo);
+            out.push((line, col, name));
+        }
+    }
+    out
+}
+
 impl super::Pass for DeterminismTaint {
     fn id(&self) -> &'static str {
         "determinism-taint"
     }
 
     fn description(&self) -> &'static str {
-        "nondeterminism sources must not be reachable from export/golden code"
+        "export code must not use hash-seeded collections or reach nondeterminism sources"
     }
 
     fn explain(&self) -> &'static str {
-        "Taint analysis over the intra-workspace call graph: functions\n\
-         defined in the determinism export paths are sinks, and any\n\
+        "Bans hash-seeded collections (`HashMap`, `HashSet`) anywhere in\n\
+         the configured export/serialization files: their iteration order\n\
+         varies run to run, so golden files and exported reports stop\n\
+         being byte-stable. Use `BTreeMap`/`BTreeSet` (or sort before\n\
+         emitting). Then a taint analysis over the intra-workspace call\n\
+         graph: functions defined in those files are sinks, and any\n\
          nondeterminism source reachable from them — wall-clock reads,\n\
-         hash-seeded iteration, thread-id dependence, plus the configured\n\
-         extra sources — is an error, with the call path shown.\n\
+         hash-seeded iteration, plus the configured extra sources — is an\n\
+         error, with the call path shown.\n\
          \n\
          Config (`xtask.toml`):\n\
            [determinism]\n\
@@ -55,13 +90,26 @@ impl super::Pass for DeterminismTaint {
         if cx.config.determinism_paths.is_empty() {
             return Vec::new();
         }
-        let graph = CallGraph::build(cx);
         let in_export = |rel: &str| {
             cx.config
                 .determinism_paths
                 .iter()
                 .any(|p| rel.starts_with(p.as_str()))
         };
+        let mut out = Vec::new();
+        for file in cx.files.iter().filter(|f| in_export(&f.rel)) {
+            for (line, column, name) in hash_collection_sites(file) {
+                out.push(
+                    Diagnostic::error(
+                        self.id(),
+                        Span::at(&file.rel, line, column),
+                        format!("`{name}` in export code: iteration order is nondeterministic"),
+                    )
+                    .with_help("use BTreeMap/BTreeSet, or collect and sort before serializing"),
+                );
+            }
+        }
+        let graph = CallGraph::build(cx);
 
         // Sinks: every non-test function defined in an export path.
         let sinks: Vec<usize> = graph
@@ -72,13 +120,12 @@ impl super::Pass for DeterminismTaint {
             .map(|(i, _)| i)
             .collect();
         if sinks.is_empty() {
-            return Vec::new();
+            return out;
         }
         let reach = graph.forward(&sinks);
 
         // Sources: token scan of each reachable body, plus declared
         // source functions.
-        let mut out = Vec::new();
         for (idx, node) in graph.nodes.iter().enumerate() {
             if node.item.in_test || !reach.contains(idx) {
                 continue;
@@ -127,8 +174,8 @@ impl super::Pass for DeterminismTaint {
                 if !is_hash && !is_clock {
                     continue;
                 }
-                // Hash collections inside an export file are
-                // map-determinism's finding; don't double-report.
+                // Hash tokens in export files were all reported above,
+                // with their columns.
                 if is_hash && in_export(&node.rel) {
                     continue;
                 }
@@ -178,6 +225,68 @@ mod tests {
              [determinism-taint]\nsource_fns = [\"campaign::stats::unordered_sum\"]\n",
         )
         .expect("config")
+    }
+
+    const EXPORT_FIXTURE: &str = r#"
+use std::collections::HashMap;
+
+pub fn export(rows: &HashMap<String, f64>) -> String {
+    rows.iter().map(|(k, v)| format!("{k},{v}\n")).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+}
+"#;
+
+    fn run_on(rel: &str, src: &str, export_paths: &str) -> Vec<Diagnostic> {
+        let cx = Context {
+            files: vec![SourceFile::new(rel, src)],
+            config: Config::from_toml(&format!(
+                "[determinism]\nexport_paths = [\"{export_paths}\"]\n"
+            ))
+            .expect("config"),
+            ..Context::default()
+        };
+        DeterminismTaint.run(&cx)
+    }
+
+    #[test]
+    fn hash_collections_in_export_paths_are_flagged() {
+        let rel = "crates/campaign/src/export.rs";
+        let diags = run_on(rel, EXPORT_FIXTURE, rel);
+        assert_eq!(diags.len(), 2, "{diags:?}");
+        assert_eq!(diags[0].span, Span::at(rel, 2, 23));
+        assert!(diags[0].message.contains("HashMap"));
+        assert_eq!(diags[1].span, Span::at(rel, 4, 22));
+    }
+
+    #[test]
+    fn test_modules_and_out_of_scope_files_are_exempt() {
+        let diags = run_on("crates/cli/src/args.rs", EXPORT_FIXTURE, "crates/campaign/");
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn prefix_scoping_covers_struct_fields_in_fig_modules() {
+        let diags = run_on(
+            "crates/experiments/src/fig08.rs",
+            "pub struct R {\n    pub m: std::collections::HashMap<String, f64>,\n}\n",
+            "crates/experiments/src/fig",
+        );
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].span.line, 2);
+    }
+
+    #[test]
+    fn identifier_continuations_and_strings_do_not_match() {
+        let file = SourceFile::new(
+            "crates/x/src/lib.rs",
+            "fn f() {\n    let a = FxHashMap::default();\n    let b = \"HashMap\";\n    let c = r#\"HashSet\"#;\n    let _ = (a, b, c);\n}\nstruct HashMapExt;\n",
+        );
+        let sites = hash_collection_sites(&file);
+        assert!(sites.is_empty(), "{sites:?}");
     }
 
     #[test]

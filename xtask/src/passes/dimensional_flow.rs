@@ -1041,10 +1041,6 @@ impl super::Pass for DimensionalFlow {
         "unit dimensions must survive body-level arithmetic: no mixed +/-/compare, no raw W·s"
     }
 
-    fn scope(&self) -> super::PassScope {
-        super::PassScope::File
-    }
-
     fn explain(&self) -> &'static str {
         "Tracks unit dimensions (Seconds, Watts, Joules, Celsius, Mpki, Ppw,\n\
          Utilization, WattHours) through each function body with a forward\n\
@@ -1177,8 +1173,7 @@ mod tests {
     }
 
     #[test]
-    fn pass_is_file_scoped_with_explain_text() {
-        assert_eq!(DimensionalFlow.scope(), super::super::PassScope::File);
+    fn explain_text_names_the_justification_marker() {
         assert!(DimensionalFlow.explain().contains("// dim:"));
     }
 }

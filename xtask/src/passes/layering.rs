@@ -4,7 +4,9 @@
 //! bottom-up. A crate's normal (non-dev) dependencies must sit in its own
 //! layer or a lower one: upward edges are rejected, as are dependency
 //! cycles (which same-layer edges could otherwise smuggle in) and crates
-//! missing from the declaration entirely.
+//! missing from the declaration entirely. Every member must also declare
+//! `[lints] workspace = true`, so the workspace's rustc lints
+//! (`unsafe_code` and `missing_docs` denied) reach each crate.
 
 use crate::diag::{Diagnostic, Span};
 use crate::workspace::Manifest;
@@ -71,20 +73,22 @@ impl super::Pass for CrateLayering {
     }
 
     fn description(&self) -> &'static str {
-        "crate dependencies respect the declared layer order: no upward edges, no cycles"
+        "crate dependencies respect the declared layer order, acyclically; every crate inherits the workspace lints"
     }
 
     fn explain(&self) -> &'static str {
         "Checks workspace crate dependencies against the declared layer\n\
          order: a crate may depend only on crates in its own or a lower\n\
          layer, every workspace crate must be assigned to a layer, and\n\
-         the dependency graph must be acyclic.\n\
+         the dependency graph must be acyclic. Every manifest must also\n\
+         declare `[lints] workspace = true`, which carries the\n\
+         workspace's denied `unsafe_code` and `missing_docs`.\n\
          \n\
          Config (`xtask.toml`):\n\
            [layering]\n\
            layers = [[\"dora-sim-core\", …], [\"dora-soc\"], …]  # bottom-up\n\
          Justification: none inline — fix the dependency or move the\n\
-         crate's layer assignment."
+         crate's layer assignment; add the `[lints]` table."
     }
 
     fn run(&self, cx: &Context) -> Vec<Diagnostic> {
@@ -102,6 +106,16 @@ impl super::Pass for CrateLayering {
 
         let mut out = Vec::new();
         for m in &cx.manifests {
+            if !m.workspace_lints {
+                out.push(
+                    Diagnostic::error(
+                        self.id(),
+                        Span::file(&m.path),
+                        format!("crate `{}` does not inherit the workspace lints", m.name),
+                    )
+                    .with_help("add `[lints]` with `workspace = true` to its manifest"),
+                );
+            }
             let Some(&my_layer) = layer_of.get(m.name.as_str()) else {
                 out.push(
                     Diagnostic::error(
@@ -177,6 +191,7 @@ mod tests {
                     dev: false,
                 })
                 .collect(),
+            workspace_lints: true,
         }
     }
 

@@ -10,12 +10,9 @@ use crate::Context;
 
 pub mod api_surface;
 pub mod constants;
-pub mod determinism;
 pub mod determinism_taint;
 pub mod dimensional_flow;
-pub mod dvfs_guard;
 pub mod layering;
-pub mod lint_header;
 pub mod merge_associativity;
 pub mod panic_reachability;
 pub mod partial_cmp;
@@ -25,24 +22,11 @@ pub mod snapshot_pairing;
 pub mod stale_config;
 pub mod state_coverage;
 pub mod sync_hygiene;
-pub mod unit_suffix;
 pub mod units_escape;
 
-/// What input a pass actually reads, declared so the incremental engine
-/// ([`crate::engine`]) knows what it may cache and parallelize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PassScope {
-    /// The pass reads one file at a time and its findings for a file
-    /// depend only on that file's text plus the config: the engine runs
-    /// it file-parallel over single-file contexts and caches per file.
-    File,
-    /// The pass reads cross-file state (call graph, manifests, API
-    /// snapshots, file-set membership): it always sees the full tree.
-    Tree,
-}
-
 /// One static-analysis pass. Passes are stateless (`Send + Sync`) so
-/// the engine may run them from worker threads.
+/// the driver ([`crate::run_passes_timed`]) may run them from worker
+/// threads.
 pub trait Pass: Send + Sync {
     /// Stable kebab-case lint id (`xtask.toml` key, SARIF rule id).
     fn id(&self) -> &'static str;
@@ -57,32 +41,16 @@ pub trait Pass: Send + Sync {
     /// Runs the pass. Diagnostics are emitted at their natural severity;
     /// the driver applies `xtask.toml` levels and allowlists afterwards.
     fn run(&self, cx: &Context) -> Vec<Diagnostic>;
-    /// The pass's input scope. Defaults to [`PassScope::Tree`], the
-    /// always-correct choice; per-file passes opt in to `File` to become
-    /// cacheable and file-parallel.
-    fn scope(&self) -> PassScope {
-        PassScope::Tree
-    }
-    /// Behavioral version, folded into the engine's cache key. Bump it
-    /// whenever `run`'s semantics change so a rebuilt xtask never
-    /// serves per-file cache entries computed by the old logic.
-    fn version(&self) -> u32 {
-        1
-    }
 }
 
 /// Every registered pass, in documentation order.
 pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(panic_reachability::PanicReachability),
-        Box::new(unit_suffix::UnitSuffix),
         Box::new(units_escape::UnitsEscape),
         Box::new(dimensional_flow::DimensionalFlow),
         Box::new(partial_cmp::PartialCmp),
-        Box::new(lint_header::LintHeader),
-        Box::new(dvfs_guard::DvfsGuard),
         Box::new(layering::CrateLayering),
-        Box::new(determinism::MapDeterminism),
         Box::new(determinism_taint::DeterminismTaint),
         Box::new(state_coverage::StateCoverage),
         Box::new(merge_associativity::MergeAssociativity),
@@ -94,32 +62,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(constants::PaperConstants),
         Box::new(api_surface::ApiSurface),
     ]
-}
-
-/// A stable fingerprint of a pass list: FNV-1a over `id@version`
-/// pairs, length-delimited, order-sensitive. Changing the registry's
-/// membership, order, or any pass's [`Pass::version`] changes it.
-pub fn fingerprint_of(passes: &[(&str, u32)]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (id, version) in passes {
-        eat(&(id.len() as u64).to_le_bytes());
-        eat(id.as_bytes());
-        eat(&version.to_le_bytes());
-    }
-    hash
-}
-
-/// [`fingerprint_of`] the live registry. The engine folds this into
-/// its cache key so pass-logic changes invalidate stale entries.
-pub fn registry_fingerprint() -> u64 {
-    let passes: Vec<(&str, u32)> = registry().iter().map(|p| (p.id(), p.version())).collect();
-    fingerprint_of(&passes)
 }
 
 #[cfg(test)]
@@ -138,16 +80,6 @@ mod tests {
                 "id `{id}` is not kebab-case"
             );
         }
-    }
-
-    #[test]
-    fn fingerprint_tracks_ids_versions_and_order() {
-        let base = fingerprint_of(&[("a", 1), ("b", 1)]);
-        assert_ne!(base, fingerprint_of(&[("a", 2), ("b", 1)]), "version bump");
-        assert_ne!(base, fingerprint_of(&[("b", 1), ("a", 1)]), "order");
-        assert_ne!(base, fingerprint_of(&[("a", 1)]), "membership");
-        assert_ne!(base, fingerprint_of(&[("ab", 1), ("", 1)]), "boundaries");
-        assert_eq!(base, fingerprint_of(&[("a", 1), ("b", 1)]), "stable");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! `partial-cmp` — float ordering goes through `f64::total_cmp`, which
-//! cannot panic on NaN. Crates not yet migrated are allowlisted under
-//! `[allow] partial-cmp` in `xtask.toml`.
+//! cannot panic on NaN. The ban is workspace-wide. (Clippy's
+//! `disallowed-methods` is no substitute: the path `f64::partial_cmp`
+//! matches nothing, and `core::cmp::PartialOrd::partial_cmp` also fires
+//! on every `#[derive(PartialOrd)]`.)
 //!
 //! Token-level: only a real `.partial_cmp(` method call counts — the
 //! name in a comment, doc example, or string literal never trips it.
@@ -62,10 +64,6 @@ impl super::Pass for PartialCmp {
          \n\
          Config: none of its own; the generic `[levels]` / `[allow]`\n\
          policy applies."
-    }
-
-    fn scope(&self) -> super::PassScope {
-        super::PassScope::File
     }
 
     fn run(&self, cx: &Context) -> Vec<Diagnostic> {

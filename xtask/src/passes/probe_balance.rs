@@ -168,10 +168,6 @@ impl super::Pass for ProbeBalance {
         "configured attach/detach probe pairs must balance on every control-flow path"
     }
 
-    fn scope(&self) -> super::PassScope {
-        super::PassScope::File
-    }
-
     fn explain(&self) -> &'static str {
         "Checks that paired probe events balance on every control-flow path\n\
          through each configured function: the set of possible\n\

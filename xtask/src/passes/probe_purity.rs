@@ -107,10 +107,6 @@ impl super::Pass for ProbePurity {
          the comment block directly above it."
     }
 
-    fn scope(&self) -> super::PassScope {
-        super::PassScope::File
-    }
-
     fn run(&self, cx: &Context) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for file in &cx.files {

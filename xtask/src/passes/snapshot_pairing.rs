@@ -203,10 +203,6 @@ impl super::Pass for SnapshotPairing {
         "snapshots bound in configured fns must be consumed on every control-flow path"
     }
 
-    fn scope(&self) -> super::PassScope {
-        super::PassScope::File
-    }
-
     fn explain(&self) -> &'static str {
         "Checks the fork-at-warmup invariant statically: in each configured\n\
          function, every local bound from an open call\n\

@@ -195,12 +195,6 @@ impl super::Pass for StaleConfig {
         }
         out
     }
-
-    /// PR 9: new table validations ([snapshot-pairing] fns,
-    /// [probe-balance] keys) and the registry explain-text check.
-    fn version(&self) -> u32 {
-        2
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +219,7 @@ mod tests {
     #[test]
     fn resolvable_entries_are_clean() {
         let diags = StaleConfig.run(&cx(
-            "[allow]\nunit-suffix = [\"crates/soc/\"]\n\n[state-coverage]\n\"soc::agg::Report\" = [\"soc::agg::Report::merge\"]\n\n[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\nmergeable_types = [\"Report\"]\n",
+            "[allow]\nunits-escape = [\"crates/soc/\"]\n\n[state-coverage]\n\"soc::agg::Report\" = [\"soc::agg::Report::merge\"]\n\n[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\nmergeable_types = [\"Report\"]\n",
         ));
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -244,7 +238,7 @@ mod tests {
 
     #[test]
     fn dead_path_prefix_is_flagged() {
-        let diags = StaleConfig.run(&cx("[allow]\nunit-suffix = [\"crates/gone/\"]\n"));
+        let diags = StaleConfig.run(&cx("[allow]\nunits-escape = [\"crates/gone/\"]\n"));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(
             diags[0]

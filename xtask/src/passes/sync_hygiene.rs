@@ -115,10 +115,6 @@ impl super::Pass for SyncHygiene {
          inline escape — go through the facade)."
     }
 
-    fn scope(&self) -> super::PassScope {
-        super::PassScope::File
-    }
-
     fn run(&self, cx: &Context) -> Vec<Diagnostic> {
         let banned_sync = ["std::sync", "std::thread::spawn", "std::thread::scope"];
         let mut out = Vec::new();

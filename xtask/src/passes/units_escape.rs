@@ -1,38 +1,46 @@
-//! `units-escape` — raw `f64`s must not cross the typed-units boundary
-//! in the physics crates.
+//! `units-escape` — raw `f64`s must not carry dimensioned quantities
+//! through public APIs; typed quantities from `dora_sim_core::units`
+//! carry the unit instead.
 //!
-//! Two rules over the item tree and call graph, scoped to
-//! `[units-escape] boundary_paths` (the `soc` / `governors` /
-//! `modeling` / `sim-core` sources):
+//! Three rules over the item tree and call graph:
 //!
-//! 1. **Signatures**: a `pub fn` taking an `f64` parameter whose name
-//!    carries a raw unit suffix (`freq_mhz`, `dt_s`, …), or returning
-//!    `f64` while itself being unit-suffix-named, is leaking a
-//!    dimensioned quantity untyped. Use the `dora_sim_core::units`
-//!    newtypes.
-//! 2. **Dataflow**: a function projecting a raw value out of a unit
-//!    newtype (`.value()` / `.0` / `as_mhz()`-style accessors) and
-//!    returning `f64` is a *leak*; any `pub fn` returning `f64` that
-//!    reaches a leak through the call graph is flagged, with the chain.
+//! 1. **Fields** (every file): a `pub foo_mhz: f64`-style struct field
+//!    leaks a raw unit-suffixed scalar. Crates still mid-burn-down are
+//!    allowlisted under `[allow] units-escape` in `xtask.toml`; they
+//!    lie outside the boundary below, so the allowlist cannot loosen
+//!    rules 2 and 3.
+//! 2. **Signatures** (`[units-escape] boundary_paths`, the `soc` /
+//!    `governors` / `modeling` / `sim-core` sources): a `pub fn` taking
+//!    an `f64` parameter whose name carries a raw unit suffix
+//!    (`freq_mhz`, `dt_s`, …), or returning `f64` while itself being
+//!    unit-suffix-named, is leaking a dimensioned quantity untyped.
+//! 3. **Dataflow** (same boundary): a function projecting a raw value
+//!    out of a unit newtype (`.value()` / `.0` / `as_mhz()`-style
+//!    accessors) and returning `f64` is a *leak*; any `pub fn` returning
+//!    `f64` that reaches a leak through the call graph is flagged, with
+//!    the chain.
 //!
-//! The unit newtypes themselves (declared in `[units-escape]
-//! unit_types`, since the types are macro-generated and invisible to
-//! item extraction) are the sanctioned escape hatch: their impls are
-//! exempt, and a `// units:` justification comment on the declaration
-//! (or the line above) exempts an individual function — e.g. an FFI-ish
+//! `_per_` compound names (e.g. `resistance_k_per_w`) describe a ratio
+//! whose unit is the name and are exempt everywhere. The unit newtypes
+//! themselves (declared in `[units-escape] unit_types`, since the types
+//! are macro-generated and invisible to item extraction) are the
+//! sanctioned escape hatch for rules 2 and 3: their impls are exempt,
+//! and a `// units:` justification comment on the declaration (or the
+//! line above) exempts an individual function — e.g. an FFI-ish
 //! boundary that genuinely must speak scalar.
 
 use crate::callgraph::CallGraph;
 use crate::diag::{Diagnostic, Span};
+use crate::items::Vis;
 use crate::lex::TokenKind;
+use crate::source::SourceFile;
 use crate::Context;
 
 /// The pass. See the module docs.
 pub struct UnitsEscape;
 
-/// Raw unit suffixes that name a dimensioned quantity. Shared with the
-/// `unit-suffix` field lint; `_per_` compound names are ratios and
-/// exempt.
+/// Raw unit suffixes that name a dimensioned quantity; `_per_`
+/// compound names are ratios and exempt.
 pub const BANNED_SUFFIXES: [&str; 14] = [
     "_mhz", "_ghz", "_khz", "_hz", "_ms", "_ns", "_us", "_s", "_mw", "_w", "_j", "_c", "_k",
     "_mpki",
@@ -41,6 +49,20 @@ pub const BANNED_SUFFIXES: [&str; 14] = [
 /// Whether `name` carries a banned raw unit suffix.
 pub fn has_unit_suffix(name: &str) -> bool {
     !name.contains("_per_") && BANNED_SUFFIXES.iter().any(|s| name.ends_with(s))
+}
+
+/// Public `f64` struct fields whose names end in a raw unit suffix, as
+/// `(1-based line, field name)`.
+pub fn suffixed_fields(file: &SourceFile) -> Vec<(usize, String)> {
+    let mut found = Vec::new();
+    for s in file.items.structs.iter().filter(|s| !s.in_test) {
+        for field in &s.fields {
+            if field.vis == Vis::Pub && field.ty == "f64" && has_unit_suffix(&field.name) {
+                found.push((field.line, field.name.clone()));
+            }
+        }
+    }
+    found
 }
 
 fn is_f64(ty: &str) -> bool {
@@ -79,11 +101,14 @@ impl super::Pass for UnitsEscape {
     }
 
     fn description(&self) -> &'static str {
-        "raw f64 must not cross the typed-units boundary in physics crates"
+        "public f64 fields and physics-crate signatures must not carry raw unit-suffixed scalars"
     }
 
     fn explain(&self) -> &'static str {
-        "Audits declarations in the typed-units boundary crates: public\n\
+        "Flags public `f64` struct fields whose names carry a raw unit\n\
+         suffix (`_s`, `_ms`, `_mhz`, …) in every crate: the unit belongs\n\
+         in the type, not the name. Then audits declarations in the\n\
+         typed-units boundary crates: public\n\
          functions there must not take or return raw `f64` where a\n\
          `dora_sim_core::units` newtype exists, and unit-newtype methods\n\
          must not hand the raw scalar back out except through the\n\
@@ -93,11 +118,27 @@ impl super::Pass for UnitsEscape {
            [units-escape]\n\
            boundary_paths = [\"crates/soc/\"]       # path prefixes audited\n\
            unit_types = [\"Seconds\", \"Watts\", …]  # the newtype vocabulary\n\
-         Justification: `// units: <reason>` on the declaration line or in\n\
-         the comment block directly above it."
+         Justification (signatures): `// units: <reason>` on the\n\
+         declaration line or in the comment block directly above it. Use\n\
+         the `[allow] units-escape` path-prefix allowlist for crates\n\
+         outside the boundary (CLI args, exports) whose fields must speak\n\
+         raw scalars."
     }
 
     fn run(&self, cx: &Context) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        for file in &cx.files {
+            for (line, name) in suffixed_fields(file) {
+                out.push(
+                    Diagnostic::error(
+                        self.id(),
+                        Span::line(&file.rel, line),
+                        format!("public field `{name}: f64` carries a raw unit suffix"),
+                    )
+                    .with_help("use a typed quantity from dora_sim_core::units instead"),
+                );
+            }
+        }
         let boundary = |rel: &str| {
             cx.config
                 .units_boundary_paths
@@ -105,7 +146,7 @@ impl super::Pass for UnitsEscape {
                 .any(|p| rel.starts_with(p.as_str()))
         };
         if cx.config.units_boundary_paths.is_empty() {
-            return Vec::new();
+            return out;
         }
         let graph = CallGraph::build(cx);
         let is_unit_ty = |ty: &Option<String>| {
@@ -153,10 +194,9 @@ impl super::Pass for UnitsEscape {
         }
         let leak_reach = graph.backward(&leaks);
 
-        let mut out = Vec::new();
         for (idx, node) in graph.nodes.iter().enumerate() {
             if node.item.in_test
-                || node.item.vis != crate::items::Vis::Pub
+                || node.item.vis != Vis::Pub
                 || !boundary(&node.rel)
                 || is_unit_ty(&node.item.self_ty)
             {
@@ -167,7 +207,7 @@ impl super::Pass for UnitsEscape {
                 continue;
             }
             let qual = node.item.qual.as_str();
-            // Rule 1a: unit-suffixed f64 parameters.
+            // Rule 2a: unit-suffixed f64 parameters.
             for (pname, pty) in &node.item.params {
                 if is_f64(pty) && has_unit_suffix(pname) {
                     out.push(
@@ -186,7 +226,7 @@ impl super::Pass for UnitsEscape {
                     );
                 }
             }
-            // Rule 1b: unit-suffixed fn returning raw f64.
+            // Rule 2b: unit-suffixed fn returning raw f64.
             if is_f64(&node.item.ret) && has_unit_suffix(&node.item.name) {
                 out.push(
                     Diagnostic::error(
@@ -201,7 +241,7 @@ impl super::Pass for UnitsEscape {
                 );
                 continue;
             }
-            // Rule 2: pub f64-returning fn reaching a projection leak.
+            // Rule 3: pub f64-returning fn reaching a projection leak.
             if is_f64(&node.item.ret) && leak_reach.contains(idx) {
                 let chain = leak_reach
                     .path_to(idx)
@@ -251,6 +291,49 @@ mod tests {
             ..Context::default()
         };
         UnitsEscape.run(&cx)
+    }
+
+    const FIELD_FIXTURE: &str = r#"
+/// A result row.
+pub struct Row {
+    /// Core clock in megahertz.
+    pub freq_mhz: f64,
+    /// A ratio, exempt.
+    pub joules_per_s: f64,
+    /// Typed, fine.
+    pub load_time: Seconds,
+}
+"#;
+
+    #[test]
+    fn public_mhz_field_is_flagged() {
+        let found = suffixed_fields(&SourceFile::new("crates/x/src/lib.rs", FIELD_FIXTURE));
+        assert_eq!(found, vec![(5, "freq_mhz".to_string())]);
+    }
+
+    #[test]
+    fn suffixed_non_f64_and_private_fields_pass() {
+        let src = "pub struct S {\n    pub t: Seconds,\n    load_s: f64,\n    pub f_hz: u64,\n}\n";
+        assert!(suffixed_fields(&SourceFile::new("crates/x/src/lib.rs", src)).is_empty());
+    }
+
+    #[test]
+    fn field_rule_runs_outside_the_boundary_with_a_spanned_diagnostic() {
+        let cx = Context {
+            files: vec![SourceFile::new("crates/x/src/lib.rs", FIELD_FIXTURE)],
+            config: config(),
+            ..Context::default()
+        };
+        let diags = UnitsEscape.run(&cx);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].span, Span::line("crates/x/src/lib.rs", 5));
+        assert!(diags[0].message.contains("freq_mhz"));
+        // No boundary configured at all: the field rule still runs.
+        let cx = Context {
+            files: vec![SourceFile::new("crates/x/src/lib.rs", FIELD_FIXTURE)],
+            ..Context::default()
+        };
+        assert_eq!(UnitsEscape.run(&cx).len(), 1);
     }
 
     #[test]

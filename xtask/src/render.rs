@@ -1,4 +1,5 @@
-//! Output renderers: human text, `--format json`, `--format sarif`.
+//! Output renderers: human text, `--format json`, `--format sarif`, and
+//! the `lint --timing` perf record (`BENCH_lint.json`).
 //!
 //! All three are hand-rolled (the workspace carries no serialization
 //! dependency) and deterministic: diagnostics arrive pre-sorted from
@@ -6,6 +7,7 @@
 //! byte-for-byte.
 
 use crate::diag::{Diagnostic, Severity};
+use crate::PassTiming;
 
 /// Renders `lint --explain <id>`: the pass's one-line description as a
 /// header, then its multi-line reference text.
@@ -152,6 +154,28 @@ pub fn sarif(diags: &[Diagnostic], rules: &[(&str, &str)]) -> String {
     out
 }
 
+/// Renders the `BENCH_lint.json` perf-trajectory record of one run:
+/// file count, caller-measured wall-clock total, and each pass's runtime
+/// and raw (pre-policy) finding count in registry order.
+pub fn bench_json(files: usize, total_ms: f64, timings: &[PassTiming]) -> String {
+    let passes: Vec<String> = timings
+        .iter()
+        .map(|t| {
+            format!(
+                "{{\"id\": \"{}\", \"ms\": {:.3}, \"findings\": {}}}",
+                t.id,
+                t.elapsed.as_secs_f64() * 1e3,
+                t.findings
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"workload\": \"xtask-lint\",\n  \"files\": {files},\n  \"total_ms\": \
+         {total_ms:.3},\n  \"passes\": [{}]\n}}\n",
+        passes.join(", ")
+    )
+}
+
 /// Counts of each severity, for the summary line and the exit code.
 pub fn tally(diags: &[Diagnostic]) -> (usize, usize, usize) {
     let errors = diags
@@ -205,6 +229,20 @@ mod tests {
         let text = json(&d);
         assert!(text.contains("quote \\\" backslash \\\\ newline \\n"));
         assert!(text.contains("\"help\": null"));
+    }
+
+    #[test]
+    fn bench_record_carries_pass_shape() {
+        let timings = [PassTiming {
+            id: "partial-cmp",
+            elapsed: std::time::Duration::from_micros(1500),
+            findings: 3,
+        }];
+        assert_eq!(
+            bench_json(2, 12.5, &timings),
+            "{\n  \"workload\": \"xtask-lint\",\n  \"files\": 2,\n  \"total_ms\": 12.500,\n  \
+             \"passes\": [{\"id\": \"partial-cmp\", \"ms\": 1.500, \"findings\": 3}]\n}\n"
+        );
     }
 
     #[test]

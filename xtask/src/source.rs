@@ -57,9 +57,7 @@ impl SourceFile {
     /// with `items.fns` (`None` for bodyless trait methods).
     ///
     /// Built lazily on first request and cached for the file's
-    /// lifetime, so the dataflow passes share one construction and
-    /// cache-warm engine runs that never reach a dataflow pass never
-    /// pay for it.
+    /// lifetime, so the dataflow passes share one construction.
     pub fn cfgs(&self) -> &[Option<Cfg>] {
         self.cfgs.get_or_init(|| {
             self.items

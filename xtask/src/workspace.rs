@@ -4,7 +4,8 @@
 //! are rustfmt-simple (`name = "…"` under `[package]`, one dependency per
 //! line under `[dependencies]` / `[dev-dependencies]`), and keeping the
 //! scan dumb keeps line numbers attached to every dependency edge so the
-//! layering pass can point at the offending line.
+//! layering pass can point at the offending line. The same scan records
+//! whether the package inherits the workspace lints.
 
 /// One dependency edge as written in a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +27,8 @@ pub struct Manifest {
     pub path: String,
     /// Declared dependencies, in file order.
     pub deps: Vec<DepEntry>,
+    /// Whether the manifest has `workspace = true` under `[lints]`.
+    pub workspace_lints: bool,
 }
 
 impl Manifest {
@@ -43,11 +46,13 @@ pub fn parse_manifest(path: &str, text: &str) -> Option<Manifest> {
         Package,
         Deps,
         DevDeps,
+        Lints,
         Other,
     }
     let mut section = Section::Other;
     let mut name: Option<String> = None;
     let mut deps = Vec::new();
+    let mut workspace_lints = false;
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.starts_with('[') {
@@ -55,6 +60,7 @@ pub fn parse_manifest(path: &str, text: &str) -> Option<Manifest> {
                 "[package]" => Section::Package,
                 "[dependencies]" => Section::Deps,
                 "[dev-dependencies]" => Section::DevDeps,
+                "[lints]" => Section::Lints,
                 _ => Section::Other,
             };
             continue;
@@ -87,6 +93,10 @@ pub fn parse_manifest(path: &str, text: &str) -> Option<Manifest> {
                     });
                 }
             }
+            Section::Lints => {
+                let compact: String = line.chars().filter(|c| !c.is_whitespace()).collect();
+                workspace_lints |= compact == "workspace=true";
+            }
             Section::Other => {}
         }
     }
@@ -94,6 +104,7 @@ pub fn parse_manifest(path: &str, text: &str) -> Option<Manifest> {
         name: name?,
         path: path.to_string(),
         deps,
+        workspace_lints,
     })
 }
 
@@ -128,6 +139,13 @@ workspace = true
         assert_eq!(m.deps[1].name, "dora-soc");
         assert!(m.deps[2].dev);
         assert_eq!(m.normal_deps().count(), 2);
+        assert!(m.workspace_lints);
+        let bare = SAMPLE.replace("[lints]\nworkspace = true\n", "");
+        assert!(
+            !parse_manifest("crates/governors/Cargo.toml", &bare)
+                .expect("package")
+                .workspace_lints
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! straight-line `?` early-exit chains. Pinning the full dump fixes
 //! block numbering, statement classification, and edge order at once —
 //! any builder change that reshapes these graphs must update the
-//! expectations here consciously, because dataflow results (and the
-//! engine cache entries derived from them) depend on this structure.
+//! expectations here consciously, because dataflow results depend on
+//! this structure.
 
 // Test code asserts invariants directly; the panic ratchet covers libraries.
 #![allow(clippy::unwrap_used, clippy::expect_used)]

@@ -10,8 +10,8 @@
 //!      block, and the synthetic exit block has no statements and no
 //!      successors.
 //!   3. **Determinism** — rebuilding the same body yields a
-//!      byte-identical `dump`, so golden tests and cached analysis
-//!      results are stable.
+//!      byte-identical `dump`, so golden tests and analysis results
+//!      are stable.
 
 // Test code asserts invariants directly; the panic ratchet covers libraries.
 #![allow(clippy::unwrap_used, clippy::expect_used)]

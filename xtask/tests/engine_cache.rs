@@ -1,245 +1,25 @@
-//! The incremental engine's correctness contract: whatever the cache
-//! does, `engine::run_lint` must report byte-for-byte the same
-//! diagnostics as the sequential reference driver (`run_passes`) — on
-//! the real repository and across cold, warm, edited-file, and
-//! `--changed` runs on synthetic trees. The cache is an optimization;
-//! any divergence here is a cache-corruption bug, not a tuning knob.
+//! The lint driver's contract: running the passes concurrently must not
+//! change a byte of the output. On the real repository,
+//! `run_passes_timed` must report exactly what a sequential fold over
+//! `registry()` reports, and time every pass in registry order.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
-use std::path::PathBuf;
-use xtask::engine::{run_lint, EngineOptions};
-use xtask::source::SourceFile;
-use xtask::{repo_root, run_passes, Config, Context};
-
-/// A scratch cache directory unique to this test, removed on drop so
-/// reruns always start cold.
-struct ScratchCache {
-    dir: PathBuf,
-}
-
-impl ScratchCache {
-    fn new(tag: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("xtask-engine-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchCache { dir }
-    }
-
-    fn opts(&self) -> EngineOptions {
-        EngineOptions {
-            use_cache: true,
-            changed_only: false,
-            cache_dir: self.dir.clone(),
-        }
-    }
-}
-
-impl Drop for ScratchCache {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
-fn no_cache() -> EngineOptions {
-    EngineOptions {
-        use_cache: false,
-        changed_only: false,
-        cache_dir: PathBuf::from("/nonexistent-never-touched"),
-    }
-}
-
-/// A small synthetic tree with one real finding per scope: a file-pass
-/// finding (`partial-cmp` on a raw `partial_cmp` call) and nothing else
-/// configured, so cache behavior is observable without the full repo.
-fn synthetic(with_violation: bool) -> Context {
-    let body = if with_violation {
-        "pub fn pick(a: f64, b: f64) -> bool { a.partial_cmp(&b).is_some() }\n"
-    } else {
-        "pub fn pick(a: f64, b: f64) -> bool { a.total_cmp(&b).is_le() }\n"
-    };
-    Context {
-        files: vec![
-            SourceFile::new("crates/x/src/lib.rs", body),
-            SourceFile::new("crates/x/src/other.rs", "pub fn calm() {}\n"),
-        ],
-        config: Config::default(),
-        ..Context::default()
-    }
-}
+use xtask::passes::registry;
+use xtask::{apply_policy, repo_root, run_passes_timed, sort_diags, Context};
 
 #[test]
-fn engine_matches_sequential_driver_on_the_real_repo() {
+fn parallel_driver_matches_a_sequential_registry_fold_on_the_real_repo() {
     let cx = Context::load(&repo_root()).expect("loading the repository");
-    let reference = run_passes(&cx);
-    let outcome = run_lint(&cx, &no_cache()).expect("engine run");
-    assert_eq!(
-        outcome.diags, reference,
-        "parallel no-cache engine diverged from run_passes"
-    );
-    assert!(!outcome.cache.enabled);
-    assert_eq!(outcome.files, cx.files.len());
-}
-
-#[test]
-fn warm_tree_hit_reproduces_cold_diags_exactly() {
-    let cx = Context::load(&repo_root()).expect("loading the repository");
-    let cache = ScratchCache::new("warm");
-    let opts = cache.opts();
-
-    let cold = run_lint(&cx, &opts).expect("cold run");
-    assert!(!cold.cache.tree_hit, "first run cannot tree-hit");
-    assert_eq!(cold.cache.file_misses, cx.files.len());
-
-    let warm = run_lint(&cx, &opts).expect("warm run");
-    assert!(warm.cache.tree_hit, "identical rerun must tree-hit");
-    assert_eq!(warm.diags, cold.diags, "cache replay changed diagnostics");
-    assert_eq!(
-        warm.diags,
-        run_passes(&cx),
-        "cache replay diverged from reference"
-    );
-}
-
-#[test]
-fn editing_one_file_invalidates_only_that_file() {
-    let cache = ScratchCache::new("edit");
-    let opts = cache.opts();
-
-    let clean = synthetic(false);
-    let cold = run_lint(&clean, &opts).expect("cold run");
-    assert_eq!(cold.cache.file_misses, 2);
-    assert!(!cold.diags.iter().any(|d| d.lint == "partial-cmp"));
-
-    // Same tree with one edited file: the other file's entry must
-    // still hit, and the edit's new finding must appear.
-    let edited = synthetic(true);
-    let warm = run_lint(&edited, &opts).expect("edited run");
-    assert!(!warm.cache.tree_hit, "edited tree must not tree-hit");
-    assert_eq!(warm.cache.file_hits, 1, "untouched file should hit");
-    assert_eq!(warm.cache.file_misses, 1, "edited file should miss");
-    assert!(
-        warm.diags.iter().any(|d| d.lint == "partial-cmp"),
-        "edited file's finding missing: {:?}",
-        warm.diags
-    );
-    assert_eq!(warm.diags, run_passes(&edited));
-
-    // Reverting the edit hits the original entries again.
-    let reverted = run_lint(&clean, &opts).expect("reverted run");
-    assert!(reverted.cache.tree_hit, "revert must restore the tree hit");
-    assert_eq!(reverted.diags, cold.diags);
-}
-
-#[test]
-fn config_change_invalidates_everything() {
-    let cache = ScratchCache::new("config");
-    let opts = cache.opts();
-
-    let mut cx = synthetic(true);
-    run_lint(&cx, &opts).expect("cold run");
-
-    // Allowing the lint is a config change: every entry is stale.
-    cx.config = Config::from_toml("[levels]\n\"partial-cmp\" = \"allow\"\n").expect("config");
-    let warm = run_lint(&cx, &opts).expect("reconfigured run");
-    assert!(!warm.cache.tree_hit);
-    assert_eq!(warm.cache.file_hits, 0, "config change must miss all files");
-    assert!(!warm.diags.iter().any(|d| d.lint == "partial-cmp"));
-}
-
-// Pass *logic* is part of the cache key: the registry fingerprint
-// (ids, order, and per-pass behavioral versions) folds into the config
-// hash — its sensitivity is asserted at the unit level in
-// `passes::tests::fingerprint_tracks_ids_versions_and_order` — and the
-// serialized entries carry a format-version header, so an entry written
-// by any earlier xtask parses as a miss, never as stale results.
-#[test]
-fn entries_from_an_older_cache_format_are_misses() {
-    let cache = ScratchCache::new("version");
-    let opts = cache.opts();
-    let cx = synthetic(true);
-    let cold = run_lint(&cx, &opts).expect("cold run");
-    assert_eq!(cold.cache.file_misses, 2);
-
-    // Rewrite every entry's header to the previous format's: lookups
-    // still find the files, but parsing must reject them wholesale.
-    for entry in std::fs::read_dir(&cache.dir).expect("cache dir") {
-        let path = entry.expect("entry").path();
-        let text = std::fs::read_to_string(&path).expect("entry text");
-        assert!(
-            text.starts_with("xtask-cache v"),
-            "unexpected entry format in {path:?}: {text:?}"
-        );
-        let downgraded = text.replacen(text.lines().next().expect("header"), "xtask-cache v1", 1);
-        std::fs::write(&path, downgraded).expect("rewrite entry");
+    let mut sequential = Vec::new();
+    let mut raw_counts = Vec::new();
+    for pass in registry() {
+        let raw = pass.run(&cx);
+        raw_counts.push((pass.id(), raw.len()));
+        sequential.extend(apply_policy(&cx.config, raw));
     }
+    sort_diags(&mut sequential);
 
-    let warm = run_lint(&cx, &opts).expect("tampered run");
-    assert!(!warm.cache.tree_hit, "old-format tree entry must miss");
-    assert_eq!(warm.cache.file_hits, 0, "old-format file entries must miss");
-    assert_eq!(warm.diags, cold.diags, "recomputed diags must match");
-}
-
-#[test]
-fn changed_only_reruns_stale_files_and_skips_tree_passes() {
-    let cache = ScratchCache::new("changed");
-    let opts = cache.opts();
-
-    let clean = synthetic(false);
-    run_lint(&clean, &opts).expect("cold run");
-
-    let edited = synthetic(true);
-    let changed = run_lint(
-        &edited,
-        &EngineOptions {
-            changed_only: true,
-            ..cache.opts()
-        },
-    )
-    .expect("--changed run");
-    assert_eq!(changed.cache.file_hits, 1);
-    assert_eq!(changed.cache.file_misses, 1);
-    assert!(
-        !changed.skipped_tree_passes.is_empty(),
-        "--changed must report the tree passes it skipped"
-    );
-    assert!(
-        changed.skipped_tree_passes.contains(&"panic-reachability"),
-        "{:?}",
-        changed.skipped_tree_passes
-    );
-    assert!(
-        changed.diags.iter().any(|d| d.lint == "partial-cmp"),
-        "stale file's file-pass finding must still surface"
-    );
-    // Only file-scoped lints may appear: every reported lint is absent
-    // from the skipped tree-pass list.
-    for d in &changed.diags {
-        assert!(
-            !changed.skipped_tree_passes.contains(&d.lint),
-            "tree-pass finding {:?} leaked into a --changed run",
-            d
-        );
-    }
-}
-
-#[test]
-fn bench_report_carries_cache_and_pass_shape() {
-    let cache = ScratchCache::new("bench");
-    let cx = synthetic(true);
-    let outcome = run_lint(&cx, &cache.opts()).expect("run");
-    let path = cache.dir.join("BENCH_lint.json");
-    xtask::engine::write_bench(&path, &outcome, 12.5).expect("write bench");
-    let text = std::fs::read_to_string(&path).expect("read bench");
-    for needle in [
-        "\"workload\": \"xtask-lint\"",
-        "\"files\": 2",
-        "\"total_ms\": 12.5",
-        "\"cache\"",
-        "\"passes\"",
-        "\"partial-cmp\"",
-    ] {
-        assert!(text.contains(needle), "missing {needle} in:\n{text}");
-    }
+    let (diags, timings) = run_passes_timed(&cx);
+    assert_eq!(diags, sequential, "parallel driver diverged");
+    let counts: Vec<(&str, usize)> = timings.iter().map(|t| (t.id, t.findings)).collect();
+    assert_eq!(counts, raw_counts, "per-pass ids or raw finding counts");
 }

@@ -15,8 +15,8 @@ fn exit_code(cx: &Context) -> i32 {
 
 /// Whether `lint` reports any error on this context. The clean-side
 /// assertions scope to the lint under test: the synthetic fixtures are
-/// deliberately minimal, so unrelated whole-tree passes (e.g. dvfs-guard
-/// noticing the missing dvfs.rs) still fire on them.
+/// deliberately minimal, so unrelated whole-tree passes (e.g. api-surface
+/// noticing the missing snapshots) may still fire on them.
 fn lint_fires(cx: &Context, lint: &str) -> bool {
     run_passes(cx).iter().any(|d| d.lint == lint)
 }
@@ -29,12 +29,16 @@ fn layering_violation_fails_and_repaired_tree_passes() {
         vec![
             parse_manifest(
                 "crates/soc/Cargo.toml",
-                &format!("[package]\nname = \"dora-soc\"\n[dependencies]\n{soc_deps}"),
+                &format!(
+                    "[package]\nname = \"dora-soc\"\n[lints]\nworkspace = true\n\
+                     [dependencies]\n{soc_deps}"
+                ),
             )
             .expect("manifest"),
             parse_manifest(
                 "crates/campaign/Cargo.toml",
-                "[package]\nname = \"dora-campaign\"\n[dependencies]\ndora-soc = { path = \"../soc\" }\n",
+                "[package]\nname = \"dora-campaign\"\n[lints]\nworkspace = true\n\
+                 [dependencies]\ndora-soc = { path = \"../soc\" }\n",
             )
             .expect("manifest"),
         ]
@@ -65,6 +69,33 @@ fn layering_violation_fails_and_repaired_tree_passes() {
 }
 
 #[test]
+fn manifest_without_workspace_lints_fails_and_with_them_passes() {
+    let config = Config::from_toml("[layering]\nlayers = [[\"dora-soc\"]]\n").expect("config");
+    let manifest = "[package]\nname = \"dora-soc\"\n[dependencies]\n";
+    let cx = |text: &str| Context {
+        manifests: vec![parse_manifest("crates/soc/Cargo.toml", text).expect("manifest")],
+        config: config.clone(),
+        ..Context::default()
+    };
+    let bare = cx(manifest);
+    assert_eq!(exit_code(&bare), 1);
+    let diags = run_passes(&bare);
+    let hit = diags
+        .iter()
+        .find(|d| d.lint == "crate-layering")
+        .expect("crate-layering must fire");
+    assert_eq!(hit.span.file, "crates/soc/Cargo.toml");
+    assert!(
+        hit.message
+            .contains("crate `dora-soc` does not inherit the workspace lints"),
+        "{hit:?}"
+    );
+
+    let inheriting = cx(&format!("{manifest}\n[lints]\nworkspace = true\n"));
+    assert!(!lint_fires(&inheriting, "crate-layering"));
+}
+
+#[test]
 fn determinism_violation_fails_and_btreemap_passes() {
     let config =
         Config::from_toml("[determinism]\nexport_paths = [\"crates/campaign/src/export.rs\"]\n")
@@ -78,6 +109,13 @@ fn determinism_violation_fails_and_btreemap_passes() {
         ..Context::default()
     };
     assert_eq!(exit_code(&cx), 1);
+    let diags = run_passes(&cx);
+    let lines: Vec<usize> = diags
+        .iter()
+        .filter(|d| d.lint == "determinism-taint")
+        .map(|d| d.span.line)
+        .collect();
+    assert_eq!(lines, [1, 2], "the `use` line and the signature: {diags:?}");
 
     let cx = Context {
         files: vec![SourceFile::new(
@@ -87,11 +125,9 @@ fn determinism_violation_fails_and_btreemap_passes() {
         config,
         ..Context::default()
     };
-    // No api-surface snapshot is configured, so restrict to the lint under
-    // test by checking the surviving lints directly.
     assert!(
-        run_passes(&cx).iter().all(|d| d.lint != "map-determinism"),
-        "BTreeMap must not trip map-determinism"
+        !lint_fires(&cx, "determinism-taint"),
+        "BTreeMap must not trip determinism-taint"
     );
 }
 
