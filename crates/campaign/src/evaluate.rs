@@ -12,11 +12,7 @@ use crate::runner::{
     ScenarioConfig, SweepPoint,
 };
 use crate::workload::{Workload, WorkloadSet};
-use dora::{DoraConfig, DoraGovernor, DoraModels, DoraPolicy};
-use dora_governors::{
-    ConservativeGovernor, Governor, InteractiveGovernor, PerformanceGovernor, PinnedGovernor,
-    PowersaveGovernor,
-};
+use dora::DoraModels;
 use dora_sim_core::stats::Samples;
 use dora_soc::Frequency;
 use std::collections::BTreeMap;
@@ -81,60 +77,6 @@ pub struct Evaluation {
     oracles: BTreeMap<String, OracleFrequencies>,
 }
 
-/// Builds the governor instance for a policy over one workload.
-pub(crate) fn make_governor(
-    policy: Policy,
-    workload: &Workload,
-    models: Option<&DoraModels>,
-    oracle_freqs: Option<&OracleFrequencies>,
-    config: &ScenarioConfig,
-) -> Result<Box<dyn Governor>, EvaluateError> {
-    let table = config.board.dvfs.clone();
-    let dora_config = |policy: DoraPolicy, leakage: bool| DoraConfig {
-        qos_target: config.deadline,
-        include_leakage: leakage,
-        policy,
-        ..DoraConfig::default()
-    };
-    let need_models = || {
-        models
-            .cloned()
-            .ok_or(EvaluateError::ModelsRequired(policy.name()))
-    };
-    let need_oracle = || oracle_freqs.ok_or(EvaluateError::MissingOracle(policy.name()));
-    // Both arms build the same governor and differ only in whose DVFS
-    // table it searches: the board's, one per cluster, on multi-cluster
-    // boards; the table the models were trained on otherwise.
-    let dora = |models: DoraModels, cfg: DoraConfig| -> Box<dyn Governor> {
-        if config.board.clusters.len() > 1 {
-            Box::new(DoraGovernor::from_profile(
-                &models,
-                &config.board,
-                workload.page.features,
-                cfg,
-            ))
-        } else {
-            Box::new(DoraGovernor::new(models, workload.page.features, cfg))
-        }
-    };
-    Ok(match policy {
-        Policy::Interactive => Box::new(InteractiveGovernor::new(table)),
-        Policy::Performance => Box::new(PerformanceGovernor::new(table)),
-        Policy::Powersave => Box::new(PowersaveGovernor::new(table)),
-        Policy::Conservative => Box::new(ConservativeGovernor::new(table)),
-        Policy::OracleFd => {
-            let f = need_oracle()?.fd.unwrap_or_else(|| table.max_frequency());
-            Box::new(PinnedGovernor::new("fD", f))
-        }
-        Policy::OracleFe => Box::new(PinnedGovernor::new("fE", need_oracle()?.fe)),
-        Policy::OfflineOpt => Box::new(PinnedGovernor::new("offline_opt", need_oracle()?.fopt)),
-        Policy::Dora => dora(need_models()?, dora_config(DoraPolicy::Dora, true)),
-        Policy::DoraNoLkg => dora(need_models()?, dora_config(DoraPolicy::Dora, false)),
-        Policy::DeadlineOnly => dora(need_models()?, dora_config(DoraPolicy::DeadlineOnly, true)),
-        Policy::EnergyOnly => dora(need_models()?, dora_config(DoraPolicy::EnergyOnly, true)),
-    })
-}
-
 /// The evaluation grid behind [`crate::driver::CampaignDriver::evaluate`].
 ///
 /// Two flat fan-outs: first the oracle sweeps (one task per unique
@@ -196,7 +138,13 @@ pub(crate) fn evaluate_impl(
         .collect();
     let results = executor.try_map(&grid, |&(workload, policy)| {
         let oracle_freqs = oracles.get(&workload.id());
-        let mut governor = make_governor(policy, workload, models, oracle_freqs, config)?;
+        let mut governor = policy.governor(
+            &config.board,
+            config.deadline,
+            workload.page.features,
+            models,
+            oracle_freqs,
+        )?;
         Ok(run_scenario(workload, governor.as_mut(), config))
     })?;
     Ok(Evaluation { results, oracles })
@@ -383,15 +331,17 @@ mod tests {
     #[test]
     fn missing_oracle_is_an_error_not_a_panic() {
         let set = small_set();
-        let err = make_governor(
-            Policy::OfflineOpt,
-            &set.workloads()[0],
-            None,
-            None,
-            &quick(),
-        )
-        .map(|_| ())
-        .unwrap_err();
+        let config = quick();
+        let err = Policy::OfflineOpt
+            .governor(
+                &config.board,
+                config.deadline,
+                set.workloads()[0].page.features,
+                None,
+                None,
+            )
+            .map(|_| ())
+            .unwrap_err();
         assert_eq!(err, EvaluateError::MissingOracle("offline_opt"));
         assert!(err.to_string().contains("oracle frequency sweep"));
     }

@@ -206,8 +206,12 @@ mod tests {
         let config = ScenarioConfig::builder()
             .warmup(SimDuration::from_secs(2))
             .build();
-        let points =
-            crate::runner::sweep_frequencies(w, &config, &[dora_soc::Frequency::from_mhz(729.6)]);
+        let points = crate::runner::sweep_frequencies_with(
+            w,
+            &config,
+            &[dora_soc::Frequency::from_mhz(729.6)],
+            &crate::executor::Executor::sequential(),
+        );
         let csv = sweep_to_csv(&points).expect("serializes");
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);

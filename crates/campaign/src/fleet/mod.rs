@@ -36,7 +36,7 @@ pub use archetype::{DeviceArchetype, DeviceClass};
 pub use report::{FleetReport, GovernorSheet};
 pub use sampler::{SessionSampler, SessionSpec};
 
-use crate::evaluate::{make_governor, EvaluateError};
+use crate::evaluate::EvaluateError;
 use crate::executor::Executor;
 use crate::policy::Policy;
 use crate::runner::{
@@ -109,9 +109,6 @@ pub enum FleetError {
     Assign(String),
     /// Sketch shapes diverged during the shard merge.
     Sketch(SketchError),
-    /// The fleet warm-up must be pinned (fork-at-warmup requires a
-    /// governor-independent prefix); a `Measured` override was supplied.
-    MeasuredWarmup,
 }
 
 impl fmt::Display for FleetError {
@@ -124,9 +121,6 @@ impl fmt::Display for FleetError {
             FleetError::Snapshot(e) => write!(f, "archetype snapshot fork failed: {e}"),
             FleetError::Assign(e) => write!(f, "co-runner assignment failed: {e}"),
             FleetError::Sketch(e) => write!(f, "shard merge failed: {e}"),
-            FleetError::MeasuredWarmup => {
-                write!(f, "fleet warm-up must be pinned, not governor-measured")
-            }
         }
     }
 }
@@ -150,22 +144,25 @@ impl From<EvaluateError> for FleetError {
 }
 
 /// The base scenario of one archetype (fleet seed; per-session runs
-/// derive from it with the session's own seed). The warm-up pin is
-/// snapped to the archetype's own primary-cluster table, so one fleet
-/// config can span SoC profiles whose OPP grids differ (the default
-/// 1190.4 MHz pin is already on the MSM8974 grid, so the snap is a
-/// no-op there).
-fn archetype_scenario(config: &FleetConfig, archetype: &DeviceArchetype) -> ScenarioConfig {
-    ScenarioConfig::builder()
+/// derive from it with the session's own seed) and the frequency pinned
+/// for its warm-up. The pin is snapped to the archetype's own
+/// primary-cluster table, so one fleet config can span SoC profiles whose
+/// OPP grids differ (the default 1190.4 MHz pin is already on the MSM8974
+/// grid, so the snap is a no-op there).
+fn archetype_scenario(
+    config: &FleetConfig,
+    archetype: &DeviceArchetype,
+) -> (ScenarioConfig, Frequency) {
+    let pin = archetype.board.dvfs.nearest(config.warmup_pin);
+    let scenario = ScenarioConfig::builder()
         .seed(config.seed)
         .board(archetype.board.clone())
         .deadline(config.deadline)
         .warmup(config.warmup)
-        .warmup_policy(WarmupPolicy::Pinned(
-            archetype.board.dvfs.nearest(config.warmup_pin),
-        ))
+        .warmup_policy(WarmupPolicy::Pinned(pin))
         .timeout(config.timeout)
-        .build()
+        .build();
+    (scenario, pin)
 }
 
 /// The oracle table: `fopt`/`fd`/`fe` per (archetype index, workload id),
@@ -208,8 +205,7 @@ fn oracle_table(
 }
 
 /// Runs the fleet. Called through
-/// [`crate::driver::CampaignDriver::fleet`], which owns the executor and
-/// warm-up override.
+/// [`crate::driver::CampaignDriver::fleet`], which owns the executor.
 pub(crate) fn run_fleet(
     config: &FleetConfig,
     models: Option<&DoraModels>,
@@ -224,7 +220,7 @@ pub(crate) fn run_fleet(
         }
     }
     let sampler = SessionSampler::new(config.archetypes.clone());
-    let scenarios: Vec<ScenarioConfig> = sampler
+    let warmups: Vec<(ScenarioConfig, Frequency)> = sampler
         .archetypes()
         .iter()
         .map(|a| archetype_scenario(config, a))
@@ -233,13 +229,11 @@ pub(crate) fn run_fleet(
     // Phase 1 — one warm board per archetype, snapshotted. No co-runner
     // participates, so the prefix is shared by every session of the
     // archetype regardless of its sampled kernel.
-    let snapshots: Vec<dora_soc::BoardSnapshot> = executor.map(&scenarios, |scenario| {
-        let WarmupPolicy::Pinned(pin_f) = scenario.warmup_policy else {
-            unreachable!("archetype_scenario always pins the warm-up");
-        };
-        let mut pin = PinnedGovernor::new("warmup-pin", pin_f);
+    let snapshots: Vec<dora_soc::BoardSnapshot> = executor.map(&warmups, |(scenario, pin)| {
+        let mut pin = PinnedGovernor::new("warmup-pin", *pin);
         warmed_board(None, &mut pin, scenario).snapshot()
     });
+    let scenarios: Vec<ScenarioConfig> = warmups.into_iter().map(|(s, _)| s).collect();
 
     // Phase 2 — the offline oracle table, only when a pinned-oracle
     // policy is in the comparison.
@@ -272,8 +266,13 @@ pub(crate) fn run_fleet(
                 let oracle = oracles[spec.archetype].get(&spec.workload.id());
                 let battery = archetype.battery.at_charge(spec.charge);
                 for (sheet, policy) in report.sheets_mut().iter_mut().zip(&config.policies) {
-                    let mut governor =
-                        make_governor(*policy, &spec.workload, models, oracle, &scenario)?;
+                    let mut governor = policy.governor(
+                        &archetype.board,
+                        config.deadline,
+                        spec.workload.page.features,
+                        models,
+                        oracle,
+                    )?;
                     let mut board = Board::new(archetype.board.clone(), config.seed);
                     board
                         .restore(&snapshots[spec.archetype])

@@ -8,22 +8,24 @@
 //!   intensity categories; split into 42 Webpage-Inclusive (training) and
 //!   12 Webpage-Neutral (held-out) combinations.
 //! * [`runner`] — the scenario runner: browser on cores 0–1, co-runner on
-//!   core 2, core 3 off, a governor in the loop at its decision cadence,
+//!   core 2, core 3 off, a governor in the loop at its decision cadence
+//!   ([`runner::GovernedLoop`], the one owner of the decision protocol),
 //!   a thermal warm-up phase, and per-load metrics (load time, energy,
 //!   mean power, PPW, deadline verdict, DVFS switches).
 //! * [`training`] — the offline measurement sweeps: the >300-observation
 //!   load-time/power campaign over the training workloads and frequency
 //!   table, and the idle voltage×ambient leakage calibration.
-//! * [`evaluate`] — policy instantiation (interactive, performance, DL,
-//!   EE, Offline_opt, DORA, DORA_no_lkg) and the full 54-workload
-//!   comparison with summaries normalized to `interactive`.
-//! * [`policy`] — the closed [`policy::Policy`] set of paper policies and
-//!   the open [`policy::PolicyName`] identities result rows carry.
+//! * [`evaluate`] — the full 54-workload comparison with summaries
+//!   normalized to `interactive`.
+//! * [`policy`] — the closed [`policy::Policy`] set of paper policies
+//!   (interactive, performance, DL, EE, Offline_opt, DORA, DORA_no_lkg),
+//!   their governor factory [`policy::Policy::governor`], and the open
+//!   [`policy::PolicyName`] identities result rows carry.
 //! * [`executor`] — deterministic fan-out of independent scenario runs
 //!   across a scoped thread pool; output is bit-identical to the
 //!   sequential loop at any width.
-//! * [`driver`] — the [`driver::CampaignDriver`] context object (executor
-//!   + warm-up policy + probe) every campaign operation runs through.
+//! * [`driver`] — the [`driver::CampaignDriver`] context object: the
+//!   executor every campaign grid fans out across.
 //! * [`fleet`] — fleet-scale simulation: 10⁴–10⁶ sampled device sessions
 //!   streamed through sharded, mergeable sketches; memory stays
 //!   O(shards) and reports are byte-identical at any executor width.

@@ -7,8 +7,19 @@
 //! is one of the paper's, and carries the raw name otherwise (pinned
 //! sweep governors, training pins, custom governors). String comparisons
 //! keep working — `result.governor == "DORA"` compares against the
-//! canonical name.
+//! canonical name. [`Policy::governor`] is the one factory that turns a
+//! policy into a runnable governor.
 
+use crate::evaluate::EvaluateError;
+use crate::runner::OracleFrequencies;
+use dora::{DoraConfig, DoraGovernor, DoraModels, DoraPolicy};
+use dora_browser::PageFeatures;
+use dora_governors::{
+    ConservativeGovernor, Governor, InteractiveGovernor, PerformanceGovernor, PinnedGovernor,
+    PowersaveGovernor,
+};
+use dora_sim_core::units::Seconds;
+use dora_soc::board::BoardConfig;
 use std::fmt;
 
 /// The policies the paper's figures compare.
@@ -94,6 +105,65 @@ impl Policy {
             self,
             Policy::Dora | Policy::DoraNoLkg | Policy::DeadlineOnly | Policy::EnergyOnly
         )
+    }
+
+    /// Builds this policy's governor for loading a page with `features` on
+    /// `board` under a QoS `deadline`.
+    ///
+    /// Stock governors search the board's primary DVFS table. DORA-family
+    /// policies search the board's own per-cluster tables on a
+    /// multi-cluster board, and the table the models were trained on
+    /// otherwise. Oracle policies pin the frequencies of the workload's
+    /// measured `oracle` sweep.
+    ///
+    /// # Errors
+    ///
+    /// [`EvaluateError::ModelsRequired`] for a DORA-family policy without
+    /// `models`, and [`EvaluateError::MissingOracle`] for an oracle policy
+    /// without `oracle`.
+    pub fn governor(
+        self,
+        board: &BoardConfig,
+        deadline: Seconds,
+        features: PageFeatures,
+        models: Option<&DoraModels>,
+        oracle: Option<&OracleFrequencies>,
+    ) -> Result<Box<dyn Governor>, EvaluateError> {
+        let table = board.dvfs.clone();
+        let need_oracle = || oracle.ok_or(EvaluateError::MissingOracle(self.name()));
+        let dora = |policy: DoraPolicy,
+                    include_leakage: bool|
+         -> Result<Box<dyn Governor>, EvaluateError> {
+            let models = models.ok_or(EvaluateError::ModelsRequired(self.name()))?;
+            let config = DoraConfig {
+                qos_target: deadline,
+                include_leakage,
+                policy,
+                ..DoraConfig::default()
+            };
+            let governor = if board.clusters.len() > 1 {
+                DoraGovernor::from_profile(models, board, features, config)
+            } else {
+                DoraGovernor::new(models.clone(), features, config)
+            };
+            Ok(Box::new(governor))
+        };
+        Ok(match self {
+            Policy::Interactive => Box::new(InteractiveGovernor::new(table)),
+            Policy::Performance => Box::new(PerformanceGovernor::new(table)),
+            Policy::Powersave => Box::new(PowersaveGovernor::new(table)),
+            Policy::Conservative => Box::new(ConservativeGovernor::new(table)),
+            Policy::OracleFd => {
+                let f = need_oracle()?.fd.unwrap_or_else(|| table.max_frequency());
+                Box::new(PinnedGovernor::new("fD", f))
+            }
+            Policy::OracleFe => Box::new(PinnedGovernor::new("fE", need_oracle()?.fe)),
+            Policy::OfflineOpt => Box::new(PinnedGovernor::new("offline_opt", need_oracle()?.fopt)),
+            Policy::Dora => dora(DoraPolicy::Dora, true)?,
+            Policy::DoraNoLkg => dora(DoraPolicy::Dora, false)?,
+            Policy::DeadlineOnly => dora(DoraPolicy::DeadlineOnly, true)?,
+            Policy::EnergyOnly => dora(DoraPolicy::EnergyOnly, true)?,
+        })
     }
 
     /// The governor set of Fig. 7 (plus the baseline).

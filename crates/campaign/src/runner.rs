@@ -4,7 +4,8 @@
 //! Firefox browser is executed on two cores while a co-run application is
 //! executed on the third core of the application processor. The fourth
 //! core was switched off." The governor runs in the loop at its decision
-//! cadence, sampling counter deltas exactly as DORA samples `perf`.
+//! cadence ([`GovernedLoop`]), sampling counter deltas exactly as DORA
+//! samples `perf`.
 //!
 //! Each scenario begins with a thermal warm-up phase (sustained browsing
 //! plus the co-runner) so die temperature — and therefore leakage — is in
@@ -21,10 +22,10 @@
 //! warm-up 14 times. When the prefix is not frequency-invariant
 //! ([`WarmupPolicy::Measured`]) sweeps fall back to full re-runs.
 //!
-//! Probes attach to the measured window only:
-//! [`run_scenario_observed`] warms the board first and attaches the
-//! probe before the measured load, so e.g. counted `DvfsSwitch` events
-//! match [`RunResult::switches`].
+//! Probes attach to the measured window only: [`run_page_observed`]
+//! warms the board first and attaches the probe before the measured
+//! load, so e.g. counted `DvfsSwitch` events match
+//! [`RunResult::switches`].
 
 use crate::executor::Executor;
 use crate::policy::PolicyName;
@@ -36,6 +37,7 @@ use dora_sim_core::probe::{Probe, ProbeEvent};
 use dora_sim_core::units::{Celsius, Joules, Mpki, Ppw, Seconds, Utilization, Watts};
 use dora_sim_core::{SimDuration, SimTime};
 use dora_soc::board::{Board, BoardConfig};
+use dora_soc::counters::CounterSet;
 use dora_soc::task::{LoopTask, PhaseProfile};
 use dora_soc::Frequency;
 use std::cell::RefCell;
@@ -249,94 +251,145 @@ fn warmup_tasks() -> (LoopTask, LoopTask) {
     (main, aux)
 }
 
-/// Builds a [`GovernorObservation`] from a counter delta.
-fn observation(
-    board: &Board,
-    delta: &dora_soc::counters::CounterSet,
+/// The governor in the loop — DORA's runtime (paper Section III): every
+/// decision interval, sample the counter deltas, ask the governor for an
+/// operating point, and program it on the board.
+///
+/// This is the one owner of that protocol. It keeps the decision cadence
+/// and the counter snapshot the next delta is taken against, builds each
+/// [`GovernorObservation`] for the cluster the browser's main core is
+/// bound to, mirrors every decision onto the probe bus as a
+/// [`ProbeEvent::GovernorDecision`] (with the predicted candidate curve
+/// for model-based governors; built only while a probe listens), migrates
+/// both browser cores when the governor picks another cluster — the
+/// co-runner stays put — and sets that cluster's clock.
+///
+/// The loop holds no borrow: callers keep the board and the governor and
+/// may assign tasks, swap co-runners or retarget the governor between
+/// steps without resetting the cadence.
+///
+/// # Example
+///
+/// ```
+/// use dora_campaign::runner::GovernedLoop;
+/// use dora_governors::PerformanceGovernor;
+/// use dora_soc::{Board, SocProfile};
+///
+/// let mut board = Board::new(SocProfile::msm8974().board_config(), 7);
+/// let mut governor = PerformanceGovernor::new(board.config().dvfs.clone());
+/// let mut governed = GovernedLoop::new(&board, &governor);
+/// let until = board.time() + dora_sim_core::SimDuration::from_millis(250);
+/// governed.run_until(&mut board, &mut governor, until, |_| false);
+/// assert_eq!(board.frequency(), board.config().dvfs.max_frequency());
+/// ```
+#[derive(Debug)]
+pub struct GovernedLoop {
     interval: SimDuration,
-) -> GovernorObservation {
-    let per_core_utilization: Vec<Utilization> = delta
-        .cores()
-        .iter()
-        .map(dora_soc::counters::CoreCounters::utilization)
-        .collect();
-    // The governor governs the browser: it observes the cluster the
-    // browser's main core is bound to and that cluster's current clock
-    // (on homogeneous boards this is cluster 0 / `board.frequency()`).
-    let cluster = board.cluster_of(BROWSER_MAIN_CORE);
-    GovernorObservation {
-        now: board.time(),
-        interval,
-        frequency: board.cluster_frequency(cluster),
-        cluster: cluster.index(),
-        per_core_utilization,
-        shared_l2_mpki: delta.shared_l2_mpki(),
-        corun_utilization: delta.core(CORUN_CORE).utilization(),
-        temperature: board.temperature(),
-    }
+    next_decision: SimTime,
+    snapshot: CounterSet,
+    freq_integral: f64,
+    elapsed: f64,
 }
 
-/// Steps the board under governor control until `stop` fires or `until`
-/// elapses. Returns the time-weighted mean frequency (GHz·s integral and
-/// duration).
-///
-/// Every decision is mirrored onto the board's probe bus as a
-/// [`ProbeEvent::GovernorDecision`] (with the predicted candidate curve
-/// for model-based governors) — built only while a probe listens.
-#[allow(clippy::expect_used)] // callers document the governor-bug panic
-pub(crate) fn govern_until(
-    board: &mut Board,
-    governor: &mut dyn Governor,
-    until: SimTime,
-    stop: impl Fn(&Board) -> bool,
-) -> (f64, f64) {
-    let quantum = board.config().quantum;
-    let interval = governor.decision_interval();
-    let mut next_decision = board.time() + interval;
-    let mut snap = board.counter_set().snapshot();
-    let mut freq_integral = 0.0;
-    let mut elapsed = 0.0;
-    while board.time() < until && !stop(board) {
-        let dt = quantum;
+impl GovernedLoop {
+    /// Starts the cadence now: the first decision falls one governor
+    /// interval after `board`'s current time, over counters sampled from
+    /// now.
+    pub fn new(board: &Board, governor: &dyn Governor) -> GovernedLoop {
+        let interval = governor.decision_interval();
+        GovernedLoop {
+            interval,
+            next_decision: board.time() + interval,
+            snapshot: board.counter_set().snapshot(),
+            freq_integral: 0.0,
+            elapsed: 0.0,
+        }
+    }
+
+    /// Advances the board one quantum, then lets the governor decide if
+    /// its interval has elapsed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the governor returns a cluster the board lacks or a
+    /// frequency outside that cluster's DVFS table (a policy bug, not an
+    /// environmental condition).
+    #[allow(clippy::expect_used)] // documented governor-bug panic
+    pub fn step(&mut self, board: &mut Board, governor: &mut dyn Governor) {
+        let dt = board.config().quantum;
         // The integral tracks the governed (browser) cluster's clock; on
         // homogeneous boards that is exactly `board.frequency()`.
-        freq_integral += board
+        self.freq_integral += board
             .cluster_frequency(board.cluster_of(BROWSER_MAIN_CORE))
             .as_ghz()
             * dt.as_secs_f64();
-        elapsed += dt.as_secs_f64();
+        self.elapsed += dt.as_secs_f64();
         board.step(dt);
-        if board.time() >= next_decision {
-            let now_snap = board.counter_set().snapshot();
-            let delta = now_snap.delta(&snap);
-            snap = now_snap;
-            let obs = observation(board, &delta, interval);
-            let point = governor.decide_point(&obs);
-            if board.probes_active() {
-                board.emit_event(ProbeEvent::GovernorDecision {
-                    governor: governor.name().to_string(),
-                    cluster: point.cluster.index(),
-                    chosen_khz: point.frequency.as_khz(),
-                    curve: governor.decision_curve().unwrap_or_default(),
-                });
-            }
-            if point.cluster.index() != obs.cluster {
-                // The governor moved the browser: rebind its cores. The
-                // co-runner stays put — only the governed task migrates.
+        if board.time() < self.next_decision {
+            return;
+        }
+        let now = board.counter_set().snapshot();
+        let delta = now.delta(&self.snapshot);
+        self.snapshot = now;
+        let cluster = board.cluster_of(BROWSER_MAIN_CORE);
+        let observation = GovernorObservation {
+            now: board.time(),
+            interval: self.interval,
+            frequency: board.cluster_frequency(cluster),
+            cluster: cluster.index(),
+            per_core_utilization: delta
+                .cores()
+                .iter()
+                .map(dora_soc::counters::CoreCounters::utilization)
+                .collect(),
+            shared_l2_mpki: delta.shared_l2_mpki(),
+            corun_utilization: delta.core(CORUN_CORE).utilization(),
+            temperature: board.temperature(),
+        };
+        let point = governor.decide_point(&observation);
+        if board.probes_active() {
+            board.emit_event(ProbeEvent::GovernorDecision {
+                governor: governor.name().to_string(),
+                cluster: point.cluster.index(),
+                chosen_khz: point.frequency.as_khz(),
+                curve: governor.decision_curve().unwrap_or_default(),
+            });
+        }
+        if point.cluster != cluster {
+            for core in [BROWSER_MAIN_CORE, BROWSER_AUX_CORE] {
                 board
-                    .migrate(BROWSER_MAIN_CORE, point.cluster)
-                    .expect("governors must return board clusters");
-                board
-                    .migrate(BROWSER_AUX_CORE, point.cluster)
+                    .migrate(core, point.cluster)
                     .expect("governors must return board clusters");
             }
-            board
-                .set_cluster_frequency(point.cluster, point.frequency)
-                .expect("governors must return table frequencies");
-            next_decision = board.time() + interval;
+        }
+        board
+            .set_cluster_frequency(point.cluster, point.frequency)
+            .expect("governors must return table frequencies");
+        self.next_decision = board.time() + self.interval;
+    }
+
+    /// Steps until `stop` fires or the board reaches `until`.
+    ///
+    /// # Panics
+    ///
+    /// As [`GovernedLoop::step`].
+    pub fn run_until(
+        &mut self,
+        board: &mut Board,
+        governor: &mut dyn Governor,
+        until: SimTime,
+        stop: impl Fn(&Board) -> bool,
+    ) {
+        while board.time() < until && !stop(board) {
+            self.step(board, governor);
         }
     }
-    (freq_integral, elapsed)
+
+    /// The time-weighted mean clock of the governed cluster, in GHz, over
+    /// every quantum this loop stepped; `None` before the first step.
+    pub fn mean_frequency_ghz(&self) -> Option<f64> {
+        (self.elapsed > 0.0).then(|| self.freq_integral / self.elapsed)
+    }
 }
 
 /// Runs one workload under one governor and measures the page load.
@@ -351,30 +404,6 @@ pub fn run_scenario(
     config: &ScenarioConfig,
 ) -> RunResult {
     run_page(&workload.page, Some(&workload.kernel), governor, config)
-}
-
-/// [`run_scenario`] with a probe observing the measured window: the board
-/// is warmed first, the probe attached, then the load measured — so the
-/// probe sees exactly the events behind the returned [`RunResult`]
-/// (e.g. its `DvfsSwitch` count equals [`RunResult::switches`]).
-///
-/// # Panics
-///
-/// Panics if the governor returns a frequency outside the board's DVFS
-/// table.
-pub fn run_scenario_observed(
-    workload: &Workload,
-    governor: &mut dyn Governor,
-    config: &ScenarioConfig,
-    probe: Rc<RefCell<dyn Probe>>,
-) -> RunResult {
-    run_page_observed(
-        &workload.page,
-        Some(&workload.kernel),
-        governor,
-        config,
-        probe,
-    )
 }
 
 /// Runs a page load with an optional co-runner (pass `None` to measure
@@ -438,15 +467,20 @@ pub(crate) fn warmed_board(
             .assign(BROWSER_AUX_CORE, Box::new(wa))
             .expect("aux core free");
         let until = board.time() + config.warmup;
-        match config.warmup_policy {
-            WarmupPolicy::Measured => {
-                let _ = govern_until(&mut board, governor, until, |_| false);
-            }
+        let mut pin;
+        let warmup_governor: &mut dyn Governor = match config.warmup_policy {
+            WarmupPolicy::Measured => governor,
             WarmupPolicy::Pinned(f) => {
-                let mut pin = PinnedGovernor::new("warmup-pin", f);
-                let _ = govern_until(&mut board, &mut pin, until, |_| false);
+                pin = PinnedGovernor::new("warmup-pin", f);
+                &mut pin
             }
-        }
+        };
+        GovernedLoop::new(&board, warmup_governor).run_until(
+            &mut board,
+            warmup_governor,
+            until,
+            |_| false,
+        );
         board.clear_core(BROWSER_MAIN_CORE).expect("core id valid");
         board.clear_core(BROWSER_AUX_CORE).expect("core id valid");
     }
@@ -476,8 +510,8 @@ pub(crate) fn measured_load(
     let switches0 = board.switch_count();
     let snap0 = board.counter_set().snapshot();
 
-    let deadline_wall = t0 + config.timeout;
-    let (freq_integral, governed_s) = govern_until(board, governor, deadline_wall, |b| {
+    let mut governed = GovernedLoop::new(board, governor);
+    governed.run_until(board, governor, t0 + config.timeout, |b| {
         b.task_finished(BROWSER_MAIN_CORE)
     });
 
@@ -516,11 +550,10 @@ pub(crate) fn measured_load(
         met_deadline: !timed_out && load_time <= config.deadline,
         timed_out,
         switches: board.switch_count() - switches0,
-        mean_frequency: if governed_s > 0.0 {
-            Frequency::from_mhz(freq_integral / governed_s * 1000.0)
-        } else {
-            board.frequency()
-        },
+        mean_frequency: governed.mean_frequency_ghz().map_or_else(
+            || board.frequency(),
+            |ghz| Frequency::from_mhz(ghz * 1000.0),
+        ),
         final_temp: board.temperature(),
         mean_mpki: delta.shared_l2_mpki(),
         corun_utilization: delta.core(CORUN_CORE).utilization(),
@@ -548,19 +581,11 @@ fn sweep_point(workload: &Workload, config: &ScenarioConfig, f: Frequency) -> Sw
 }
 
 /// Measures a workload at each pinned frequency (the paper's per-figure
-/// frequency sweeps and the `Offline_opt` enumeration).
-pub fn sweep_frequencies(
-    workload: &Workload,
-    config: &ScenarioConfig,
-    frequencies: &[Frequency],
-) -> Vec<SweepPoint> {
-    sweep_frequencies_with(workload, config, frequencies, &Executor::sequential())
-}
-
-/// [`sweep_frequencies`] with the points fanned out across `executor`.
+/// frequency sweeps and the `Offline_opt` enumeration), fanned out across
+/// `executor`.
 ///
 /// Each point is an independent seeded simulation, so the returned sweep
-/// is bit-identical to the sequential one, in frequency order.
+/// is bit-identical at any executor width, in frequency order.
 ///
 /// Under [`WarmupPolicy::Pinned`] the warm-up prefix is
 /// frequency-invariant, so it is simulated **once**, snapshotted, and
@@ -819,7 +844,7 @@ mod tests {
             Frequency::from_mhz(1497.6),
             Frequency::from_mhz(2265.6),
         ];
-        let sequential = sweep_frequencies(w, &config, &freqs);
+        let sequential = sweep_frequencies_with(w, &config, &freqs, &Executor::sequential());
         let parallel = sweep_frequencies_with(
             w,
             &config,
@@ -897,7 +922,7 @@ mod tests {
             .build();
         let mut g = dora_governors::InteractiveGovernor::new(DvfsTable::default());
         let ring = ProbeRing::shared(1 << 16);
-        let r = run_scenario_observed(w, &mut g, &config, ring.clone());
+        let r = run_page_observed(&w.page, Some(&w.kernel), &mut g, &config, ring.clone());
 
         let events = ring.borrow().to_vec();
         assert_eq!(ring.borrow().dropped(), 0, "ring too small for the run");

@@ -12,12 +12,12 @@
 //! inputs exactly as the paper's implementation reads the page features
 //! "before a page is rendered".
 
-use crate::runner::{BROWSER_AUX_CORE, BROWSER_MAIN_CORE, CORUN_CORE};
+use crate::runner::{GovernedLoop, BROWSER_AUX_CORE, BROWSER_MAIN_CORE, CORUN_CORE};
 use dora_browser::catalog::CatalogPage;
 use dora_browser::engine::RenderEngine;
 use dora_coworkloads::Kernel;
-use dora_governors::{Governor, GovernorObservation};
-use dora_sim_core::units::{Celsius, Joules, Seconds, Utilization, WattHours, Watts};
+use dora_governors::Governor;
+use dora_sim_core::units::{Celsius, Joules, Seconds, WattHours, Watts};
 use dora_sim_core::SimDuration;
 use dora_soc::board::{Board, BoardConfig};
 
@@ -123,51 +123,10 @@ pub fn run_session(
     }
     let engine = RenderEngine::default();
     let session_start = board.time();
-    let quantum = board.config().quantum;
-    let interval = governor.decision_interval();
-    let mut next_decision = board.time() + interval;
-    let mut snapshot = board.counter_set().snapshot();
+    // One loop for the whole session: the decision cadence and counter
+    // snapshot run on across load and think phases.
+    let mut governed = GovernedLoop::new(&board, governor);
     let mut loads = Vec::with_capacity(pages.len());
-
-    // One closure-free governor tick, shared by load and think phases.
-    macro_rules! tick {
-        () => {
-            if board.time() >= next_decision {
-                let now = board.counter_set().snapshot();
-                let delta = now.delta(&snapshot);
-                snapshot = now;
-                let per_core_utilization: Vec<Utilization> = delta
-                    .cores()
-                    .iter()
-                    .map(dora_soc::counters::CoreCounters::utilization)
-                    .collect();
-                let cluster = board.cluster_of(BROWSER_MAIN_CORE);
-                let obs = GovernorObservation {
-                    now: board.time(),
-                    interval,
-                    frequency: board.cluster_frequency(cluster),
-                    cluster: cluster.index(),
-                    per_core_utilization,
-                    shared_l2_mpki: delta.shared_l2_mpki(),
-                    corun_utilization: delta.core(CORUN_CORE).utilization(),
-                    temperature: board.temperature(),
-                };
-                let point = governor.decide_point(&obs);
-                if point.cluster.index() != obs.cluster {
-                    board
-                        .migrate(BROWSER_MAIN_CORE, point.cluster)
-                        .expect("governors must return board clusters");
-                    board
-                        .migrate(BROWSER_AUX_CORE, point.cluster)
-                        .expect("governors must return board clusters");
-                }
-                board
-                    .set_cluster_frequency(point.cluster, point.frequency)
-                    .expect("governors must return table frequencies");
-                next_decision = board.time() + interval;
-            }
-        };
-    }
 
     for (index, page) in pages.iter().enumerate() {
         governor.page_changed(&page.features);
@@ -179,11 +138,9 @@ pub fn run_session(
             .assign(BROWSER_AUX_CORE, Box::new(job.aux))
             .expect("aux core idle between loads");
         let t0 = board.time();
-        let deadline_wall = t0 + config.per_load_timeout;
-        while !board.task_finished(BROWSER_MAIN_CORE) && board.time() < deadline_wall {
-            board.step(quantum);
-            tick!();
-        }
+        governed.run_until(&mut board, governor, t0 + config.per_load_timeout, |b| {
+            b.task_finished(BROWSER_MAIN_CORE)
+        });
         let load_time = Seconds::new(
             board
                 .finish_time(BROWSER_MAIN_CORE)
@@ -201,10 +158,7 @@ pub fn run_session(
 
         // Think time: the user reads; browser cores idle.
         let think_until = board.time() + config.think_time;
-        while board.time() < think_until {
-            board.step(quantum);
-            tick!();
-        }
+        governed.run_until(&mut board, governor, think_until, |_| false);
     }
 
     SessionResult {

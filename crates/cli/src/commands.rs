@@ -2,7 +2,7 @@
 
 use crate::args::{Args, OutputFormat};
 use dora::units::{Celsius, Mpki, Seconds, Utilization, WattHours};
-use dora::{from_text, to_text, DoraConfig, DoraGovernor, DoraModels};
+use dora::{from_text, to_text, DoraModels};
 use dora_browser::{Catalog, PageFeatures};
 use dora_campaign::driver::CampaignDriver;
 use dora_campaign::evaluate::Policy;
@@ -12,7 +12,6 @@ use dora_campaign::runner::{run_page, run_page_observed, ScenarioConfig};
 use dora_campaign::workload::{Workload, WorkloadSet};
 use dora_coworkloads::Kernel;
 use dora_experiments::pipeline::{Pipeline, Scale};
-use dora_governors::{Governor, InteractiveGovernor, PerformanceGovernor, PowersaveGovernor};
 
 /// `dora train`: run the offline campaign and write the model bundle.
 pub fn train(raw: &[String]) -> Result<(), String> {
@@ -241,6 +240,17 @@ impl dora_sim_core::probe::Probe for DecisionTrace {
     }
 }
 
+/// The policy behind a `--governor` name of `dora govern`/`dora session`.
+fn governed_policy(name: &str) -> Result<Policy, String> {
+    match name {
+        "dora" | "DORA" => Ok(Policy::Dora),
+        "interactive" => Ok(Policy::Interactive),
+        "performance" => Ok(Policy::Performance),
+        "powersave" => Ok(Policy::Powersave),
+        other => Err(format!("unknown governor {other:?}")),
+    }
+}
+
 /// `dora govern`: simulate one governed page load.
 pub fn govern(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
@@ -260,32 +270,20 @@ pub fn govern(raw: &[String]) -> Result<(), String> {
         .deadline(Seconds::new(deadline))
         .board(common.soc.board_config())
         .build();
-    let governor_name = args.get("governor").unwrap_or("dora");
-    let mut governor: Box<dyn Governor> = match governor_name {
-        "dora" | "DORA" => {
-            let models = load_models(path)?;
-            let dora_config = DoraConfig {
-                qos_target: Seconds::new(deadline),
-                ..DoraConfig::default()
-            };
-            // One governor type either way; a multi-cluster board searches
-            // its own per-cluster tables, otherwise the models' table.
-            if config.board.clusters.len() > 1 {
-                Box::new(DoraGovernor::from_profile(
-                    &models,
-                    &config.board,
-                    page.features,
-                    dora_config,
-                ))
-            } else {
-                Box::new(DoraGovernor::new(models, page.features, dora_config))
-            }
-        }
-        "interactive" => Box::new(InteractiveGovernor::new(config.board.dvfs.clone())),
-        "performance" => Box::new(PerformanceGovernor::new(config.board.dvfs.clone())),
-        "powersave" => Box::new(PowersaveGovernor::new(config.board.dvfs.clone())),
-        other => return Err(format!("unknown governor {other:?}")),
-    };
+    let policy = governed_policy(args.get("governor").unwrap_or("dora"))?;
+    let models = policy
+        .needs_models()
+        .then(|| load_models(path))
+        .transpose()?;
+    let mut governor = policy
+        .governor(
+            &config.board,
+            config.deadline,
+            page.features,
+            models.as_ref(),
+            None,
+        )
+        .map_err(|e| e.to_string())?;
     let trace = if common.trace {
         Some(std::rc::Rc::new(std::cell::RefCell::new(
             DecisionTrace::default(),
@@ -443,35 +441,23 @@ pub fn session(raw: &[String]) -> Result<(), String> {
         seed: common.seed,
         ..SessionConfig::default()
     };
-    let governor_name = args.get("governor").unwrap_or("interactive");
-    let mut governor: Box<dyn Governor> = match governor_name {
-        "dora" | "DORA" => {
-            let path = args
-                .positional(0)
-                .ok_or("usage: dora session <models.txt> --governor dora ...")?;
-            let models = load_models(path)?;
-            let dora_config = DoraConfig {
-                qos_target: config.deadline,
-                ..DoraConfig::default()
-            };
-            // One governor type either way; a multi-cluster board searches
-            // its own per-cluster tables, otherwise the models' table.
-            if config.board.clusters.len() > 1 {
-                Box::new(DoraGovernor::from_profile(
-                    &models,
-                    &config.board,
-                    pages[0].features,
-                    dora_config,
-                ))
-            } else {
-                Box::new(DoraGovernor::new(models, pages[0].features, dora_config))
-            }
-        }
-        "interactive" => Box::new(InteractiveGovernor::new(config.board.dvfs.clone())),
-        "performance" => Box::new(PerformanceGovernor::new(config.board.dvfs.clone())),
-        "powersave" => Box::new(PowersaveGovernor::new(config.board.dvfs.clone())),
-        other => return Err(format!("unknown governor {other:?}")),
-    };
+    let policy = governed_policy(args.get("governor").unwrap_or("interactive"))?;
+    let models = policy
+        .needs_models()
+        .then(|| match args.positional(0) {
+            Some(path) => load_models(path),
+            None => Err("usage: dora session <models.txt> --governor dora ...".into()),
+        })
+        .transpose()?;
+    let mut governor = policy
+        .governor(
+            &config.board,
+            config.deadline,
+            pages[0].features,
+            models.as_ref(),
+            None,
+        )
+        .map_err(|e| e.to_string())?;
     let r = run_session(&pages, kernel.as_ref(), governor.as_mut(), &config);
     println!("{}-page session under {}", r.loads.len(), r.governor);
     for l in &r.loads {

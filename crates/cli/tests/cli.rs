@@ -152,7 +152,6 @@ fn session_rejects_unknown_page() {
 }
 
 #[test]
-#[ignore = "trains a quick pipeline (~minutes in debug); run in release"]
 fn full_flow_train_inspect_predict_govern() {
     let dir = std::env::temp_dir().join("dora_cli_test_flow");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -178,6 +177,26 @@ fn full_flow_train_inspect_predict_govern() {
     let text = stdout(&out);
     assert!(text.contains("MSN+backprop"), "{text}");
     assert!(text.contains("load time:"), "{text}");
+
+    // The DORA session path: one governor across a whole itinerary, the
+    // homogeneous search on msm8974 and the (cluster, F) search with
+    // migration on biglittle-a15a7.
+    for soc in ["msm8974", "biglittle-a15a7"] {
+        let out = dora(&[
+            "session",
+            models_str,
+            "--governor",
+            "dora",
+            "--soc",
+            soc,
+            "--pages",
+            "Reddit,Amazon",
+        ]);
+        assert!(out.status.success(), "{soc}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(text.contains("2-page session under DORA"), "{soc}: {text}");
+        assert!(text.contains("battery estimate"), "{soc}: {text}");
+    }
 
     let out = dora(&["csv", "--page", "Amazon", "--governor", "performance"]);
     assert!(out.status.success(), "{}", stderr(&out));

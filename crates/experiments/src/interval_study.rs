@@ -13,10 +13,15 @@
 use crate::pipeline::Pipeline;
 use crate::report::{fmt_f, fmt_gain, Table};
 use dora::{DoraConfig, DoraGovernor};
-use dora_campaign::runner::run_scenario;
+use dora_browser::engine::RenderEngine;
+use dora_campaign::runner::{
+    run_scenario, GovernedLoop, BROWSER_AUX_CORE, BROWSER_MAIN_CORE, CORUN_CORE,
+};
 use dora_campaign::workload::WorkloadSet;
+use dora_coworkloads::Kernel;
 use dora_governors::InteractiveGovernor;
 use dora_sim_core::SimDuration;
+use dora_soc::board::Board;
 
 /// One cadence's aggregate outcome.
 #[derive(Debug, Clone)]
@@ -123,11 +128,6 @@ pub struct AdaptationRow {
 /// steps from `kmeans` (low) to `backprop` (high) 0.6 s into the load,
 /// under a 2.5 s deadline that the post-step conditions make tight.
 pub fn run_adaptation(pipeline: &Pipeline) -> Vec<AdaptationRow> {
-    use dora_browser::engine::RenderEngine;
-    use dora_coworkloads::Kernel;
-    use dora_governors::{Governor, GovernorObservation};
-    use dora_soc::board::Board;
-
     let catalog = dora_browser::Catalog::alexa18();
     let page = catalog.page("MSN").expect("MSN in catalog");
     let [low, _, high] = Kernel::representatives();
@@ -149,72 +149,44 @@ pub fn run_adaptation(pipeline: &Pipeline) -> Vec<AdaptationRow> {
             );
             let mut board = Board::new(config.board.clone(), config.seed);
             board
-                .assign(2, Box::new(low.spawn(config.seed)))
+                .assign(CORUN_CORE, Box::new(low.spawn(config.seed)))
                 .expect("fresh board");
-            // Thermal/hysteresis warm-up at the governor's own cadence.
-            let engine = RenderEngine::default();
-            let job = engine.spawn(page, config.seed);
+            // Thermal warm-up with the co-runner alone, ungoverned.
+            let job = RenderEngine::default().spawn(page, config.seed);
             board.step(config.warmup);
-            board.assign(0, Box::new(job.main)).expect("core 0 free");
-            board.assign(1, Box::new(job.aux)).expect("core 1 free");
+            board
+                .assign(BROWSER_MAIN_CORE, Box::new(job.main))
+                .expect("main core free");
+            board
+                .assign(BROWSER_AUX_CORE, Box::new(job.aux))
+                .expect("aux core free");
 
             let t0 = board.time();
             let switches0 = board.switch_count();
-            let mut snap = board.counter_set().snapshot();
-            let mut next_decision = board.time() + interval;
+            let mut governed = GovernedLoop::new(&board, &governor);
             let mut swapped = false;
-            let mut freq_integral = 0.0;
-            let mut elapsed = 0.0;
-            let quantum = board.config().quantum;
-            while !board.task_finished(0)
+            while !board.task_finished(BROWSER_MAIN_CORE)
                 && board.time().duration_since(t0) < SimDuration::from_secs(30)
             {
                 if !swapped && board.time().duration_since(t0) >= step_at {
-                    board.clear_core(2).expect("core 2 exists");
+                    board.clear_core(CORUN_CORE).expect("corun core exists");
                     board
-                        .assign(2, Box::new(high.spawn(config.seed)))
-                        .expect("core 2 cleared");
+                        .assign(CORUN_CORE, Box::new(high.spawn(config.seed)))
+                        .expect("corun core cleared");
                     swapped = true;
                 }
-                freq_integral += board.frequency().as_ghz() * quantum.as_secs_f64();
-                elapsed += quantum.as_secs_f64();
-                board.step(quantum);
-                if board.time() >= next_decision {
-                    let now = board.counter_set().snapshot();
-                    let delta = now.delta(&snap);
-                    snap = now;
-                    let utilization: Vec<_> = delta
-                        .cores()
-                        .iter()
-                        .map(dora_soc::counters::CoreCounters::utilization)
-                        .collect();
-                    let obs = GovernorObservation {
-                        now: board.time(),
-                        interval,
-                        frequency: board.frequency(),
-                        cluster: 0,
-                        per_core_utilization: utilization,
-                        shared_l2_mpki: delta.shared_l2_mpki(),
-                        corun_utilization: delta.core(2).utilization(),
-                        temperature: board.temperature(),
-                    };
-                    let f = governor.decide(&obs);
-                    board.set_frequency(f).expect("table frequency");
-                    next_decision = board.time() + interval;
-                }
+                governed.step(&mut board, &mut governor);
             }
             let load_time_s = board
-                .finish_time(0)
+                .finish_time(BROWSER_MAIN_CORE)
                 .map_or(30.0, |t| t.duration_since(t0).as_secs_f64());
             AdaptationRow {
                 interval,
                 load_time_s,
                 switches: board.switch_count() - switches0,
-                mean_freq_ghz: if elapsed > 0.0 {
-                    freq_integral / elapsed
-                } else {
-                    board.frequency().as_ghz()
-                },
+                mean_freq_ghz: governed
+                    .mean_frequency_ghz()
+                    .unwrap_or_else(|| board.frequency().as_ghz()),
             }
         })
         .collect()

@@ -10,7 +10,7 @@
 //! cargo run --release --example custom_governor
 //! ```
 
-use dora_repro::campaign::runner::{run_scenario, run_scenario_observed, ScenarioConfig};
+use dora_repro::campaign::runner::{run_page_observed, run_scenario, ScenarioConfig};
 use dora_repro::campaign::workload::WorkloadSet;
 use dora_repro::governors::{Governor, GovernorObservation, InteractiveGovernor};
 use dora_repro::sim::probe::{Probe, ProbeEvent};
@@ -79,7 +79,13 @@ fn main() {
             table: table.clone(),
         };
         let tally = Rc::new(RefCell::new(DecisionTally::default()));
-        let mine = run_scenario_observed(w, &mut custom, &config, tally.clone());
+        let mine = run_page_observed(
+            &w.page,
+            Some(&w.kernel),
+            &mut custom,
+            &config,
+            tally.clone(),
+        );
         // The probe and the summary saw the same measured window.
         assert_eq!(tally.borrow().switches, mine.switches);
         assert!(tally.borrow().decisions > 0, "governor was consulted");

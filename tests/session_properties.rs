@@ -1,13 +1,21 @@
 //! Property-based tests of the browsing-session runner and the streaming
 //! statistics it reports through.
 
-use dora_repro::browser::Catalog;
-use dora_repro::campaign::session::{run_session, SessionConfig};
-use dora_repro::governors::{InteractiveGovernor, PerformanceGovernor};
+mod common;
+
+use dora_repro::browser::{Catalog, PageFeatures};
+use dora_repro::campaign::session::{run_session, SessionConfig, SessionResult};
+use dora_repro::coworkloads::Kernel;
+use dora_repro::dora::{DoraConfig, DoraGovernor};
+use dora_repro::governors::{
+    Governor, GovernorObservation, InteractiveGovernor, PerformanceGovernor,
+};
+use dora_repro::sim::sketch::Digest64;
 use dora_repro::sim::stats::Running;
 use dora_repro::sim::{Rng, SimDuration};
-use dora_repro::soc::DvfsTable;
+use dora_repro::soc::{DvfsTable, Frequency, OperatingPoint, SocProfile};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -133,4 +141,102 @@ proptest! {
             prop_assert!(k >= n_lo && k <= n_lo + n_width);
         }
     }
+}
+
+/// Delegates to a governor and records every cluster a decision observed
+/// the browser bound to: two distinct clusters mean the session migrated
+/// the browser between decisions.
+#[derive(Debug)]
+struct ClusterWitness<G> {
+    inner: G,
+    observed: BTreeSet<usize>,
+}
+
+impl<G: Governor> Governor for ClusterWitness<G> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn decision_interval(&self) -> SimDuration {
+        self.inner.decision_interval()
+    }
+
+    fn decide(&mut self, observation: &GovernorObservation) -> Frequency {
+        self.inner.decide(observation)
+    }
+
+    fn decide_point(&mut self, observation: &GovernorObservation) -> OperatingPoint {
+        self.observed.insert(observation.cluster);
+        self.inner.decide_point(observation)
+    }
+
+    fn page_changed(&mut self, page: &PageFeatures) {
+        self.inner.page_changed(page);
+    }
+}
+
+/// Folds every field of a session result into `digest`, floats by bit
+/// pattern.
+fn digest_session(digest: &mut Digest64, r: &SessionResult) {
+    digest.write_str(&r.governor);
+    digest.write_f64(r.duration.value());
+    digest.write_f64(r.energy.value());
+    for load in &r.loads {
+        digest.write_str(&load.page);
+        digest.write_f64(load.load_time.value());
+        digest.write_u64(u64::from(load.met_deadline));
+    }
+    digest.write_u64(r.switches);
+    digest.write_f64(r.peak_temp.value());
+}
+
+/// Golden digest of two whole browsing sessions: `interactive` on the
+/// msm8974 board, and DORA over synthetic models on `biglittle-a15a7`,
+/// where the governor migrates the browser between clusters. It pins the
+/// session loop's decision cadence, counter sampling and migration
+/// branch across load and think phases. Re-pin only alongside an
+/// intentional change to the simulator, a governor or the session loop.
+#[test]
+fn session_digest_is_pinned() {
+    let catalog = Catalog::alexa18();
+    let pages: Vec<_> = ["Reddit", "Amazon", "MSN"]
+        .iter()
+        .map(|name| catalog.page(name).expect("page in catalog"))
+        .collect();
+    let kernel = Kernel::by_name("backprop").expect("in suite");
+    let config = SessionConfig {
+        think_time: SimDuration::from_secs(2),
+        ..SessionConfig::default()
+    };
+    let mut digest = Digest64::new();
+
+    let mut interactive = InteractiveGovernor::new(DvfsTable::default());
+    let r = run_session(&pages, Some(&kernel), &mut interactive, &config);
+    assert!(r.switches > 0, "{r:?}");
+    digest_session(&mut digest, &r);
+
+    let biglittle = SessionConfig {
+        board: SocProfile::biglittle_a15a7().board_config(),
+        ..config
+    };
+    let models = common::synth_models(1.0, 0.03, 0.2, 3.0);
+    let mut dora = ClusterWitness {
+        inner: DoraGovernor::from_profile(
+            &models,
+            &biglittle.board,
+            pages[0].features,
+            DoraConfig::default(),
+        ),
+        observed: BTreeSet::new(),
+    };
+    let r = run_session(&pages, Some(&kernel), &mut dora, &biglittle);
+    assert!(r.switches > 0, "{r:?}");
+    assert!(
+        dora.observed.len() > 1,
+        "DORA never migrated the browser: clusters {:?}",
+        dora.observed
+    );
+    digest_session(&mut digest, &r);
+
+    assert_eq!(format!("{:016x}", digest.finish()), "acb6cc2da1d2f8ab");
 }
