@@ -111,10 +111,10 @@ impl Policy {
     /// `board` under a QoS `deadline`.
     ///
     /// Stock governors search the board's primary DVFS table. DORA-family
-    /// policies search the board's own per-cluster tables on a
-    /// multi-cluster board, and the table the models were trained on
-    /// otherwise. Oracle policies pin the frequencies of the workload's
-    /// measured `oracle` sweep.
+    /// policies search the board's own per-cluster tables, with one
+    /// scaled model per cluster ([`DoraGovernor::from_profile`]). Oracle
+    /// policies pin the frequencies of the workload's measured `oracle`
+    /// sweep.
     ///
     /// # Errors
     ///
@@ -141,12 +141,9 @@ impl Policy {
                 policy,
                 ..DoraConfig::default()
             };
-            let governor = if board.clusters.len() > 1 {
-                DoraGovernor::from_profile(models, board, features, config)
-            } else {
-                DoraGovernor::new(models.clone(), features, config)
-            };
-            Ok(Box::new(governor))
+            Ok(Box::new(DoraGovernor::from_profile(
+                models, board, features, config,
+            )))
         };
         Ok(match self {
             Policy::Interactive => Box::new(InteractiveGovernor::new(table)),

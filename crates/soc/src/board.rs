@@ -1,10 +1,11 @@
 //! The assembled smartphone platform.
 //!
 //! A [`Board`] owns four cores (the paper disables the fourth), the shared
-//! L2, the LPDDR3 memory system, a thermal node, and the power model, and
-//! advances them together in fixed quanta (1 ms by default). Per quantum it
-//! delegates to [`crate::contention::ContentionSolver`] for the small fixed
-//! point — instruction rates determine cache pressure, cache pressure
+//! L2, the LPDDR3 memory system and a thermal node, and advances them
+//! together in fixed quanta (1 ms by default), charging power through the
+//! per-cluster model of [`crate::power`]. Per quantum it delegates to
+//! [`crate::contention::ContentionSolver`] for the small fixed point —
+//! instruction rates determine cache pressure, cache pressure
 //! determines miss ratios, misses determine DRAM queuing, and queuing feeds
 //! back into effective CPI — that makes a co-scheduled memory hog genuinely
 //! slow the browser down, the paper's central phenomenon.
@@ -19,7 +20,7 @@
 use crate::contention::{ContentionParams, ContentionSolver};
 use crate::counters::{CoreCounters, CounterSet};
 use crate::dvfs::{Frequency, Opp};
-use crate::power::{PowerBreakdown, PowerModel};
+use crate::power::{self, PowerBreakdown};
 use crate::profile::ClusterId;
 use crate::task::Task;
 use crate::thermal::ThermalNode;
@@ -53,10 +54,6 @@ struct StepScratch {
     clocks: Vec<f64>,
     /// Per-core utilization handed to the power model.
     core_utils: Vec<f64>,
-    /// Per-cluster summed utilization (heterogeneous power path).
-    cluster_busy: Vec<f64>,
-    /// Per-cluster bound-core count (heterogeneous power path).
-    cluster_cores: Vec<usize>,
 }
 
 /// The assembled, steppable platform.
@@ -90,7 +87,6 @@ struct StepScratch {
 pub struct Board {
     pub(crate) config: BoardConfig,
     pub(crate) cache: SharedCache,
-    pub(crate) power_model: PowerModel,
     pub(crate) thermal: ThermalNode,
     pub(crate) slots: Vec<CoreSlot>,
     pub(crate) counters: CounterSet,
@@ -126,7 +122,6 @@ impl Board {
     pub fn new(config: BoardConfig, seed: u64) -> Self {
         config.validate().expect("invalid board configuration");
         let cache = SharedCache::new(config.l2_capacity_bytes);
-        let power_model = PowerModel::new(config.power).expect("validated above");
         let thermal = ThermalNode::new(config.thermal);
         let slots = config
             .cores_enabled
@@ -141,7 +136,6 @@ impl Board {
         let counters = CounterSet::new(config.num_cores);
         Board {
             cache,
-            power_model,
             thermal,
             slots,
             counters,
@@ -208,7 +202,7 @@ impl Board {
 
     /// Current operating point of the primary cluster.
     pub fn opp(&self) -> Opp {
-        self.config.dvfs.opp(self.freq_indices[0])
+        self.cluster_opp(ClusterId::PRIMARY)
     }
 
     /// Current core frequency of the primary cluster.
@@ -475,12 +469,9 @@ impl Board {
         self.pending_stall = self.pending_stall.saturating_sub(stall);
         let avail_s = (dt.saturating_sub(stall)).as_secs_f64();
 
-        let opp = self.opp();
-        let f_hz = opp.frequency.as_hz();
         // The memory bus serves every cluster: its tier is voted by the
-        // fastest cluster clock (identical to the historical single-knob
-        // mapping when there is one cluster).
-        let mut bus_vote = opp.frequency;
+        // fastest cluster clock.
+        let mut bus_vote = self.frequency();
         for c in 1..self.config.clusters.len() {
             let fc = self.config.clusters[c]
                 .dvfs
@@ -490,7 +481,7 @@ impl Board {
                 bus_vote = fc;
             }
         }
-        let tier = self.config.dvfs.bus_tier(bus_vote);
+        let tier = self.config.clusters[0].dvfs.bus_tier(bus_vote);
 
         // Collect active (enabled, unfinished) tasks. A task with a
         // profile is by definition unfinished. Each runs at its own
@@ -520,12 +511,11 @@ impl Board {
 
         // Fixed point: instruction rates <-> cache shares <-> DRAM latency.
         let params = ContentionParams {
-            f_hz,
             tier,
             mem_overlap: self.config.mem_overlap,
             dirty_fraction: self.config.dirty_fraction,
         };
-        self.solver.solve_with_clocks(
+        self.solver.solve(
             &self.cache,
             &self.config.memory,
             &params,
@@ -591,20 +581,16 @@ impl Board {
         }
 
         // Power and heat. The DRAM demand actually served is pro-rated by
-        // the time the cores were running. Homogeneous boards keep the
-        // historical single-OPP evaluation (bit-identical); heterogeneous
-        // boards sum per-cluster dynamic, uncore, and leakage terms.
+        // the time the cores were running.
         let served_dram = self.solver.dram_demand() * (avail_s / dt_s.max(1e-12));
-        let breakdown = if self.config.clusters.len() == 1 {
-            self.power_model.evaluate(
-                opp,
-                &self.scratch.core_utils,
-                served_dram,
-                self.thermal.temperature(),
-            )
-        } else {
-            self.clustered_power(served_dram)
-        };
+        let breakdown = power::evaluate(
+            &self.config,
+            &self.freq_indices,
+            &self.cluster_of,
+            &self.scratch.core_utils,
+            served_dram,
+            self.thermal.temperature(),
+        );
         let dt_span = Seconds::new(dt_s);
         self.energy += breakdown.total() * dt_span;
         self.energy_breakdown.accumulate(&breakdown, dt_span);
@@ -619,49 +605,6 @@ impl Board {
         self.probes
             .emit_with(self.now, || ProbeEvent::ThermalSample { temperature });
         self.now += dt;
-    }
-
-    /// Per-cluster power evaluation for heterogeneous boards: each
-    /// core's dynamic term uses its own cluster's capacitance, voltage,
-    /// and clock; uncore and Eq. 5 leakage are summed per cluster; the
-    /// platform floor and DRAM terms stay whole-device, exactly as in
-    /// [`PowerModel::evaluate`].
-    fn clustered_power(&mut self, dram_bytes_per_sec: f64) -> PowerBreakdown {
-        let params = self.power_model.params();
-        let temp = self.thermal.temperature();
-        let n_clusters = self.config.clusters.len();
-        self.scratch.cluster_busy.clear();
-        self.scratch.cluster_busy.resize(n_clusters, 0.0);
-        self.scratch.cluster_cores.clear();
-        self.scratch.cluster_cores.resize(n_clusters, 0);
-        let mut core_dynamic = 0.0;
-        for (i, u) in self.scratch.core_utils.iter().enumerate() {
-            let c = self.cluster_of[i];
-            let cluster = &self.config.clusters[c];
-            let opp = cluster.dvfs.opp(self.freq_indices[c]);
-            let u = u.clamp(0.0, 1.0);
-            core_dynamic +=
-                u * cluster.ceff_core_f * opp.voltage * opp.voltage * opp.frequency.as_hz();
-            self.scratch.cluster_busy[c] += u;
-            self.scratch.cluster_cores[c] += 1;
-        }
-        let mut uncore = 0.0;
-        let mut leakage = Watts::ZERO;
-        for (c, cluster) in self.config.clusters.iter().enumerate() {
-            let opp = cluster.dvfs.opp(self.freq_indices[c]);
-            if self.scratch.cluster_cores[c] > 0 {
-                let mean_util = self.scratch.cluster_busy[c] / self.scratch.cluster_cores[c] as f64;
-                uncore += cluster.uncore_w_per_ghz * opp.frequency.as_ghz() * mean_util;
-            }
-            leakage += cluster.leakage.power(opp.voltage, temp);
-        }
-        PowerBreakdown {
-            platform: params.platform_floor,
-            core_dynamic: Watts::new(core_dynamic),
-            uncore: Watts::new(uncore),
-            dram: Watts::new(params.dram_j_per_byte * dram_bytes_per_sec.max(0.0)),
-            leakage,
-        }
     }
 }
 

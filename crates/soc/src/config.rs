@@ -62,12 +62,15 @@ pub struct BoardConfig {
     pub num_cores: usize,
     /// Which cores are powered on at construction.
     pub cores_enabled: Vec<bool>,
-    /// The primary (cluster 0) DVFS operating-point table, kept as a
-    /// direct field because every single-knob consumer reads it. Must
-    /// equal `clusters[0].dvfs`; [`BoardConfig::validate`] enforces it.
+    /// A mirror of the primary cluster's table, `clusters[0].dvfs`, kept
+    /// for the single-knob API (`Board::set_frequency`, the stock
+    /// governors) and the benchmark harness. The board itself never
+    /// reads it; [`BoardConfig::validate`] holds it equal to
+    /// `clusters[0].dvfs`.
     pub dvfs: DvfsTable,
     /// The cluster list: per-cluster DVFS tables, timing, and power
-    /// coefficients. Homogeneous platforms have exactly one entry.
+    /// coefficients, the only source of per-core power. Homogeneous
+    /// platforms have exactly one entry.
     pub clusters: Vec<ClusterConfig>,
     /// Initial core→cluster binding, one entry per core. The board's
     /// live binding starts here and moves via `Board::migrate`.
@@ -78,7 +81,7 @@ pub struct BoardConfig {
     pub l2_capacity_bytes: f64,
     /// The DRAM model.
     pub memory: MemorySystem,
-    /// The power model parameters.
+    /// The whole-device power terms (platform floor, DRAM energy).
     pub power: PowerParams,
     /// The thermal node parameters.
     pub thermal: ThermalParams,

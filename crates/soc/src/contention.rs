@@ -16,6 +16,11 @@
 //! 4. recompute `CPI_eff = CPI_base + APKI·miss·latency·f·overlap` and
 //!    the implied rates; repeat.
 //!
+//! [`ContentionSolver::solve`] is the one entry point. Every profile
+//! retires at its own core clock, so a big.LITTLE board's tasks run at
+//! their clusters' frequencies while still sharing the L2 and the DRAM
+//! bus; a homogeneous board passes the same clock for every profile.
+//!
 //! The solver is pure (no board state, no observers) and reuses its
 //! buffers across calls, so the steady-state hot path allocates nothing.
 //! The arithmetic is kept operation-for-operation identical to the
@@ -35,12 +40,11 @@ pub const FIXED_POINT_ITERATIONS: usize = 4;
 /// The per-quantum operating point the fixed point is solved under.
 ///
 /// Fields are crate-internal: the board assembles this from its
-/// configuration and current OPP each quantum.
+/// configuration and current OPPs each quantum. The core clocks are
+/// per profile, passed to [`ContentionSolver::solve`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionParams {
-    /// Core clock in Hz.
-    pub(crate) f_hz: f64,
-    /// Memory-bus tier coupled to the core clock.
+    /// Memory-bus tier, voted by the fastest cluster clock.
     pub(crate) tier: BusTier,
     /// Fraction of miss latency that is *not* hidden by MLP (the
     /// board's `mem_overlap`).
@@ -70,30 +74,14 @@ impl ContentionSolver {
         Self::default()
     }
 
-    /// Solves the fixed point for the given active-task profiles under
-    /// the standard [`FIXED_POINT_ITERATIONS`] budget, with every core
-    /// clocked at the single `params.f_hz`.
-    pub fn solve(
-        &mut self,
-        cache: &SharedCache,
-        memory: &MemorySystem,
-        params: &ContentionParams,
-        profiles: &[PhaseProfile],
-    ) {
-        self.solve_iterations(cache, memory, params, profiles, FIXED_POINT_ITERATIONS);
-    }
-
-    /// [`ContentionSolver::solve`] with a per-profile core clock (Hz) —
-    /// the heterogeneous entry point: on a big.LITTLE board each task
-    /// runs at its own cluster's frequency while still sharing the L2
-    /// and the DRAM bus. `clocks` is indexed like `profiles`. With every
-    /// clock equal to `params.f_hz` the arithmetic is bit-identical to
-    /// [`ContentionSolver::solve`].
+    /// Solves the fixed point for the active-task `profiles` under the
+    /// standard [`FIXED_POINT_ITERATIONS`] budget. `clocks[i]` is the
+    /// core clock (Hz) profile `i` retires at.
     ///
     /// # Panics
     ///
     /// Panics if `clocks.len() != profiles.len()`.
-    pub fn solve_with_clocks(
+    pub fn solve(
         &mut self,
         cache: &SharedCache,
         memory: &MemorySystem,
@@ -112,24 +100,13 @@ impl ContentionSolver {
         );
     }
 
-    /// [`ContentionSolver::solve`] with an explicit iteration budget —
-    /// exposed so the convergence tests can compare truncated runs.
-    pub fn solve_iterations(
-        &mut self,
-        cache: &SharedCache,
-        memory: &MemorySystem,
-        params: &ContentionParams,
-        profiles: &[PhaseProfile],
-        iterations: usize,
-    ) {
-        let f_hz = params.f_hz;
-        self.solve_inner(cache, memory, params, profiles, |_| f_hz, iterations);
-    }
-
-    /// The shared fixed-point loop. `clock(i)` is the core clock (Hz)
-    /// profile `i` retires under; the closure keeps the uniform path
-    /// allocation-free and operation-for-operation identical to the
-    /// historical single-clock loop.
+    /// The fixed-point loop under an explicit iteration budget; only the
+    /// convergence test runs it with another budget than
+    /// [`FIXED_POINT_ITERATIONS`]. `clock(i)` is the core clock (Hz)
+    /// profile `i` retires at. It is a closure rather than a slice
+    /// because the generic form inlines into the board's quantum step:
+    /// a slice-taking loop stepped an idle msm8974 board about 30 %
+    /// slower (release build, 2-vCPU x86-64 VM).
     fn solve_inner(
         &mut self,
         cache: &SharedCache,
@@ -197,47 +174,52 @@ impl ContentionSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::board::BoardConfig;
     use proptest::prelude::*;
 
-    /// The board's operating point at its stock middle frequency, pulled
-    /// from the same config the simulator runs under.
-    fn nexus5_params(mem_overlap_cfg: &BoardConfig, f_hz: f64, tier: BusTier) -> ContentionParams {
-        ContentionParams {
-            f_hz,
-            tier,
-            mem_overlap: mem_overlap_cfg.mem_overlap,
-            dirty_fraction: mem_overlap_cfg.dirty_fraction,
-        }
-    }
+    /// The stock middle frequency of the msm8974 fixture (1497.6 MHz),
+    /// in Hz: the clock every fixture core runs at.
+    const F_HZ: f64 = 1_497_600_000.0;
 
+    /// The msm8974 board's operating point at [`F_HZ`], pulled from the
+    /// same config the simulator runs under.
     fn fixture() -> (SharedCache, MemorySystem, ContentionParams) {
         let config = crate::profile::SocProfile::msm8974().board_config();
         let cache = SharedCache::new(config.l2_capacity_bytes);
-        let f = crate::dvfs::Frequency::from_mhz(1497.6);
-        let tier = config.dvfs.bus_tier(f);
-        let params = nexus5_params(&config, f.as_hz(), tier);
+        let tier = config
+            .dvfs
+            .bus_tier(crate::dvfs::Frequency::from_khz(1_497_600));
+        let params = ContentionParams {
+            tier,
+            mem_overlap: config.mem_overlap,
+            dirty_fraction: config.dirty_fraction,
+        };
         (cache, config.memory, params)
     }
 
-    /// The pre-refactor inline computation from `board.rs`, transcribed
-    /// verbatim (allocating `Vec`s, `apportion`), as the golden
-    /// reference the extracted solver must match bit-for-bit.
+    /// One clock per profile, every core at [`F_HZ`].
+    fn uniform(profiles: &[PhaseProfile]) -> Vec<f64> {
+        vec![F_HZ; profiles.len()]
+    }
+
+    /// The pre-refactor single-clock inline computation from `board.rs`,
+    /// transcribed verbatim (allocating `Vec`s, `apportion`), as the
+    /// golden reference the extracted solver must match bit-for-bit when
+    /// every core runs at `f_hz`.
     fn reference_fixed_point(
         cache: &SharedCache,
         memory: &MemorySystem,
         params: &ContentionParams,
         profiles: &[PhaseProfile],
-        iterations: usize,
+        f_hz: f64,
     ) -> (Vec<f64>, Vec<f64>, f64) {
         let n = profiles.len();
         let mut instr_rates: Vec<f64> = profiles
             .iter()
-            .map(|p| p.duty_cycle * params.f_hz / p.base_cpi)
+            .map(|p| p.duty_cycle * f_hz / p.base_cpi)
             .collect();
         let mut miss_ratios = vec![0.0f64; n];
         let mut dram_demand = 0.0f64;
-        for _ in 0..iterations {
+        for _ in 0..FIXED_POINT_ITERATIONS {
             let demands: Vec<CacheDemand> = profiles
                 .iter()
                 .zip(&instr_rates)
@@ -261,10 +243,10 @@ mod tests {
                 let miss_cycles = (p.l2_apki / 1000.0)
                     * miss_ratios[i]
                     * latency.value()
-                    * params.f_hz
+                    * f_hz
                     * params.mem_overlap;
                 let cpi_eff = p.base_cpi + miss_cycles;
-                instr_rates[i] = p.duty_cycle * params.f_hz / cpi_eff;
+                instr_rates[i] = p.duty_cycle * f_hz / cpi_eff;
             }
         }
         (instr_rates, miss_ratios, dram_demand)
@@ -305,9 +287,9 @@ mod tests {
             profile(2.0, 0.5, 0.05, 0.9, 0.1),
         ];
         let mut solver = ContentionSolver::new();
-        solver.solve(&cache, &memory, &params, &profiles);
+        solver.solve(&cache, &memory, &params, &profiles, &uniform(&profiles));
         let (rates, misses, dram) =
-            reference_fixed_point(&cache, &memory, &params, &profiles, FIXED_POINT_ITERATIONS);
+            reference_fixed_point(&cache, &memory, &params, &profiles, F_HZ);
         // Bit-for-bit: the extraction must not change a single rounding.
         assert_eq!(solver.instr_rates(), rates.as_slice());
         assert_eq!(solver.miss_ratios(), misses.as_slice());
@@ -316,7 +298,7 @@ mod tests {
         // share while the browser suffers visibly.
         assert!(misses[2] > 0.85, "hog miss ratio {}", misses[2]);
         assert!(misses[0] > 0.15, "victim under pressure {}", misses[0]);
-        assert!(rates[0] < params.f_hz / 1.1, "victim slower than solo");
+        assert!(rates[0] < F_HZ / 1.1, "victim slower than solo");
     }
 
     #[test]
@@ -328,35 +310,15 @@ mod tests {
         ];
         let light = [profile(1.1, 6.0, 1.5, 0.85, 0.9)];
         let mut reused = ContentionSolver::new();
-        reused.solve(&cache, &memory, &params, &heavy);
-        reused.solve(&cache, &memory, &params, &light);
+        reused.solve(&cache, &memory, &params, &heavy, &uniform(&heavy));
+        reused.solve(&cache, &memory, &params, &light, &uniform(&light));
         let mut fresh = ContentionSolver::new();
-        fresh.solve(&cache, &memory, &params, &light);
+        fresh.solve(&cache, &memory, &params, &light, &uniform(&light));
         assert_eq!(reused.instr_rates(), fresh.instr_rates());
         assert_eq!(reused.miss_ratios(), fresh.miss_ratios());
         assert_eq!(
             reused.dram_demand().to_bits(),
             fresh.dram_demand().to_bits()
-        );
-    }
-
-    #[test]
-    fn uniform_clocks_match_single_clock_solve_bitwise() {
-        let (cache, memory, params) = fixture();
-        let profiles = [
-            profile(1.1, 6.0, 1.5, 0.85, 0.9),
-            profile(0.9, 45.0, 8.0, 0.1, 1.0),
-        ];
-        let clocks = [params.f_hz; 2];
-        let mut uniform = ContentionSolver::new();
-        uniform.solve_with_clocks(&cache, &memory, &params, &profiles, &clocks);
-        let mut single = ContentionSolver::new();
-        single.solve(&cache, &memory, &params, &profiles);
-        assert_eq!(uniform.instr_rates(), single.instr_rates());
-        assert_eq!(uniform.miss_ratios(), single.miss_ratios());
-        assert_eq!(
-            uniform.dram_demand().to_bits(),
-            single.dram_demand().to_bits()
         );
     }
 
@@ -369,13 +331,7 @@ mod tests {
         ];
         let mut solver = ContentionSolver::new();
         // Core 1 on a half-speed LITTLE cluster.
-        solver.solve_with_clocks(
-            &cache,
-            &memory,
-            &params,
-            &profiles,
-            &[params.f_hz, params.f_hz / 2.0],
-        );
+        solver.solve(&cache, &memory, &params, &profiles, &[F_HZ, F_HZ / 2.0]);
         let rates = solver.instr_rates();
         assert!(
             rates[1] < rates[0] * 0.6,
@@ -387,7 +343,7 @@ mod tests {
     fn empty_profile_set_is_a_clean_no_op() {
         let (cache, memory, params) = fixture();
         let mut solver = ContentionSolver::new();
-        solver.solve(&cache, &memory, &params, &[]);
+        solver.solve(&cache, &memory, &params, &[], &[]);
         assert!(solver.instr_rates().is_empty());
         assert!(solver.miss_ratios().is_empty());
         assert_eq!(solver.dram_demand(), 0.0);
@@ -405,10 +361,9 @@ mod tests {
         ) {
             let (cache, memory, params) = fixture();
             let mut solver = ContentionSolver::new();
-            solver.solve(&cache, &memory, &params, &profiles);
-            let (rates, misses, dram) = reference_fixed_point(
-                &cache, &memory, &params, &profiles, FIXED_POINT_ITERATIONS,
-            );
+            solver.solve(&cache, &memory, &params, &profiles, &uniform(&profiles));
+            let (rates, misses, dram) =
+                reference_fixed_point(&cache, &memory, &params, &profiles, F_HZ);
             prop_assert_eq!(solver.instr_rates(), rates.as_slice());
             prop_assert_eq!(solver.miss_ratios(), misses.as_slice());
             prop_assert_eq!(solver.dram_demand().to_bits(), dram.to_bits());
@@ -422,12 +377,13 @@ mod tests {
         ) {
             let (cache, memory, params) = fixture();
             let mut at_budget = ContentionSolver::new();
-            at_budget.solve_iterations(
-                &cache, &memory, &params, &profiles, FIXED_POINT_ITERATIONS,
+            let clocks = uniform(&profiles);
+            at_budget.solve_inner(
+                &cache, &memory, &params, &profiles, |i| clocks[i], FIXED_POINT_ITERATIONS,
             );
             let mut one_more = ContentionSolver::new();
-            one_more.solve_iterations(
-                &cache, &memory, &params, &profiles, FIXED_POINT_ITERATIONS + 1,
+            one_more.solve_inner(
+                &cache, &memory, &params, &profiles, |i| clocks[i], FIXED_POINT_ITERATIONS + 1,
             );
             for (a, b) in at_budget.instr_rates().iter().zip(one_more.instr_rates()) {
                 let residual = (a - b).abs() / a.max(1.0);
@@ -451,9 +407,9 @@ mod tests {
             let mut hotter = hog;
             hotter.l2_apki = (hog.l2_apki * scale).min(200.0);
             let mut base = ContentionSolver::new();
-            base.solve(&cache, &memory, &params, &[victim, hog]);
+            base.solve(&cache, &memory, &params, &[victim, hog], &[F_HZ; 2]);
             let mut pressured = ContentionSolver::new();
-            pressured.solve(&cache, &memory, &params, &[victim, hotter]);
+            pressured.solve(&cache, &memory, &params, &[victim, hotter], &[F_HZ; 2]);
             prop_assert!(
                 pressured.miss_ratios()[0] >= base.miss_ratios()[0] - 1e-9,
                 "victim miss ratio dropped under pressure: {} -> {}",

@@ -184,7 +184,8 @@ pub(crate) const fn checked_khz_mv<const N: usize>(table: [(u64, u32); N]) -> [(
 /// ```
 /// use dora_soc::{Frequency, SocProfile};
 ///
-/// let table = SocProfile::msm8974().dvfs();
+/// let board = SocProfile::msm8974().board_config();
+/// let table = &board.clusters[0].dvfs;
 /// assert_eq!(table.len(), 14);
 /// assert_eq!(table.min_frequency(), Frequency::from_mhz(300.0));
 /// assert_eq!(table.max_frequency(), Frequency::from_mhz(2265.6));

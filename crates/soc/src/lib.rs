@@ -17,7 +17,8 @@
 //!   traffic drives DRAM utilization, which inflates miss latency.
 //! * [`thermal`] — a lumped RC thermal node with configurable ambient.
 //! * [`power`] — whole-device power: platform floor (display etc.), per-core
-//!   dynamic `util·C·V²·f`, DRAM access energy, and the Liao et al.
+//!   dynamic `util·C·V²·f` and per-cluster uncore at the coefficients of
+//!   the board's cluster list, DRAM access energy, and the Liao et al.
 //!   temperature/voltage leakage model the paper adopts as Eq. 5.
 //! * [`profile`] — the SoC profile registry: named platform descriptions
 //!   (`msm8974`, `biglittle-a15a7`) with per-cluster DVFS tables, power

@@ -8,19 +8,28 @@
 //! dominates a long-running load (race-to-idle), at high frequency dynamic
 //! `C·V²·f` and hot leakage dominate.
 //!
-//! Components:
+//! Components. The per-core and per-cluster terms take their coefficients
+//! from the board's cluster list
+//! ([`ClusterConfig`](crate::profile::ClusterConfig)); [`PowerParams`] holds
+//! only the two whole-device terms.
 //!
 //! * **platform floor** — display at browsing brightness plus rails, radios
 //!   idle: a constant.
-//! * **core dynamic** — `util · C_eff · V² · f` per core.
-//! * **uncore dynamic** — interconnect/L2 clock tree, proportional to the
-//!   core clock while any core is active.
+//! * **core dynamic** — `util · C_eff · V² · f` per core, with the
+//!   capacitance, voltage and clock of the cluster the core is bound to.
+//! * **uncore dynamic** — per cluster: interconnect/L2 clock tree,
+//!   proportional to the cluster clock and the mean utilization of the
+//!   cores bound to it.
 //! * **DRAM** — energy per byte moved; this term is what makes interference
 //!   cost extra *energy*, not just time (Fig. 2b's `E_Δ`).
-//! * **leakage** — the paper's Eq. 5 (Liao–He–Lepak form):
+//! * **leakage** — the paper's Eq. 5 (Liao–He–Lepak form) per cluster at
+//!   its own voltage, summed:
 //!   `P_lkg = k1·v·T²·e^((α·v+β)/T) + k2·e^(γ·v+δ)` with `T` in kelvin.
+//!
+//! `evaluate` is the one evaluation every board steps through; like the
+//! rest of the stepping path it allocates nothing.
 
-use crate::dvfs::Opp;
+use crate::config::BoardConfig;
 use dora_sim_core::units::{Celsius, Watts};
 
 // Ground-truth Nexus 5 model coefficients. This module is a designated
@@ -41,17 +50,13 @@ const NEXUS5_GAMMA: f64 = 2.0; // paper: Eq. 5
 const NEXUS5_DELTA: f64 = -2.0; // paper: Eq. 5
 /// Constant whole-device platform power, watts.
 const NEXUS5_PLATFORM_FLOOR_W: f64 = 1.45; // paper: Section IV-A whole-phone DAQ floor
-/// Effective switching capacitance per Krait 400 core, farads.
-const NEXUS5_CEFF_CORE_F: f64 = 0.30e-9; // paper: Section II Snapdragon 800; C·V²·f fit
-/// Uncore dynamic power per GHz of core clock, watts.
-const NEXUS5_UNCORE_W_PER_GHZ: f64 = 0.18; // paper: Section IV SoC-minus-core residual
 /// DRAM energy per byte moved, joules.
 const NEXUS5_DRAM_J_PER_BYTE: f64 = 150.0e-12; // paper: Fig. 2b interference energy E_Δ
 
 /// Parameters of the Eq. 5 leakage model.
 ///
 /// `P_lkg(v, T) = k1·v·T²·exp((α·v + β)/T) + k2·exp(γ·v + δ)`, `T` in
-/// kelvin, result in watts for the whole SoC.
+/// kelvin, result in watts for one cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageParams {
     /// Scale of the temperature-dependent subthreshold term.
@@ -96,22 +101,14 @@ impl LeakageParams {
     }
 }
 
-/// Parameters of the whole-device power model.
+/// The whole-device terms of the power model: the ones no cluster owns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerParams {
     /// Constant platform power (display at browsing brightness, rails,
     /// idle radios).
     pub platform_floor: Watts,
-    /// Effective switching capacitance per core in farads.
-    pub ceff_core_f: f64,
-    /// Uncore dynamic power per GHz of core clock, in watts, scaled by
-    /// the mean core utilization (interconnect/L2 clock activity tracks
-    /// total traffic, not any single core).
-    pub uncore_w_per_ghz: f64,
     /// DRAM energy per byte moved, in joules.
     pub dram_j_per_byte: f64,
-    /// Eq. 5 leakage parameters.
-    pub leakage: LeakageParams,
 }
 
 impl PowerParams {
@@ -119,10 +116,7 @@ impl PowerParams {
     pub fn nexus5() -> Self {
         PowerParams {
             platform_floor: Watts::new(NEXUS5_PLATFORM_FLOOR_W),
-            ceff_core_f: NEXUS5_CEFF_CORE_F,
-            uncore_w_per_ghz: NEXUS5_UNCORE_W_PER_GHZ,
             dram_j_per_byte: NEXUS5_DRAM_J_PER_BYTE,
-            leakage: LeakageParams::nexus5(),
         }
     }
 
@@ -134,12 +128,11 @@ impl PowerParams {
     pub fn validate(&self) -> Result<(), String> {
         let fields = [
             ("platform_floor", self.platform_floor.value()),
-            ("ceff_core_f", self.ceff_core_f),
-            ("uncore_w_per_ghz", self.uncore_w_per_ghz),
             ("dram_j_per_byte", self.dram_j_per_byte),
         ];
         for (name, v) in fields {
             if !(v.is_finite() && v >= 0.0) {
+                // alloc: configuration error path, never reached while stepping.
                 return Err(format!("{name} must be non-negative and finite, got {v}"));
             }
         }
@@ -175,63 +168,105 @@ impl PowerBreakdown {
     }
 }
 
-/// The power model.
+/// Evaluates instantaneous device power on a board.
 ///
-/// # Example
+/// * `freq_indices` — each cluster's current DVFS index.
+/// * `cluster_of` — the cluster each core is bound to.
+/// * `core_utilizations` — busy fraction per core, clamped to `[0, 1]`;
+///   powered-off cores should be 0.
+/// * `dram_bytes_per_sec` — aggregate DRAM traffic.
+/// * `temp` — die temperature for the leakage term.
 ///
-/// ```
-/// use dora_sim_core::units::Celsius;
-/// use dora_soc::dvfs::DvfsTable;
-/// use dora_soc::power::{PowerModel, PowerParams};
-///
-/// let model = PowerModel::new(PowerParams::nexus5()).expect("valid params");
-/// let table = DvfsTable::default();
-/// let t = Celsius::new(40.0);
-/// let low = model.evaluate(table.opp(0), &[1.0, 0.0, 0.0, 0.0], 0.0, t);
-/// let high = model.evaluate(table.opp(13), &[1.0, 0.0, 0.0, 0.0], 0.0, t);
-/// assert!(high.total() > low.total());
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerModel {
-    params: PowerParams,
+/// The sums run in a fixed order: core dynamic power in core order, each
+/// cluster's busy share in core order, and uncore and leakage in cluster
+/// order.
+pub(crate) fn evaluate(
+    config: &BoardConfig,
+    freq_indices: &[usize],
+    cluster_of: &[usize],
+    core_utilizations: &[f64],
+    dram_bytes_per_sec: f64,
+    temp: Celsius,
+) -> PowerBreakdown {
+    let mut core_dynamic = 0.0;
+    for (u, &c) in core_utilizations.iter().zip(cluster_of) {
+        let cluster = &config.clusters[c];
+        let o = cluster.dvfs.opp(freq_indices[c]);
+        core_dynamic +=
+            u.clamp(0.0, 1.0) * cluster.ceff_core_f * o.voltage * o.voltage * o.frequency.as_hz();
+    }
+    let mut uncore = 0.0;
+    let mut leakage = Watts::ZERO;
+    for (c, (cluster, &index)) in config.clusters.iter().zip(freq_indices).enumerate() {
+        let o = cluster.dvfs.opp(index);
+        let mut busy = 0.0;
+        let mut cores = 0usize;
+        for (u, &bound) in core_utilizations.iter().zip(cluster_of) {
+            if bound == c {
+                busy += u.clamp(0.0, 1.0);
+                cores += 1;
+            }
+        }
+        if cores > 0 {
+            uncore += cluster.uncore_w_per_ghz * o.frequency.as_ghz() * (busy / cores as f64);
+        }
+        leakage += cluster.leakage.power(o.voltage, temp);
+    }
+    let p = &config.power;
+    PowerBreakdown {
+        platform: p.platform_floor,
+        core_dynamic: Watts::new(core_dynamic),
+        uncore: Watts::new(uncore),
+        dram: Watts::new(p.dram_j_per_byte * dram_bytes_per_sec.max(0.0)),
+        leakage,
+    }
 }
 
-impl PowerModel {
-    /// Creates a model after validating the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation failure message for out-of-domain parameters.
-    pub fn new(params: PowerParams) -> Result<Self, String> {
-        params.validate()?;
-        Ok(PowerModel { params })
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dvfs::Opp;
+    use crate::profile::SocProfile;
+    use proptest::prelude::*;
+
+    fn c(t: f64) -> Celsius {
+        Celsius::new(t)
     }
 
-    /// The configured parameters.
-    pub fn params(&self) -> &PowerParams {
-        &self.params
+    fn msm8974() -> BoardConfig {
+        SocProfile::msm8974().board_config()
     }
 
-    /// Evaluates instantaneous device power.
-    ///
-    /// * `opp` — the active operating point (frequency + voltage).
-    /// * `core_utilizations` — busy fraction per core in `[0, 1]`; powered
-    ///   off cores should be 0.
-    /// * `dram_bytes_per_sec` — aggregate DRAM traffic.
-    /// * `temp` — die temperature for the leakage term.
-    pub fn evaluate(
-        &self,
+    /// The msm8974 board at OPP `index`, every listed core on cluster 0.
+    fn eval(index: usize, utils: &[f64], dram: f64, temp: f64) -> PowerBreakdown {
+        let config = msm8974();
+        evaluate(
+            &config,
+            &[index],
+            &vec![0; utils.len()],
+            utils,
+            dram,
+            c(temp),
+        )
+    }
+
+    /// The one-cluster `PowerModel::evaluate` this module used to carry
+    /// next to the per-cluster path, transcribed verbatim with the
+    /// coefficients read from a one-cluster board. It is the reference
+    /// the single path must match bit for bit on msm8974.
+    fn one_cluster_reference(
+        config: &BoardConfig,
         opp: Opp,
         core_utilizations: &[f64],
         dram_bytes_per_sec: f64,
         temp: Celsius,
     ) -> PowerBreakdown {
-        let p = &self.params;
+        let cluster = &config.clusters[0];
         let v = opp.voltage;
         let f_hz = opp.frequency.as_hz();
         let core_dynamic: f64 = core_utilizations
             .iter()
-            .map(|u| u.clamp(0.0, 1.0) * p.ceff_core_f * v * v * f_hz)
+            .map(|u| u.clamp(0.0, 1.0) * cluster.ceff_core_f * v * v * f_hz)
             .sum();
         let mean_util = if core_utilizations.is_empty() {
             0.0
@@ -242,30 +277,25 @@ impl PowerModel {
                 .sum::<f64>()
                 / core_utilizations.len() as f64
         };
-        let uncore = p.uncore_w_per_ghz * opp.frequency.as_ghz() * mean_util;
-        let dram = p.dram_j_per_byte * dram_bytes_per_sec.max(0.0);
-        let leakage = p.leakage.power(v, temp);
+        let uncore = cluster.uncore_w_per_ghz * opp.frequency.as_ghz() * mean_util;
+        let dram = config.power.dram_j_per_byte * dram_bytes_per_sec.max(0.0);
         PowerBreakdown {
-            platform: p.platform_floor,
+            platform: config.power.platform_floor,
             core_dynamic: Watts::new(core_dynamic),
             uncore: Watts::new(uncore),
             dram: Watts::new(dram),
-            leakage,
+            leakage: cluster.leakage.power(v, temp),
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dvfs::DvfsTable;
-
-    fn model() -> PowerModel {
-        PowerModel::new(PowerParams::nexus5()).expect("valid")
-    }
-
-    fn c(t: f64) -> Celsius {
-        Celsius::new(t)
+    fn bits(b: &PowerBreakdown) -> [u64; 5] {
+        [
+            b.platform.value().to_bits(),
+            b.core_dynamic.value().to_bits(),
+            b.uncore.value().to_bits(),
+            b.dram.value().to_bits(),
+            b.leakage.value().to_bits(),
+        ]
     }
 
     #[test]
@@ -305,10 +335,9 @@ mod tests {
 
     #[test]
     fn dynamic_power_scales_with_v_squared_f() {
-        let m = model();
-        let t = DvfsTable::default();
-        let lo = m.evaluate(t.opp(0), &[1.0], 0.0, c(40.0));
-        let hi = m.evaluate(t.opp(13), &[1.0], 0.0, c(40.0));
+        let t = msm8974().dvfs;
+        let lo = eval(0, &[1.0], 0.0, 40.0);
+        let hi = eval(13, &[1.0], 0.0, 40.0);
         let lo_opp = t.opp(0);
         let hi_opp = t.opp(13);
         let expected_ratio = (hi_opp.voltage / lo_opp.voltage).powi(2)
@@ -319,9 +348,7 @@ mod tests {
 
     #[test]
     fn idle_cores_draw_no_dynamic_power() {
-        let m = model();
-        let t = DvfsTable::default();
-        let b = m.evaluate(t.opp(10), &[0.0, 0.0, 0.0, 0.0], 0.0, c(40.0));
+        let b = eval(10, &[0.0, 0.0, 0.0, 0.0], 0.0, 40.0);
         assert_eq!(b.core_dynamic, Watts::ZERO);
         assert_eq!(b.uncore, Watts::ZERO);
         assert!(b.platform > Watts::ZERO);
@@ -330,27 +357,23 @@ mod tests {
 
     #[test]
     fn dram_term_scales_with_traffic() {
-        let m = model();
-        let t = DvfsTable::default();
-        let quiet = m.evaluate(t.opp(5), &[1.0], 1e8, c(40.0));
-        let busy = m.evaluate(t.opp(5), &[1.0], 4e9, c(40.0));
+        let quiet = eval(5, &[1.0], 1e8, 40.0);
+        let busy = eval(5, &[1.0], 4e9, 40.0);
         assert!((busy.dram / quiet.dram - 40.0).abs() < 1e-9);
     }
 
     #[test]
     fn whole_device_power_is_plausible() {
-        let m = model();
-        let t = DvfsTable::default();
         // Browser on two cores + co-runner at max frequency, warm die,
         // heavy DRAM traffic: a Nexus 5 pulls 3–6 W in this regime.
-        let peak = m.evaluate(t.opp(13), &[1.0, 0.8, 1.0, 0.0], 3e9, c(60.0));
+        let peak = eval(13, &[1.0, 0.8, 1.0, 0.0], 3e9, 60.0);
         assert!(
             (3.0..6.5).contains(&peak.total().value()),
             "peak power {}",
             peak.total()
         );
         // Idle at minimum frequency: dominated by the platform floor.
-        let idle = m.evaluate(t.opp(0), &[0.0, 0.0, 0.0, 0.0], 0.0, c(30.0));
+        let idle = eval(0, &[0.0, 0.0, 0.0, 0.0], 0.0, 30.0);
         assert!(
             (1.3..1.8).contains(&idle.total().value()),
             "idle power {}",
@@ -360,9 +383,7 @@ mod tests {
 
     #[test]
     fn breakdown_total_is_sum_of_parts() {
-        let m = model();
-        let t = DvfsTable::default();
-        let b = m.evaluate(t.opp(7), &[0.5, 0.5], 1e9, c(45.0));
+        let b = eval(7, &[0.5, 0.5], 1e9, 45.0);
         let sum = b.platform + b.core_dynamic + b.uncore + b.dram + b.leakage;
         assert!((b.total() - sum).value().abs() < 1e-12);
         assert!(b.soc() < b.total());
@@ -370,13 +391,36 @@ mod tests {
 
     #[test]
     fn utilization_is_clamped() {
-        let m = model();
-        let t = DvfsTable::default();
-        let a = m.evaluate(t.opp(5), &[2.0], 0.0, c(40.0));
-        let b = m.evaluate(t.opp(5), &[1.0], 0.0, c(40.0));
+        let a = eval(5, &[2.0], 0.0, 40.0);
+        let b = eval(5, &[1.0], 0.0, 40.0);
         assert_eq!(a.core_dynamic, b.core_dynamic);
-        let z = m.evaluate(t.opp(5), &[-1.0], 0.0, c(40.0));
+        let z = eval(5, &[-1.0], 0.0, 40.0);
         assert_eq!(z.core_dynamic, Watts::ZERO);
+    }
+
+    #[test]
+    fn each_core_uses_its_own_clusters_coefficients() {
+        let config = SocProfile::biglittle_a15a7().board_config();
+        let (big, little) = (&config.clusters[0], &config.clusters[1]);
+        // Core 0 busy on the LITTLE cluster, every other core idle on big.
+        let b = evaluate(
+            &config,
+            &[3, 2],
+            &[1, 0, 0, 0],
+            &[1.0, 0.0, 0.0, 0.0],
+            0.0,
+            c(40.0),
+        );
+        let o = little.dvfs.opp(2);
+        let dynamic = little.ceff_core_f * o.voltage * o.voltage * o.frequency.as_hz();
+        assert_eq!(b.core_dynamic.value().to_bits(), dynamic.to_bits());
+        // Only the LITTLE cluster has a busy core, so only it draws uncore.
+        let uncore = little.uncore_w_per_ghz * o.frequency.as_ghz();
+        assert_eq!(b.uncore.value().to_bits(), uncore.to_bits());
+        // Leakage sums both clusters at their own voltages.
+        let leakage = big.leakage.power(big.dvfs.opp(3).voltage, c(40.0))
+            + little.leakage.power(o.voltage, c(40.0));
+        assert_eq!(b.leakage, leakage);
     }
 
     #[test]
@@ -385,6 +429,45 @@ mod tests {
             platform_floor: Watts::new(-1.0),
             ..PowerParams::nexus5()
         };
-        assert!(PowerModel::new(bad).is_err());
+        assert!(bad.validate().is_err());
+        let bad = PowerParams {
+            dram_j_per_byte: f64::INFINITY,
+            ..PowerParams::nexus5()
+        };
+        assert!(bad.validate().is_err());
+        assert!(PowerParams::nexus5().validate().is_ok());
+    }
+
+    /// An empty core list is not a board (validation requires a core),
+    /// and it is the one input where the two paths differ: the old
+    /// formula's `Iterator::sum` starts at `-0.0` and returns it, the
+    /// single path returns `+0.0`. The values still compare equal.
+    #[test]
+    fn empty_core_list_differs_only_in_the_sign_of_zero() {
+        let config = msm8974();
+        let got = evaluate(&config, &[3], &[], &[], 1e9, c(40.0));
+        let want = one_cluster_reference(&config, config.dvfs.opp(3), &[], 1e9, c(40.0));
+        assert_eq!(got, want);
+        assert_eq!(got.core_dynamic.value().to_bits(), 0.0f64.to_bits());
+        assert_eq!(want.core_dynamic.value().to_bits(), (-0.0f64).to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On the one-cluster msm8974 board the single path is the old
+        /// one-cluster formula, bit for bit, component by component.
+        #[test]
+        fn single_path_matches_one_cluster_formula_bitwise(
+            utils in proptest::collection::vec(-0.5f64..1.5, 1..6),
+            index in 0usize..14,
+            temp in -20.0f64..110.0,
+            dram in -1.0e9f64..8.0e9,
+        ) {
+            let config = msm8974();
+            let got = evaluate(&config, &[index], &vec![0; utils.len()], &utils, dram, c(temp));
+            let want = one_cluster_reference(&config, config.dvfs.opp(index), &utils, dram, c(temp));
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 }

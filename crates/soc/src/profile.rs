@@ -29,9 +29,14 @@ use dora_sim_core::units::Joules;
 use dora_sim_core::SimDuration;
 use std::fmt;
 
-// Ground-truth big.LITTLE model coefficients. This module is a designated
-// constants module (`[constants] modules` in xtask/xtask.toml): every
-// value states its provenance and `xtask lint` keeps it that way.
+// Ground-truth per-cluster model coefficients. This module is a
+// designated constants module (`[constants] modules` in xtask/xtask.toml):
+// every value states its provenance and `xtask lint` keeps it that way.
+
+/// Effective switching capacitance per Krait 400 core, farads.
+const KRAIT400_CEFF_CORE_F: f64 = 0.30e-9; // paper: Section II Snapdragon 800; C·V²·f fit
+/// Uncore dynamic power per GHz of Krait cluster clock, watts.
+const KRAIT400_UNCORE_W_PER_GHZ: f64 = 0.18; // paper: Section IV SoC-minus-core residual
 
 /// Exynos 5422 Cortex-A15 ("big") operating points as `(kHz, mV)` pairs.
 ///
@@ -148,17 +153,15 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The Nexus 5's single Krait 400 cluster, built from the same
-    /// cited coefficients as [`PowerParams::nexus5`].
+    /// The Nexus 5's single Krait 400 cluster.
     pub fn krait400() -> Self {
-        let power = PowerParams::nexus5();
         ClusterConfig {
             name: "Krait 400".to_string(),
             dvfs: DvfsTable::default(),
             cpi_scale: 1.0,
-            ceff_core_f: power.ceff_core_f,
-            uncore_w_per_ghz: power.uncore_w_per_ghz,
-            leakage: power.leakage,
+            ceff_core_f: KRAIT400_CEFF_CORE_F,
+            uncore_w_per_ghz: KRAIT400_UNCORE_W_PER_GHZ,
+            leakage: LeakageParams::nexus5(),
         }
     }
 
@@ -191,7 +194,9 @@ impl ClusterConfig {
         }
     }
 
-    /// Validates parameter domains.
+    /// Validates parameter domains: every coefficient finite, the
+    /// capacitance, the uncore residual and the two Eq. 5 scales `k1`
+    /// and `k2` non-negative, the CPI scale positive.
     ///
     /// # Errors
     ///
@@ -203,13 +208,25 @@ impl ClusterConfig {
                 self.name, self.cpi_scale
             ));
         }
-        for (field, v) in [
-            ("ceff_core_f", self.ceff_core_f),
-            ("uncore_w_per_ghz", self.uncore_w_per_ghz),
+        let lk = &self.leakage;
+        for (field, v, non_negative) in [
+            ("ceff_core_f", self.ceff_core_f, true),
+            ("uncore_w_per_ghz", self.uncore_w_per_ghz, true),
+            ("leakage.k1", lk.k1, true),
+            ("leakage.k2", lk.k2, true),
+            ("leakage.alpha", lk.alpha, false),
+            ("leakage.beta", lk.beta, false),
+            ("leakage.gamma", lk.gamma, false),
+            ("leakage.delta", lk.delta, false),
         ] {
-            if !(v.is_finite() && v >= 0.0) {
+            if !v.is_finite() || (non_negative && v < 0.0) {
+                let domain = if non_negative {
+                    "non-negative and finite"
+                } else {
+                    "finite"
+                };
                 return Err(format!(
-                    "cluster {:?}: {field} must be non-negative and finite, got {v}",
+                    "cluster {:?}: {field} must be {domain}, got {v}",
                     self.name
                 ));
             }
@@ -294,8 +311,10 @@ impl fmt::Display for OperatingPoint {
 /// let board = soc.board_config();
 /// assert_eq!(board.clusters.len(), 2);
 /// assert!(board.validate().is_ok());
-/// // The homogeneous default matches the historical Nexus 5 config.
-/// assert_eq!(SocProfile::msm8974().dvfs().len(), 14);
+/// // The homogeneous default is the Nexus 5's one 14-OPP Krait cluster.
+/// let nexus5 = SocProfile::msm8974().board_config();
+/// assert_eq!(nexus5.clusters.len(), 1);
+/// assert_eq!(nexus5.clusters[0].dvfs.len(), 14);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SocProfile {
@@ -384,11 +403,6 @@ impl SocProfile {
     pub fn board_config(&self) -> BoardConfig {
         self.board.clone()
     }
-
-    /// The primary cluster's DVFS table.
-    pub fn dvfs(&self) -> DvfsTable {
-        self.board.dvfs.clone()
-    }
 }
 
 #[cfg(test)]
@@ -475,5 +489,53 @@ mod tests {
             energy: Joules::new(f64::NAN),
         };
         assert!(bad.validate().is_err());
+    }
+
+    /// Asserts that a leakage scale `k1` fails validation on the cluster
+    /// and on a board built around it.
+    fn assert_k1_rejected(k1: f64) {
+        let mut cluster = ClusterConfig::krait400();
+        cluster.leakage.k1 = k1;
+        let err = cluster.validate().expect_err("bad k1 must be rejected");
+        assert!(err.contains("leakage.k1"), "{err}");
+        let mut board = SocProfile::msm8974().board_config();
+        board.clusters[0].leakage.k1 = k1;
+        assert!(
+            board.validate().is_err(),
+            "k1 = {k1} passed board validation"
+        );
+    }
+
+    /// `(NaN + gate).max(0.0)` is zero: a NaN `k1` used to read as no
+    /// leakage at all.
+    #[test]
+    fn nan_leakage_scale_is_rejected() {
+        assert_k1_rejected(f64::NAN);
+    }
+
+    /// An infinite `k1` used to make `Board::energy` infinite.
+    #[test]
+    fn infinite_leakage_scale_is_rejected() {
+        assert_k1_rejected(f64::INFINITY);
+    }
+
+    /// A negative `k1` drives Eq. 5 below zero, which clamps to no
+    /// leakage at all.
+    #[test]
+    fn negative_leakage_scale_is_rejected() {
+        assert_k1_rejected(-5.0);
+    }
+
+    #[test]
+    fn other_leakage_coefficients_are_checked() {
+        let mut cluster = ClusterConfig::cortex_a7();
+        cluster.leakage.k2 = -0.01;
+        assert!(cluster.validate().is_err());
+        let mut cluster = ClusterConfig::cortex_a15();
+        cluster.leakage.beta = f64::NEG_INFINITY;
+        assert!(cluster.validate().is_err());
+        // Negative exponent offsets are the cited Eq. 5 fit, not an error.
+        assert!(ClusterConfig::krait400().leakage.beta < 0.0);
+        assert!(ClusterConfig::krait400().validate().is_ok());
     }
 }

@@ -91,6 +91,10 @@ pub struct ThermalNode {
     params: ThermalParams,
     temperature: Celsius,
     peak: Celsius,
+    /// `exp(-dt/τ)` of the last step length, keyed on the length's bits.
+    /// Boards step in fixed quanta, so the exponential is taken once
+    /// rather than every quantum; the factor is the same value either way.
+    decay: (u64, f64),
 }
 
 impl ThermalNode {
@@ -106,6 +110,7 @@ impl ThermalNode {
             params,
             temperature: params.ambient,
             peak: params.ambient,
+            decay: (f64::NAN.to_bits(), f64::NAN),
         }
     }
 
@@ -125,8 +130,13 @@ impl ThermalNode {
             0.0
         };
         let t_ss = self.params.ambient.value() + p * self.params.resistance_k_per_w;
-        let decay = (-dt_s / self.params.time_constant.value()).exp();
-        self.temperature = Celsius::new(t_ss + (self.temperature.value() - t_ss) * decay);
+        if self.decay.0 != dt_s.to_bits() {
+            self.decay = (
+                dt_s.to_bits(),
+                (-dt_s / self.params.time_constant.value()).exp(),
+            );
+        }
+        self.temperature = Celsius::new(t_ss + (self.temperature.value() - t_ss) * self.decay.1);
         self.peak = self.peak.max(self.temperature);
     }
 
@@ -241,6 +251,27 @@ mod tests {
         node.step(w(1.0), s(f64::NAN));
         assert!(node.temperature().value() <= 25.0 + 1e-9);
         assert!(node.temperature().is_finite());
+    }
+
+    /// The memoised decay factor is the unmemoised update bit for bit,
+    /// also when the step length changes (a board's final partial
+    /// quantum) and changes back.
+    #[test]
+    fn memoised_decay_matches_the_direct_update() {
+        let params = ThermalParams::nexus5_room();
+        let mut node = ThermalNode::new(params);
+        let mut temperature = params.ambient.value();
+        for (i, dt) in [0.001, 0.001, 0.0004, 0.001, 0.0004, 0.0004, 0.01]
+            .iter()
+            .enumerate()
+        {
+            let p = 1.0 + i as f64 * 0.5;
+            node.step(w(p), s(*dt));
+            let t_ss = params.ambient.value() + p * params.resistance_k_per_w;
+            let decay = (-dt / params.time_constant.value()).exp();
+            temperature = t_ss + (temperature - t_ss) * decay;
+            assert_eq!(node.temperature().value().to_bits(), temperature.to_bits());
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! These exercise the substrate with randomized inputs far outside the
 //! curated paper workloads: conservation laws in the task machinery,
 //! boundedness of the cache and memory contention models, regression
-//! round-trips, and bit-exact determinism of whole-board simulations.
+//! round-trips, bit-exact determinism of whole-board simulations, and
+//! energy accounting that closes on every registered SoC profile.
 
 use dora_repro::browser::PageFeatures;
 use dora_repro::modeling::surface::{ResponseSurface, SurfaceKind};
@@ -13,9 +14,15 @@ use dora_repro::soc::board::Board;
 use dora_repro::soc::cache::{CacheDemand, SharedCache};
 use dora_repro::soc::dvfs::BusTier;
 use dora_repro::soc::memory::MemorySystem;
-use dora_repro::soc::task::{CyclicTask, PhaseProfile, PhasedTask, Task};
+use dora_repro::soc::task::{CyclicTask, LoopTask, PhaseProfile, PhasedTask, Task};
+use dora_repro::soc::{ClusterId, SocProfile};
 use dora_repro::units::Seconds;
 use proptest::prelude::*;
+
+/// Whether `a` and `b` agree to a relative tolerance of 1e-9.
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
+}
 
 fn arb_profile() -> impl Strategy<Value = PhaseProfile> {
     (
@@ -219,5 +226,65 @@ proptest! {
             page.div_tags(),
         );
         prop_assert!(rebuilt.is_ok());
+    }
+
+    /// Energy accounting closes on every registered profile under random
+    /// per-cluster frequency programs and migrations: the total equals
+    /// the itemized breakdown, it equals the per-quantum power integrated
+    /// over time plus one migration charge per real migration, and a
+    /// no-op migration charges nothing.
+    #[test]
+    fn energy_accounting_closes_on_every_profile(
+        browser in arb_profile(),
+        corunner in arb_profile(),
+        work in 1e6f64..5e7,
+        program in prop::collection::vec(
+            (0usize..4, 0usize..16, 0usize..4, 0usize..4, 1usize..4),
+            1..40,
+        ),
+    ) {
+        for name in SocProfile::names() {
+            let config = SocProfile::by_name(name).expect("registered").board_config();
+            let clusters = config.clusters.len();
+            let migration = config.migration.energy.value();
+            let quantum = config.quantum;
+            let dt = quantum.as_secs_f64();
+            let mut board = Board::new(config, 11);
+            board
+                .assign(0, Box::new(PhasedTask::new("main", vec![(work, browser)])))
+                .expect("free core");
+            board.assign(1, Box::new(LoopTask::new("aux", browser))).expect("free core");
+            board.assign(2, Box::new(LoopTask::new("hog", corunner))).expect("free core");
+            let mut integrated = 0.0;
+            for &(cluster, opp, core, to, quanta) in &program {
+                let cluster = ClusterId::new(cluster % clusters);
+                let table = &board.config().clusters[cluster.index()].dvfs;
+                let f = table.opp(opp % table.len()).frequency;
+                board.set_cluster_frequency(cluster, f).expect("own table entry");
+                let to = ClusterId::new(to % clusters);
+                let before = board.energy();
+                let real = board.cluster_of(core) != to;
+                board.migrate(core, to).expect("valid core and cluster");
+                if real {
+                    integrated += migration;
+                } else {
+                    prop_assert_eq!(board.energy(), before, "{}: no-op migration charged", name);
+                }
+                for _ in 0..quanta {
+                    board.step(quantum);
+                    integrated += board.last_power().total().value() * dt;
+                }
+                let energy = board.energy().value();
+                let itemized = board.energy_breakdown().total().value();
+                prop_assert!(close(energy, itemized), "{}: {} J vs itemized {} J", name, energy, itemized);
+                prop_assert!(
+                    close(energy, integrated),
+                    "{}: {} J vs integrated {} J",
+                    name,
+                    energy,
+                    integrated
+                );
+            }
+        }
     }
 }
