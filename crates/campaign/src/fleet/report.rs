@@ -93,22 +93,34 @@ impl GovernorSheet {
     /// are built from one shared governor list, so this is a construction
     /// bug, not a data condition.
     pub fn merge(&mut self, other: &GovernorSheet) -> Result<(), SketchError> {
+        // No `..`: a new field fails to compile until it is merged here.
+        let GovernorSheet {
+            governor,
+            sessions,
+            deadline_met,
+            timed_out,
+            switches,
+            load_time,
+            ppw,
+            energy,
+            battery_hours_sum,
+        } = other;
         assert_eq!(
-            self.governor, other.governor,
+            &self.governor, governor,
             "sheets of different governors cannot merge"
         );
-        self.load_time.merge(&other.load_time)?;
-        self.ppw.merge(&other.ppw)?;
-        self.sessions += other.sessions;
-        self.deadline_met += other.deadline_met;
-        self.timed_out += other.timed_out;
-        self.switches += other.switches;
-        self.energy += other.energy;
+        self.load_time.merge(load_time)?;
+        self.ppw.merge(ppw)?;
+        self.sessions += sessions;
+        self.deadline_met += deadline_met;
+        self.timed_out += timed_out;
+        self.switches += switches;
+        self.energy += *energy;
         // merge: shards fold in fixed shard-index order (FleetReport::merge
         // iterates sheets in governor order), so this addition sequence is
         // identical across --jobs 1/N/auto; byte-stability is pinned by the
         // golden fleet digest.
-        self.battery_hours_sum += other.battery_hours_sum;
+        self.battery_hours_sum += battery_hours_sum;
         Ok(())
     }
 
@@ -209,17 +221,24 @@ impl FleetReport {
     /// all shard reports are built by one fleet run, so a mismatch is a
     /// construction bug.
     pub fn merge(&mut self, other: &FleetReport) -> Result<(), SketchError> {
-        assert_eq!(self.seed, other.seed, "reports of different fleets");
+        // No `..`: a new field fails to compile until it is merged here.
+        let FleetReport {
+            sessions,
+            seed,
+            shards,
+            sheets,
+        } = other;
+        assert_eq!(self.seed, *seed, "reports of different fleets");
         assert_eq!(
             self.sheets.len(),
-            other.sheets.len(),
+            sheets.len(),
             "reports of different governor lists"
         );
-        for (mine, theirs) in self.sheets.iter_mut().zip(&other.sheets) {
+        for (mine, theirs) in self.sheets.iter_mut().zip(sheets) {
             mine.merge(theirs)?;
         }
-        self.sessions += other.sessions;
-        self.shards += other.shards;
+        self.sessions += sessions;
+        self.shards += shards;
         Ok(())
     }
 

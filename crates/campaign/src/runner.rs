@@ -437,10 +437,10 @@ pub fn run_page_observed(
     probe: Rc<RefCell<dyn Probe>>,
 ) -> RunResult {
     let mut board = warmed_board(kernel, governor, config);
-    let probe_id = board.attach_probe(probe);
-    let result = measured_load(&mut board, page, kernel, governor, config);
-    board.detach_probe(probe_id);
-    result
+    // Attached after the warm-up so the probe sees only the measured
+    // window; the board is dropped on return, so no detach is needed.
+    board.attach_probe(probe);
+    measured_load(&mut board, page, kernel, governor, config)
 }
 
 /// Builds a fresh board, assigns the co-runner, and runs the thermal

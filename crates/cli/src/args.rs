@@ -1,5 +1,6 @@
 //! Minimal flag parsing for the CLI's small grammar.
 
+use dora::units::Seconds;
 use dora_campaign::{Executor, Parallelism};
 use std::collections::HashMap;
 
@@ -72,13 +73,30 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// When present but unparseable.
+    /// When present but unparseable or not finite (`nan`, `inf`).
     pub fn get_f64(&self, name: &str, default: f64) -> Result<f64, String> {
         match self.get(name) {
             None => Ok(default),
             Some(v) => v
                 .parse::<f64>()
-                .map_err(|_| format!("--{name} expects a number, got {v:?}")),
+                .ok()
+                .filter(|x| x.is_finite())
+                .ok_or_else(|| format!("--{name} expects a finite number, got {v:?}")),
+        }
+    }
+
+    /// The load-time deadline from `--deadline S` (3 s when absent),
+    /// shared by every subcommand that takes one.
+    ///
+    /// # Errors
+    ///
+    /// When present but not a finite number of seconds above zero.
+    pub fn deadline(&self) -> Result<Seconds, String> {
+        let seconds = self.get_f64("deadline", 3.0)?;
+        if seconds > 0.0 {
+            Ok(Seconds::new(seconds))
+        } else {
+            Err(format!("--deadline must be positive, got {seconds}"))
         }
     }
 
@@ -223,8 +241,21 @@ mod tests {
 
     #[test]
     fn bad_number_rejected() {
-        let a = Args::parse(&strings(&["--mpki", "lots"])).expect("parses");
-        assert!(a.get_f64("mpki", 0.0).is_err());
+        for bad in ["lots", "nan", "inf", "-inf", "NaN"] {
+            let a = Args::parse(&strings(&["--mpki", bad])).expect("parses");
+            assert!(a.get_f64("mpki", 0.0).is_err(), "--mpki {bad}");
+        }
+    }
+
+    #[test]
+    fn deadline_must_be_finite_and_positive() {
+        let absent = Args::parse(&[]).expect("parses").deadline();
+        assert_eq!(absent, Ok(Seconds::new(3.0)));
+        for bad in ["0", "-1", "nan", "inf"] {
+            let a = Args::parse(&strings(&["--deadline", bad])).expect("parses");
+            let err = a.deadline().expect_err(bad);
+            assert!(err.contains("--deadline"), "{err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The CLI subcommands.
 
 use crate::args::{Args, OutputFormat};
-use dora::units::{Celsius, Mpki, Seconds, Utilization, WattHours};
+use dora::units::{Celsius, Mpki, Utilization, WattHours};
 use dora::{from_text, to_text, DoraModels};
 use dora_browser::{Catalog, PageFeatures};
 use dora_campaign::driver::CampaignDriver;
@@ -125,26 +125,26 @@ pub fn predict(raw: &[String]) -> Result<(), String> {
     let path = args
         .positional(0)
         .ok_or("usage: dora predict <models.txt> --page NAME")?;
+    let mpki = Mpki::new(args.get_f64("mpki", 3.0)?).map_err(|e| format!("--mpki: {e}"))?;
+    let util = Utilization::new(args.get_f64("util", 0.7)?).map_err(|e| format!("--util: {e}"))?;
+    let temp = args.get_f64("temp", 45.0)?;
+    let deadline = args.deadline()?;
     let models = load_models(path)?;
     let page = resolve_page(&args)?;
-    let mpki = args.get_f64("mpki", 3.0)?;
-    let util = args.get_f64("util", 0.7)?;
-    let temp = args.get_f64("temp", 45.0)?;
-    let deadline = args.get_f64("deadline", 3.0)?;
-    if deadline <= 0.0 {
-        return Err(format!("--deadline must be positive, got {deadline}"));
-    }
     let decision = dora::select_frequency(
         &models,
         page,
-        Seconds::new(deadline),
-        Mpki::clamped(mpki),
-        Utilization::clamped(util),
+        deadline,
+        mpki,
+        util,
         Celsius::new(temp),
         true,
     );
     println!(
-        "conditions: MPKI {mpki:.1}, co-run util {util:.2}, die {temp:.0}C, deadline {deadline:.1}s"
+        "conditions: MPKI {:.1}, co-run util {:.2}, die {temp:.0}C, deadline {:.1}s",
+        mpki.value(),
+        util.value(),
+        deadline.value()
     );
     println!(
         "{:<11} {:>9} {:>9} {:>9} {:>9}",
@@ -264,10 +264,10 @@ pub fn govern(raw: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("unknown page {page_name:?}; see `dora pages`"))?;
     let kernel = resolve_kernel(&args)?;
     let common = args.common(42)?;
-    let deadline = args.get_f64("deadline", 3.0)?;
+    let deadline = args.deadline()?;
     let config = ScenarioConfig::builder()
         .seed(common.seed)
-        .deadline(Seconds::new(deadline))
+        .deadline(deadline)
         .board(common.soc.board_config())
         .build();
     let policy = governed_policy(args.get("governor").unwrap_or("dora"))?;
@@ -297,9 +297,10 @@ pub fn govern(raw: &[String]) -> Result<(), String> {
     };
     println!("{}  under {}", r.workload_id, r.governor);
     println!(
-        "  load time:   {:.3} s ({}; deadline {deadline:.1}s)",
+        "  load time:   {:.3} s ({}; deadline {:.1}s)",
         r.load_time.value(),
-        if r.met_deadline { "met" } else { "missed" }
+        if r.met_deadline { "met" } else { "missed" },
+        deadline.value()
     );
     println!("  mean power:  {:.3} W", r.mean_power.value());
     println!("  energy:      {:.2} J", r.energy.value());
@@ -372,12 +373,12 @@ pub fn csv(raw: &[String]) -> Result<(), String> {
 pub fn fleet(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw)?;
     let common = args.common(42)?;
-    let deadline = args.get_f64("deadline", 3.0)?;
+    let deadline = args.deadline()?;
     let mut config = FleetConfig {
         sessions: args.get_u64("sessions", 1000)?,
         seed: common.seed,
         shard_size: args.get_u64("shard", 256)?.max(1),
-        deadline: Seconds::new(deadline),
+        deadline,
         archetypes: dora_campaign::fleet::DeviceArchetype::population_for(&common.soc),
         ..FleetConfig::default()
     };
@@ -412,7 +413,7 @@ pub fn fleet(raw: &[String]) -> Result<(), String> {
         .fleet(&config, models.as_ref())
         .map_err(|e| e.to_string())?;
     match common.format {
-        OutputFormat::Text => print!("{}", report.render(Seconds::new(deadline))),
+        OutputFormat::Text => print!("{}", report.render(deadline)),
         OutputFormat::Csv => print!("{}", report.to_csv()),
     }
     Ok(())
@@ -436,7 +437,7 @@ pub fn session(raw: &[String]) -> Result<(), String> {
     let kernel = resolve_kernel(&args)?;
     let common = args.common(42)?;
     let config = SessionConfig {
-        deadline: Seconds::new(args.get_f64("deadline", 3.0)?),
+        deadline: args.deadline()?,
         board: common.soc.board_config(),
         seed: common.seed,
         ..SessionConfig::default()

@@ -114,6 +114,40 @@ fn jobs_flag_is_validated() {
 }
 
 #[test]
+fn bad_numeric_flags_exit_1_naming_the_flag() {
+    // Flags are validated before any file is read or any load is
+    // simulated, so a missing models file cannot mask the error.
+    let models = "no-such-models.txt";
+    let subcommands: [&[&str]; 4] = [
+        &["predict", models, "--page", "MSN"],
+        &["govern", models, "--page", "MSN"],
+        &["fleet", "--quick"],
+        &["session"],
+    ];
+    let mut cases = Vec::new();
+    for base in subcommands {
+        for bad in ["0", "-1", "nan", "inf"] {
+            cases.push((base, "--deadline", bad));
+        }
+    }
+    for (flag, bad) in [
+        ("--util", "7"),
+        ("--util", "-0.5"),
+        ("--mpki", "nan"),
+        ("--mpki", "-1"),
+    ] {
+        cases.push((subcommands[0], flag, bad));
+    }
+    for (base, flag, bad) in cases {
+        let mut argv = base.to_vec();
+        argv.extend([flag, bad]);
+        let out = dora(&argv);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(flag), "{argv:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
 #[ignore = "runs six governed loads twice (~minute in debug); run in release"]
 fn csv_with_jobs_1_matches_parallel_output() {
     // --jobs 1 is the classic sequential loop; any other width must
@@ -169,6 +203,12 @@ fn full_flow_train_inspect_predict_govern() {
     let out = dora(&["predict", models_str, "--page", "Reddit", "--mpki", "8"]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("fopt = "));
+
+    // With real models too, a bad deadline is an error, not a panic.
+    for cmd in ["predict", "govern"] {
+        let out = dora(&[cmd, models_str, "--page", "MSN", "--deadline", "nan"]);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {}", stderr(&out));
+    }
 
     let out = dora(&[
         "govern", models_str, "--page", "MSN", "--kernel", "backprop",

@@ -87,10 +87,7 @@ impl std::error::Error for SketchError {}
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedHistogram {
-    // state: skip(shape key, not accumulated state; merge refuses
-    // mismatched shapes via self.shape() so lo/hi are never transferred)
     lo: f64,
-    // state: skip(shape key, not accumulated state; see lo)
     hi: f64,
     bins: Vec<u64>,
     underflow: u64,
@@ -251,19 +248,31 @@ impl FixedHistogram {
     ///
     /// [`SketchError::ShapeMismatch`] when the shapes differ.
     pub fn merge(&mut self, other: &FixedHistogram) -> Result<(), SketchError> {
+        // No `..`: a new field fails to compile until it is merged here.
+        let FixedHistogram {
+            // Shape key, not accumulated state: the shape check below
+            // refuses a mismatch, so the edges are never transferred.
+            lo: _,
+            hi: _,
+            bins,
+            underflow,
+            overflow,
+            count,
+            sum,
+        } = other;
         if self.shape() != other.shape() {
             return Err(SketchError::ShapeMismatch {
                 left: self.shape(),
                 right: other.shape(),
             });
         }
-        for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
+        for (mine, theirs) in self.bins.iter_mut().zip(bins) {
             *mine += theirs;
         }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
+        self.underflow += underflow;
+        self.overflow += overflow;
+        self.count += count;
+        self.sum += sum;
         Ok(())
     }
 

@@ -113,21 +113,28 @@ impl Running {
 
     /// Merges another accumulator into this one (parallel Welford merge).
     pub fn merge(&mut self, other: &Running) {
-        if other.count == 0 {
+        // No `..`: a new field fails to compile until it is merged here.
+        let Running {
+            count,
+            mean,
+            m2,
+            min,
+            max,
+        } = *other;
+        if count == 0 {
             return;
         }
         if self.count == 0 {
             *self = other.clone();
             return;
         }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
+        let total = self.count + count;
+        let delta = mean - self.mean;
+        self.m2 += m2 + delta * delta * (self.count as f64 * count as f64) / total as f64;
+        self.mean += delta * count as f64 / total as f64;
         self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.min = self.min.min(min);
+        self.max = self.max.max(max);
     }
 }
 

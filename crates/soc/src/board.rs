@@ -44,7 +44,7 @@ pub(crate) struct CoreSlot {
 
 /// Reusable per-quantum working storage, excluded from snapshots.
 #[derive(Debug, Default)]
-struct StepScratch {
+pub(crate) struct StepScratch {
     /// Indices of enabled cores holding unfinished tasks.
     active: Vec<usize>,
     /// Profiles of those tasks (base CPI pre-scaled by the owning
@@ -103,11 +103,11 @@ pub struct Board {
     pub(crate) energy_breakdown: EnergyBreakdown,
     pub(crate) seed: u64,
     /// Observers. Not simulation state: excluded from snapshots.
-    probes: ProbeBus,
+    pub(crate) probes: ProbeBus,
     /// Fixed-point solver with reusable buffers.
-    solver: ContentionSolver,
+    pub(crate) solver: ContentionSolver,
     /// Per-quantum working storage.
-    scratch: StepScratch,
+    pub(crate) scratch: StepScratch,
 }
 
 impl Board {

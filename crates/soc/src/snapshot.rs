@@ -3,10 +3,12 @@
 //! A [`BoardSnapshot`] is a pure value holding everything that determines
 //! a board's future behaviour: task progress, counters, thermal and
 //! energy state, DVFS position, pending stall, and the seed. It
-//! deliberately excludes observers (probes, the trace shim) and the
-//! solver's scratch buffers — those never influence the simulation, so
-//! restoring onto a board with different probes attached still replays
-//! bit-identically.
+//! deliberately excludes observers (probes) and the solver's scratch
+//! buffers — those never influence the simulation, so restoring onto a
+//! board with different probes attached still replays bit-identically.
+//! [`Board::snapshot`] and [`Board::restore`] destructure both structs
+//! without `..`, so a field added to either fails to compile until it
+//! is transferred or named as not simulation state.
 //!
 //! The campaign layer uses this to run a frequency-invariant warmup
 //! prefix once, snapshot, and fan one continuation per candidate
@@ -14,7 +16,7 @@
 //! carry those bounds) so a single snapshot can be shared by reference
 //! across the executor's workers.
 
-use crate::board::Board;
+use crate::board::{Board, CoreSlot};
 use crate::config::{BoardError, EnergyBreakdown};
 use crate::counters::CounterSet;
 use crate::power::PowerBreakdown;
@@ -79,40 +81,71 @@ impl Board {
     ///
     /// Tasks are deep-copied via [`Task::snapshot_box`], so the snapshot
     /// is independent of the live board: stepping the board afterwards
-    /// does not disturb it. Probes and the trace shim are observers, not
-    /// state, and are not captured.
+    /// does not disturb it. Probes are observers, not state, and are not
+    /// captured.
     pub fn snapshot(&self) -> BoardSnapshot {
+        // No `..`: a new board field fails to compile until it is either
+        // captured or named below as not simulation state.
+        let Board {
+            // Configuration: the restore target brings its own.
+            config: _,
+            // Holds only the L2 capacity, which is configuration.
+            cache: _,
+            // Observers never influence the simulation.
+            probes: _,
+            // Reusable buffers, overwritten before each use.
+            solver: _,
+            scratch: _,
+            thermal,
+            slots,
+            counters,
+            freq_indices,
+            cluster_of,
+            now,
+            energy,
+            power_track,
+            last_power,
+            switch_count,
+            pending_stall,
+            energy_breakdown,
+            seed,
+        } = self;
         BoardSnapshot {
-            slots: self
-                .slots
+            slots: slots
                 .iter()
-                .map(|s| SlotSnapshot {
-                    enabled: s.enabled,
-                    task: s.task.as_deref().map(Task::snapshot_box),
-                    finish_time: s.finish_time,
-                })
+                .map(
+                    |CoreSlot {
+                         enabled,
+                         task,
+                         finish_time,
+                     }| SlotSnapshot {
+                        enabled: *enabled,
+                        task: task.as_deref().map(Task::snapshot_box),
+                        finish_time: *finish_time,
+                    },
+                )
                 .collect(),
-            counters: self.counters.clone(),
-            freq_indices: self.freq_indices.clone(),
-            cluster_of: self.cluster_of.clone(),
-            now: self.now,
-            energy: self.energy,
-            power_track: self.power_track.clone(),
-            last_power: self.last_power,
-            switch_count: self.switch_count,
-            pending_stall: self.pending_stall,
-            energy_breakdown: self.energy_breakdown,
-            thermal: self.thermal.clone(),
-            seed: self.seed,
+            counters: counters.clone(),
+            freq_indices: freq_indices.clone(),
+            cluster_of: cluster_of.clone(),
+            now: *now,
+            energy: *energy,
+            power_track: power_track.clone(),
+            last_power: *last_power,
+            switch_count: *switch_count,
+            pending_stall: *pending_stall,
+            energy_breakdown: *energy_breakdown,
+            thermal: thermal.clone(),
+            seed: *seed,
         }
     }
 
     /// Overwrites this board's simulation state with a snapshot's.
     ///
-    /// The board keeps its own configuration, probes, and trace shim;
-    /// only simulation state is replaced. After a successful restore the
-    /// board evolves bit-identically to the board the snapshot was taken
-    /// from (under the same subsequent inputs).
+    /// The board keeps its own configuration and probes; only simulation
+    /// state is replaced. After a successful restore the board evolves
+    /// bit-identically to the board the snapshot was taken from (under
+    /// the same subsequent inputs).
     ///
     /// # Errors
     ///
@@ -137,23 +170,68 @@ impl Board {
         if !structurally_compatible {
             return Err(BoardError::SnapshotMismatch);
         }
-        for (slot, snap) in self.slots.iter_mut().zip(snapshot.slots.iter()) {
-            slot.enabled = snap.enabled;
-            slot.task = snap.task.as_deref().map(Task::snapshot_box);
-            slot.finish_time = snap.finish_time;
+        // No `..` on either side: a new field of the board or of the
+        // snapshot fails to compile until it is restored here.
+        let BoardSnapshot {
+            slots: saved_slots,
+            counters: saved_counters,
+            freq_indices: saved_freq_indices,
+            cluster_of: saved_cluster_of,
+            now: saved_now,
+            energy: saved_energy,
+            power_track: saved_power_track,
+            last_power: saved_last_power,
+            switch_count: saved_switch_count,
+            pending_stall: saved_pending_stall,
+            energy_breakdown: saved_energy_breakdown,
+            thermal: saved_thermal,
+            seed: saved_seed,
+        } = snapshot;
+        let Board {
+            // Not simulation state; see `snapshot`.
+            config: _,
+            cache: _,
+            probes: _,
+            solver: _,
+            scratch: _,
+            thermal,
+            slots,
+            counters,
+            freq_indices,
+            cluster_of,
+            now,
+            energy,
+            power_track,
+            last_power,
+            switch_count,
+            pending_stall,
+            energy_breakdown,
+            seed,
+        } = self;
+        for (slot, saved) in slots.iter_mut().zip(saved_slots) {
+            let SlotSnapshot {
+                enabled,
+                task,
+                finish_time,
+            } = saved;
+            *slot = CoreSlot {
+                enabled: *enabled,
+                task: task.as_deref().map(Task::snapshot_box),
+                finish_time: *finish_time,
+            };
         }
-        self.counters = snapshot.counters.clone();
-        self.freq_indices.clone_from(&snapshot.freq_indices);
-        self.cluster_of.clone_from(&snapshot.cluster_of);
-        self.now = snapshot.now;
-        self.energy = snapshot.energy;
-        self.power_track = snapshot.power_track.clone();
-        self.last_power = snapshot.last_power;
-        self.switch_count = snapshot.switch_count;
-        self.pending_stall = snapshot.pending_stall;
-        self.energy_breakdown = snapshot.energy_breakdown;
-        self.thermal = snapshot.thermal.clone();
-        self.seed = snapshot.seed;
+        *counters = saved_counters.clone();
+        freq_indices.clone_from(saved_freq_indices);
+        cluster_of.clone_from(saved_cluster_of);
+        *now = *saved_now;
+        *energy = *saved_energy;
+        *power_track = saved_power_track.clone();
+        *last_power = *saved_last_power;
+        *switch_count = *saved_switch_count;
+        *pending_stall = *saved_pending_stall;
+        *energy_breakdown = *saved_energy_breakdown;
+        *thermal = saved_thermal.clone();
+        *seed = *saved_seed;
         Ok(())
     }
 }

@@ -144,11 +144,6 @@ impl Cfg {
         &self.code[s.lo..s.hi.min(self.code.len())]
     }
 
-    /// Byte offset of the statement's first token (for spans), if any.
-    pub fn stmt_lo(&self, tokens: &[Token], s: &Stmt) -> Option<usize> {
-        self.code.get(s.lo).map(|&i| tokens[i].lo)
-    }
-
     /// Stable textual rendering for golden tests: one section per
     /// block, statements as `[kind] token text`, then the successor
     /// list.

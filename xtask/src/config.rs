@@ -74,10 +74,6 @@ pub struct Config {
     /// Qualified function paths treated as extra nondeterminism sources
     /// by the determinism-taint lint (`[determinism-taint] source_fns`).
     pub taint_source_fns: Vec<String>,
-    /// State-coverage contracts (`[state-coverage]`): qualified struct
-    /// path → qualified methods that must each access every named field
-    /// of the struct (or justify the gap with `// state: skip(<reason>)`).
-    pub state_coverage: BTreeMap<String, Vec<String>>,
     /// Qualified shard-merge sink functions (`[merge-associativity]
     /// sink_fns`): raw `f64` accumulation reachable from these is
     /// flagged unless it goes through a mergeable sketch type.
@@ -85,19 +81,6 @@ pub struct Config {
     /// Type names whose methods are trusted to merge associatively
     /// (`[merge-associativity] mergeable_types`).
     pub merge_mergeable_types: Vec<String>,
-    /// Method name that opens a snapshot pair (`[snapshot-pairing]
-    /// open`). Empty means the pass's built-in default, `snapshot`.
-    pub snapshot_open: String,
-    /// Method name that closes a snapshot pair (`[snapshot-pairing]
-    /// close`). Empty means the pass's built-in default, `restore`.
-    pub snapshot_close: String,
-    /// Qualified functions the snapshot-pairing lint checks
-    /// (`[snapshot-pairing] fns`). Empty leaves the pass inert.
-    pub snapshot_fns: Vec<String>,
-    /// Probe-balance contracts (`[probe-balance]`): qualified function
-    /// path → `[open_method, close_method]` that must balance on every
-    /// control-flow path through that function.
-    pub probe_balance: BTreeMap<String, (String, String)>,
 }
 
 fn string_list(value: &Value, what: &str) -> Result<Vec<String>, String> {
@@ -225,14 +208,6 @@ impl Config {
                         }
                     }
                 }
-                "state-coverage" => {
-                    for (ty, v) in entries {
-                        config.state_coverage.insert(
-                            ty.clone(),
-                            string_list(v, &format!("[state-coverage] \"{ty}\""))?,
-                        );
-                    }
-                }
                 "merge-associativity" => {
                     for (key, v) in entries {
                         match key.as_str() {
@@ -250,39 +225,6 @@ impl Config {
                                 ))
                             }
                         }
-                    }
-                }
-                "snapshot-pairing" => {
-                    for (key, v) in entries {
-                        match key.as_str() {
-                            "open" => {
-                                config.snapshot_open = v
-                                    .as_str()
-                                    .ok_or("[snapshot-pairing] open must be a string")?
-                                    .to_string();
-                            }
-                            "close" => {
-                                config.snapshot_close = v
-                                    .as_str()
-                                    .ok_or("[snapshot-pairing] close must be a string")?
-                                    .to_string();
-                            }
-                            "fns" => {
-                                config.snapshot_fns = string_list(v, "[snapshot-pairing] fns")?;
-                            }
-                            other => {
-                                return Err(format!("unknown key `{other}` in [snapshot-pairing]"))
-                            }
-                        }
-                    }
-                }
-                "probe-balance" => {
-                    for (qual, v) in entries {
-                        let pair = string_list(v, &format!("[probe-balance] \"{qual}\""))?;
-                        let [open, close] = <[String; 2]>::try_from(pair).map_err(|_| {
-                            format!("[probe-balance] \"{qual}\" must be [open, close]")
-                        })?;
-                        config.probe_balance.insert(qual.clone(), (open, close));
                     }
                 }
                 "determinism-taint" => {
@@ -352,24 +294,9 @@ unit_types = ["Seconds", "Watts"]
 [determinism-taint]
 source_fns = ["campaign::executor::unordered_reduce"]
 
-[state-coverage]
-"soc::snapshot::BoardSnapshot" = [
-  "soc::snapshot::Board::snapshot",
-  "soc::snapshot::Board::restore",
-]
-"sim-core::stats::Running" = ["sim-core::stats::Running::merge"]
-
 [merge-associativity]
 sink_fns = ["campaign::fleet::report::FleetReport::merge"]
 mergeable_types = ["FixedHistogram", "Running"]
-
-[snapshot-pairing]
-open = "snapshot"
-close = "restore"
-fns = ["campaign::runner::Runner::sweep_frequencies_with"]
-
-[probe-balance]
-"campaign::runner::Runner::run_page_observed" = ["attach_probe", "detach_probe"]
 "#;
 
     #[test]
@@ -392,37 +319,10 @@ fns = ["campaign::runner::Runner::sweep_frequencies_with"]
         assert!(c.is_trivial_float(1024.0));
         assert!(!c.is_trivial_float(64.0));
         assert_eq!(
-            c.state_coverage["soc::snapshot::BoardSnapshot"],
-            vec![
-                "soc::snapshot::Board::snapshot",
-                "soc::snapshot::Board::restore"
-            ]
-        );
-        assert_eq!(
-            c.state_coverage["sim-core::stats::Running"],
-            vec!["sim-core::stats::Running::merge"]
-        );
-        assert_eq!(
             c.merge_sink_fns,
             vec!["campaign::fleet::report::FleetReport::merge"]
         );
         assert_eq!(c.merge_mergeable_types, vec!["FixedHistogram", "Running"]);
-        assert_eq!(c.snapshot_open, "snapshot");
-        assert_eq!(c.snapshot_close, "restore");
-        assert_eq!(
-            c.snapshot_fns,
-            vec!["campaign::runner::Runner::sweep_frequencies_with"]
-        );
-        assert_eq!(
-            c.probe_balance["campaign::runner::Runner::run_page_observed"],
-            ("attach_probe".to_string(), "detach_probe".to_string())
-        );
-    }
-
-    #[test]
-    fn probe_balance_pair_must_have_two_entries() {
-        let err = Config::from_toml("[probe-balance]\n\"a::b\" = [\"open\"]\n").expect_err("bad");
-        assert!(err.contains("must be [open, close]"), "{err}");
     }
 
     #[test]
@@ -444,8 +344,15 @@ fns = ["campaign::runner::Runner::sweep_frequencies_with"]
     }
 
     #[test]
-    fn retired_panic_budget_table_is_rejected() {
-        let err = Config::from_toml("[panic-budget]\n\"a.rs\" = 1\n").expect_err("bad");
-        assert!(err.contains("unknown table"), "{err}");
+    fn retired_tables_are_rejected() {
+        for table in [
+            "panic-budget",
+            "state-coverage",
+            "snapshot-pairing",
+            "probe-balance",
+        ] {
+            let err = Config::from_toml(&format!("[{table}]\n\"a\" = 1\n")).expect_err("bad");
+            assert!(err.contains("unknown table"), "{table}: {err}");
+        }
     }
 }

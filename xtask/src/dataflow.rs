@@ -3,8 +3,7 @@
 //! An [`Analysis`] supplies a boundary state, a per-statement transfer
 //! function, and a join; [`forward`] runs a worklist to a fixpoint and
 //! returns the state at every block entry and exit. The framework is
-//! agnostic to the domain — the dataflow passes (`dimensional-flow`,
-//! `snapshot-pairing`, `probe-balance`) each bring their own — and
+//! agnostic to the domain — `dimensional-flow` brings its own — and
 //! ships one ready-made instance, [`ReachingDefs`], which doubles as
 //! the framework's own test harness.
 //!

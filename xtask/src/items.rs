@@ -117,35 +117,6 @@ pub struct StructItem {
     pub fields: Vec<FieldItem>,
 }
 
-/// One variant of an enum.
-#[derive(Debug, Clone)]
-pub struct VariantItem {
-    /// Variant name.
-    pub name: String,
-    /// 1-based line.
-    pub line: usize,
-}
-
-/// One enum declaration.
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    /// Enum name.
-    pub name: String,
-    /// Crate-qualified path.
-    pub qual: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Declared visibility.
-    pub vis: Vis,
-    /// Whether the item lives under `#[cfg(test)]`.
-    pub in_test: bool,
-    /// Rendered generic-parameter text (without the angle brackets),
-    /// empty for non-generic enums.
-    pub generics: String,
-    /// Variants, in declaration order.
-    pub variants: Vec<VariantItem>,
-}
-
 /// One leaf of a `use` declaration: `alias` names `path` in `module`.
 #[derive(Debug, Clone)]
 pub struct UseItem {
@@ -167,8 +138,6 @@ pub struct ItemSet {
     pub consts: Vec<ConstItem>,
     /// Struct declarations.
     pub structs: Vec<StructItem>,
-    /// Enum declarations.
-    pub enums: Vec<EnumItem>,
     /// `use` imports.
     pub uses: Vec<UseItem>,
     /// Byte spans of `#[cfg(test)]`-gated regions (attribute through
@@ -886,73 +855,6 @@ impl<'a> Parser<'a> {
         self.pos = pos;
     }
 
-    fn parse_enum(&mut self, kw_pos: usize, vis: Vis, test: bool) {
-        let Some(name) = self.any_ident(kw_pos + 1).map(str::to_string) else {
-            self.pos = kw_pos + 1;
-            return;
-        };
-        let line = self.line_at(kw_pos);
-        let (generics, mut pos) = self.capture_generics(kw_pos + 2);
-        // Skip a `where` clause.
-        while let Some(tok) = self.tok(pos) {
-            let text = tok.text(self.src);
-            if tok.kind == TokenKind::Punct && (text == "{" || text == ";") {
-                break;
-            }
-            pos += 1;
-        }
-        let mut variants = Vec::new();
-        if self.is_p(pos, "{") {
-            let end = self.skip_balanced(pos);
-            let mut p = pos + 1;
-            while p < end.saturating_sub(1) {
-                let (after_attrs, _, _) = self.skip_attrs(p);
-                let Some(vname) = self.any_ident(after_attrs) else {
-                    p = after_attrs + 1;
-                    continue;
-                };
-                variants.push(VariantItem {
-                    name: vname.to_string(),
-                    line: self.line_at(after_attrs),
-                });
-                // Skip the payload (`(…)` / `{…}`) and any `= discr`
-                // expression up to the `,` at depth 0.
-                let mut q = after_attrs + 1;
-                let mut depth = 0i64;
-                while q < end.saturating_sub(1) {
-                    let Some(tok) = self.tok(q) else { break };
-                    let text = tok.text(self.src);
-                    if tok.kind == TokenKind::Punct {
-                        match text {
-                            "(" | "[" | "{" => depth += 1,
-                            ")" | "]" | "}" => depth -= 1,
-                            "," if depth == 0 => {
-                                q += 1;
-                                break;
-                            }
-                            _ => {}
-                        }
-                    }
-                    q += 1;
-                }
-                p = q;
-            }
-            pos = end;
-        } else if self.is_p(pos, ";") {
-            pos += 1;
-        }
-        self.out.enums.push(EnumItem {
-            qual: self.qual(&name),
-            name,
-            line,
-            vis,
-            in_test: test || self.in_test_scope(),
-            generics,
-            variants,
-        });
-        self.pos = pos;
-    }
-
     fn parse_impl_or_trait(&mut self, kw_pos: usize, test: bool, is_trait: bool) {
         let mut pos = if is_trait {
             // `trait Name …` / `trait Name<…>: Bound {`
@@ -1074,28 +976,8 @@ impl<'a> Parser<'a> {
                 Some("struct") if !qualified_fn => {
                     self.parse_struct(p, vis, test);
                 }
-                Some("enum") if !qualified_fn => {
-                    if test {
-                        // Record the gated item's extent before parsing.
-                        let mut q = p + 2;
-                        while let Some(tok) = self.tok(q) {
-                            let text = tok.text(self.src);
-                            if tok.kind == TokenKind::Punct && (text == "{" || text == ";") {
-                                break;
-                            }
-                            q += 1;
-                        }
-                        let end = if self.is_p(q, "{") {
-                            self.skip_balanced(q)
-                        } else {
-                            q + 1
-                        };
-                        self.record_cfg_test_span(attr_start.unwrap_or(scope_start), end);
-                    }
-                    self.parse_enum(p, vis, test);
-                }
-                Some("union") if !qualified_fn => {
-                    // Record nothing, skip the body.
+                Some("enum" | "union") if !qualified_fn => {
+                    // No pass reads these: record nothing, skip the body.
                     let mut q = p + 2;
                     while let Some(tok) = self.tok(q) {
                         let text = tok.text(self.src);
@@ -1413,8 +1295,7 @@ mod tests {
     fn cfg_test_gated_fields_are_still_indexed() {
         // A `#[cfg(test)]` attribute on one *field* gates the field, not
         // the struct: the struct is library code and the field is kept
-        // in the index (state-coverage treats it like any other field;
-        // the justification mechanism handles intentional gaps).
+        // in the index like any other field.
         let src = "pub struct Probe {\n    pub live: u64,\n    #[cfg(test)]\n    pub test_only: u64,\n}\n";
         let set = items("crates/sim-core/src/probe.rs", src);
         assert_eq!(set.structs.len(), 1);
@@ -1431,20 +1312,11 @@ mod tests {
     }
 
     #[test]
-    fn enums_carry_variants_and_quals() {
+    fn enum_bodies_are_skipped() {
         let src = "pub enum Policy {\n    Conservative,\n    Ondemand { sample_ms: u64 },\n    Fixed(u64),\n}\n\n#[derive(Debug)]\npub enum Verdict<T>\nwhere\n    T: Clone,\n{\n    Pass(T),\n    Fail = 2,\n}\n\nfn after() {}\n";
         let set = items("crates/governors/src/policy.rs", src);
-        assert_eq!(set.enums.len(), 2);
-        let policy = &set.enums[0];
-        assert_eq!(policy.qual, "governors::policy::Policy");
-        let variants: Vec<&str> = policy.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(variants, vec!["Conservative", "Ondemand", "Fixed"]);
-        let verdict = &set.enums[1];
-        assert_eq!(verdict.generics, "T");
-        let variants: Vec<&str> = verdict.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(variants, vec!["Pass", "Fail"]);
-        // Payload field names (`sample_ms`) are not variants, and the
-        // parser resynchronizes after the enums.
+        // Variant payloads are not items, and the parser resynchronizes
+        // after the enums.
         assert_eq!(set.fns.len(), 1);
         assert_eq!(set.fns[0].name, "after");
     }

@@ -1,11 +1,11 @@
 //! Shared justification-comment detection.
 //!
-//! Every dataflow pass accepts the same escape idiom the older passes
+//! The dataflow pass accepts the same escape idiom the older passes
 //! use: a `// <marker> <reason>` comment either trailing on the
 //! flagged line or anywhere in the contiguous comment/attribute block
 //! immediately above it. Markers are namespaced per lint (`dim:`,
-//! `snapshot:`, `probe:`, `units:`, `merge:`, …) so a justification
-//! silences exactly one pass.
+//! `units:`, `merge:`, …) so a justification silences exactly one
+//! pass.
 
 /// Whether the 1-based `line` of `text` carries a `// <marker>`
 /// justification — trailing on the line itself, or in the contiguous
@@ -61,8 +61,8 @@ mod tests {
 
     #[test]
     fn markers_are_namespaced() {
-        let text = "let b = t * p; // snapshot: not a dim escape\n";
-        assert!(justified(text, 1, "snapshot:"));
+        let text = "let b = t * p; // units: not a dim escape\n";
+        assert!(justified(text, 1, "units:"));
         assert!(!justified(text, 1, "dim:"));
     }
 }

@@ -38,7 +38,6 @@ pub mod cfg;
 pub mod config;
 pub mod dataflow;
 pub mod diag;
-pub mod fieldindex;
 pub mod items;
 pub mod justify;
 pub mod lex;

@@ -16,11 +16,8 @@ pub mod layering;
 pub mod merge_associativity;
 pub mod panic_reachability;
 pub mod partial_cmp;
-pub mod probe_balance;
 pub mod probe_purity;
-pub mod snapshot_pairing;
 pub mod stale_config;
-pub mod state_coverage;
 pub mod sync_hygiene;
 pub mod units_escape;
 
@@ -52,10 +49,7 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(partial_cmp::PartialCmp),
         Box::new(layering::CrateLayering),
         Box::new(determinism_taint::DeterminismTaint),
-        Box::new(state_coverage::StateCoverage),
         Box::new(merge_associativity::MergeAssociativity),
-        Box::new(snapshot_pairing::SnapshotPairing),
-        Box::new(probe_balance::ProbeBalance),
         Box::new(stale_config::StaleConfig),
         Box::new(sync_hygiene::SyncHygiene),
         Box::new(probe_purity::ProbePurity),

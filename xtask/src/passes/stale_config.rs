@@ -3,14 +3,14 @@
 //!
 //! Allowlists and scan scopes rot silently: a file rename strips an
 //! `[allow]` prefix of its targets, a function rename orphans a
-//! `[panic-reachability]` entry, a struct rename turns a
-//! `[state-coverage]` contract into a no-op — and every one of those
-//! *weakens* the gate without failing it. This pass generalizes PR-7's
-//! per-pass stale-entry notes into one sweep: lint ids in `[levels]` /
-//! `[allow]` must be registered passes, path prefixes must match at
-//! least one loaded file, package names in `[layering]` must exist in a
-//! manifest, and qualified function/struct paths must resolve in the
-//! item tree. Findings are errors — a config that names ghosts fails
+//! `[panic-reachability]` entry, a type rename turns a
+//! `[merge-associativity]` mergeable type into a no-op — and every one
+//! of those *weakens* the gate without failing it. This pass generalizes
+//! the older per-pass stale-entry notes into one sweep: lint ids in
+//! `[levels]` / `[allow]` must be registered passes, path prefixes must
+//! match at least one loaded file, package names in `[layering]` must
+//! exist in a manifest, and qualified function paths and mergeable type
+//! names must resolve in the item tree. Findings are errors — a config that names ghosts fails
 //! the run, so the file can only describe the tree as it is.
 //!
 //! `[units-escape] unit_types` is exempt: the unit newtypes are
@@ -56,13 +56,6 @@ impl super::Pass for StaleConfig {
             .flat_map(|f| f.items.fns.iter())
             .filter(|m| !m.in_test)
             .map(|m| m.qual.as_str())
-            .collect();
-        let struct_quals: BTreeSet<&str> = cx
-            .files
-            .iter()
-            .flat_map(|f| f.items.structs.iter())
-            .filter(|s| !s.in_test)
-            .map(|s| s.qual.as_str())
             .collect();
         let struct_names: BTreeSet<&str> = cx
             .files
@@ -139,7 +132,7 @@ impl super::Pass for StaleConfig {
                 }
             }
         }
-        // Qualified function paths.
+        // Qualified function paths and mergeable type names.
         if have_files {
             for (what, quals) in [
                 ("[panic-reachability] allow", &cx.config.panic_allow),
@@ -148,7 +141,6 @@ impl super::Pass for StaleConfig {
                     &cx.config.taint_source_fns,
                 ),
                 ("[merge-associativity] sink_fns", &cx.config.merge_sink_fns),
-                ("[snapshot-pairing] fns", &cx.config.snapshot_fns),
             ] {
                 for qual in quals {
                     if !fn_quals.contains(qual.as_str()) {
@@ -156,29 +148,10 @@ impl super::Pass for StaleConfig {
                     }
                 }
             }
-            for (ty, methods) in &cx.config.state_coverage {
-                if !struct_quals.contains(ty.as_str()) {
-                    err(format!("[state-coverage] key `{ty}` resolves to no struct"));
-                }
-                for m in methods {
-                    if !fn_quals.contains(m.as_str()) {
-                        err(format!(
-                            "[state-coverage] \"{ty}\" entry `{m}` resolves to no function"
-                        ));
-                    }
-                }
-            }
             for ty in &cx.config.merge_mergeable_types {
                 if !struct_names.contains(ty.as_str()) {
                     err(format!(
                         "[merge-associativity] mergeable_types entry `{ty}` resolves to no struct"
-                    ));
-                }
-            }
-            for qual in cx.config.probe_balance.keys() {
-                if !fn_quals.contains(qual.as_str()) {
-                    err(format!(
-                        "[probe-balance] key `{qual}` resolves to no function"
                     ));
                 }
             }
@@ -219,7 +192,7 @@ mod tests {
     #[test]
     fn resolvable_entries_are_clean() {
         let diags = StaleConfig.run(&cx(
-            "[allow]\nunits-escape = [\"crates/soc/\"]\n\n[state-coverage]\n\"soc::agg::Report\" = [\"soc::agg::Report::merge\"]\n\n[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\nmergeable_types = [\"Report\"]\n",
+            "[allow]\nunits-escape = [\"crates/soc/\"]\n\n[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\nmergeable_types = [\"Report\"]\n",
         ));
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -256,36 +229,18 @@ mod tests {
     }
 
     #[test]
-    fn orphaned_function_and_struct_quals_are_flagged() {
+    fn orphaned_function_quals_and_type_names_are_flagged() {
         let diags = StaleConfig.run(&cx(
-            "[panic-reachability]\nallow = [\"soc::agg::gone\"]\n\n[state-coverage]\n\"soc::agg::Ghost\" = [\"soc::agg::Report::merge\"]\n\n[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\nmergeable_types = [\"Ghost\"]\n",
-        ));
-        let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-        assert_eq!(diags.len(), 3, "{diags:?}");
-        assert!(msgs
-            .iter()
-            .any(|m| m.contains("`soc::agg::gone` resolves to no function")));
-        assert!(msgs
-            .iter()
-            .any(|m| m.contains("key `soc::agg::Ghost` resolves to no struct")));
-        assert!(msgs
-            .iter()
-            .any(|m| m.contains("mergeable_types entry `Ghost`")));
-    }
-
-    #[test]
-    fn orphaned_dataflow_contracts_are_flagged() {
-        let diags = StaleConfig.run(&cx(
-            "[snapshot-pairing]\nfns = [\"soc::agg::gone\"]\n\n[probe-balance]\n\"soc::agg::ghost\" = [\"attach\", \"detach\"]\n",
+            "[panic-reachability]\nallow = [\"soc::agg::gone\"]\n\n[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\nmergeable_types = [\"Ghost\"]\n",
         ));
         let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
         assert_eq!(diags.len(), 2, "{diags:?}");
         assert!(msgs
             .iter()
-            .any(|m| m.contains("[snapshot-pairing] fns entry `soc::agg::gone`")));
+            .any(|m| m.contains("`soc::agg::gone` resolves to no function")));
         assert!(msgs
             .iter()
-            .any(|m| m.contains("[probe-balance] key `soc::agg::ghost`")));
+            .any(|m| m.contains("mergeable_types entry `Ghost`")));
     }
 
     #[test]

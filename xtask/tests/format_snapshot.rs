@@ -84,27 +84,23 @@ fn both_formats_are_valid_when_empty() {
 /// pass so the rendering contract can't drift silently.
 #[test]
 fn explain_output_is_stable() {
-    let expected = "probe-balance — configured attach/detach probe pairs must balance on every control-flow path\n\n\
-Checks that paired probe events balance on every control-flow path\n\
-through each configured function: the set of possible\n\
-attach−detach imbalances is pushed forward over the function's\n\
-CFG ({0} on entry, branch joins union the possibilities), and any\n\
-nonzero imbalance that can reach the function's exit — `return`\n\
-and `?` paths included — is an error. A function with one attach\n\
-and one detach can still fail: the early-return path leaks the\n\
-probe.\n\
+    let expected = "merge-associativity — no raw f64 accumulation in code reachable from shard-merge sinks\n\n\
+Walks the call graph from the configured shard-merge sinks and\n\
+flags raw `f64` accumulation (`+=`, `sum()`, fold-style updates)\n\
+reachable from them: float addition is not associative, so\n\
+accumulating in shard-arrival order makes fleet reports depend\n\
+on scheduling. Accumulation through a declared mergeable sketch\n\
+type is trusted.\n\
 \n\
-Imbalance magnitudes cap at 9 (reported `9+`), which keeps\n\
-attach-in-a-loop states finite.\n\
-\n\
-Config (`xtask.toml`): qualified function -> [open, close]:\n\
-[probe-balance]\n\
-\"campaign::runner::Runner::run_page_observed\" = [\"attach_probe\", \"detach_probe\"]\n\
-With no entries the pass is inert.\n\
-Justification: `// probe: <reason>` at the function's declaration\n\
-line or in the comment block directly above it.\n";
+Config (`xtask.toml`):\n\
+[merge-associativity]\n\
+sink_fns = [\"campaign::fleet::report::FleetReport::merge\"]\n\
+mergeable_types = [\"FixedHistogram\", \"Running\"]\n\
+Justification: `// merge: <reason>` on the flagged line or in\n\
+the comment block directly above it (say why the fold order is\n\
+stable).\n";
     assert_eq!(
-        render::explain("probe-balance").expect("known id"),
+        render::explain("merge-associativity").expect("known id"),
         expected
     );
 }
@@ -135,7 +131,7 @@ fn every_pass_has_substantive_explain_text() {
 fn explain_rejects_unknown_ids_listing_known_ones() {
     let err = render::explain("no-such-lint").expect_err("must reject");
     assert!(err.contains("unknown lint id `no-such-lint`"), "{err}");
-    for id in ["dimensional-flow", "snapshot-pairing", "probe-balance"] {
+    for id in ["dimensional-flow", "merge-associativity", "stale-config"] {
         assert!(err.contains(id), "known-id list missing {id}: {err}");
     }
 }

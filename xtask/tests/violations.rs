@@ -415,54 +415,6 @@ fn hash_map_taint_reaching_export_fails_and_btreemap_passes() {
 }
 
 #[test]
-fn uncovered_snapshot_field_fails_and_skip_marker_passes() {
-    let config = Config::from_toml(
-        "[state-coverage]\n\"soc::snap::Snap\" = [\"soc::snap::Board::restore\"]\n",
-    )
-    .expect("config");
-    // `restore` transfers `seed` but forgets `energy`.
-    let src = "pub struct Snap {\n    pub seed: u64,\n    pub energy: f64,\n}\npub struct Board;\nimpl Board {\n    pub fn restore(&mut self, s: &Snap) {\n        let _ = s.seed;\n    }\n}\n";
-    let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/snap.rs", src)],
-        config: config.clone(),
-        ..Context::default()
-    };
-    assert_eq!(exit_code(&cx), 1);
-    let diags = run_passes(&cx);
-    let hit = diags
-        .iter()
-        .find(|d| d.lint == "state-coverage")
-        .expect("state-coverage must fire");
-    assert_eq!(hit.span.file, "crates/soc/src/snap.rs");
-    assert_eq!(hit.span.line, 7, "{hit:?}");
-    assert!(
-        hit.message.contains(
-            "`soc::snap::Board::restore` does not access field `energy` of `soc::snap::Snap`"
-        ),
-        "{hit:?}"
-    );
-    assert!(
-        hit.help.as_deref().is_some_and(|h| {
-            h.contains("transfer the field, or add `// state: skip(<reason>)`")
-                && h.contains("crates/soc/src/snap.rs:3")
-        }),
-        "{hit:?}"
-    );
-
-    // A justified skip on the field's declaration repairs the tree.
-    let repaired = src.replace(
-        "    pub energy: f64,",
-        "    // state: skip(recomputed from seed on restore)\n    pub energy: f64,",
-    );
-    let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/snap.rs", repaired)],
-        config,
-        ..Context::default()
-    };
-    assert!(!lint_fires(&cx, "state-coverage"));
-}
-
-#[test]
 fn raw_f64_fold_under_merge_sink_fails_and_sketch_type_passes() {
     let config = Config::from_toml(
         "[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\nmergeable_types = [\"Hist\"]\n",
@@ -510,12 +462,12 @@ fn raw_f64_fold_under_merge_sink_fails_and_sketch_type_passes() {
 
 #[test]
 fn stale_config_entry_fails_and_resolving_entry_passes() {
-    let src = "pub struct Snap {\n    pub seed: u64,\n}\npub struct Board;\nimpl Board {\n    pub fn restore(&mut self, s: &Snap) {\n        let _ = s.seed;\n    }\n}\n";
-    // The config points state-coverage at a struct that no longer exists.
+    let src = "pub struct Report {\n    pub sessions: u64,\n}\nimpl Report {\n    pub fn merge(&mut self, other: &Report) {\n        self.sessions += other.sessions;\n    }\n}\n";
+    // The config points merge-associativity at a sink that no longer exists.
     let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/snap.rs", src)],
+        files: vec![SourceFile::new("crates/soc/src/agg.rs", src)],
         config: Config::from_toml(
-            "[state-coverage]\n\"soc::snap::Gone\" = [\"soc::snap::Board::restore\"]\n",
+            "[merge-associativity]\nsink_fns = [\"soc::agg::Gone::merge\"]\n",
         )
         .expect("config"),
         ..Context::default()
@@ -528,8 +480,9 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
         .expect("stale-config must fire");
     assert_eq!(hit.span.file, "xtask/xtask.toml");
     assert!(
-        hit.message
-            .contains("[state-coverage] key `soc::snap::Gone` resolves to no struct"),
+        hit.message.contains(
+            "[merge-associativity] sink_fns entry `soc::agg::Gone::merge` resolves to no function"
+        ),
         "{hit:?}"
     );
     assert!(
@@ -539,11 +492,11 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
         "{hit:?}"
     );
 
-    // The same entry pointed at the live struct passes.
+    // The same entry pointed at the live function passes.
     let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/snap.rs", src)],
+        files: vec![SourceFile::new("crates/soc/src/agg.rs", src)],
         config: Config::from_toml(
-            "[state-coverage]\n\"soc::snap::Snap\" = [\"soc::snap::Board::restore\"]\n",
+            "[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\n",
         )
         .expect("config"),
         ..Context::default()
@@ -552,7 +505,7 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
 
     // A dangling path prefix is caught the same way.
     let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/snap.rs", src)],
+        files: vec![SourceFile::new("crates/soc/src/agg.rs", src)],
         config: Config::from_toml("[allow]\n\"partial-cmp\" = [\"crates/gone/src/\"]\n")
             .expect("config"),
         ..Context::default()
@@ -565,99 +518,6 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
                 .contains("prefix `crates/gone/src/` matches no loaded file")),
         "{diags:?}"
     );
-}
-
-#[test]
-fn leaked_snapshot_fails_and_all_paths_restored_passes() {
-    let config = Config::from_toml("[snapshot-pairing]\nfns = [\"campaign::runner::sweep\"]\n")
-        .expect("config");
-    // The early return leaks `snap`: nothing consumed it on that path.
-    let src = "pub fn sweep(board: &mut Board) {\n    let snap = board.snapshot();\n    if bail() {\n        return;\n    }\n    board.restore(snap);\n}\n";
-    let cx = Context {
-        files: vec![SourceFile::new("crates/campaign/src/runner.rs", src)],
-        config: config.clone(),
-        ..Context::default()
-    };
-    assert_eq!(exit_code(&cx), 1);
-    let diags = run_passes(&cx);
-    let hit = diags
-        .iter()
-        .find(|d| d.lint == "snapshot-pairing")
-        .expect("snapshot-pairing must fire");
-    assert_eq!(hit.span.file, "crates/campaign/src/runner.rs");
-    assert_eq!(hit.span.line, 2, "anchored at the binding: {hit:?}");
-    assert!(
-        hit.message.contains(
-            "`snap` from `snapshot()` reaches the end of `campaign::runner::sweep` \
-             unused on some path"
-        ),
-        "{hit:?}"
-    );
-    assert!(
-        hit.help.as_deref().is_some_and(|h| {
-            h.contains("every path must consume the snapshot (normally via `restore()`)")
-                && h.contains("// snapshot: <reason>")
-        }),
-        "{hit:?}"
-    );
-
-    // Restoring before the early return repairs the tree.
-    let repaired = src.replace(
-        "    if bail() {\n        return;\n    }\n",
-        "    if bail() {\n        board.restore(snap);\n        return;\n    }\n",
-    );
-    let cx = Context {
-        files: vec![SourceFile::new("crates/campaign/src/runner.rs", repaired)],
-        config,
-        ..Context::default()
-    };
-    assert!(!lint_fires(&cx, "snapshot-pairing"));
-}
-
-#[test]
-fn unbalanced_probe_fails_and_detach_on_every_path_passes() {
-    let config = Config::from_toml(
-        "[probe-balance]\n\"campaign::runner::observe\" = [\"attach_probe\", \"detach_probe\"]\n",
-    )
-    .expect("config");
-    // The `?` exit escapes with the probe still attached.
-    let src = "pub fn observe(board: &mut Board) -> Result<f64, Error> {\n    let id = board.attach_probe(probe());\n    let sample = board.measure()?;\n    board.detach_probe(id);\n    Ok(sample)\n}\n";
-    let cx = Context {
-        files: vec![SourceFile::new("crates/campaign/src/runner.rs", src)],
-        config: config.clone(),
-        ..Context::default()
-    };
-    assert_eq!(exit_code(&cx), 1);
-    let diags = run_passes(&cx);
-    let hit = diags
-        .iter()
-        .find(|d| d.lint == "probe-balance")
-        .expect("probe-balance must fire");
-    assert_eq!(hit.span.file, "crates/campaign/src/runner.rs");
-    assert_eq!(hit.span.line, 1, "anchored at the function: {hit:?}");
-    assert!(
-        hit.message.contains(
-            "`attach_probe`/`detach_probe` can exit `campaign::runner::observe` \
-             unbalanced (+1 on some path)"
-        ),
-        "{hit:?}"
-    );
-    assert!(
-        hit.help.as_deref().is_some_and(|h| {
-            h.contains("must pair each `attach_probe` with a `detach_probe`")
-                && h.contains("// probe: <reason>")
-        }),
-        "{hit:?}"
-    );
-
-    // Detaching before the fallible call repairs the tree.
-    let repaired = "pub fn observe(board: &mut Board) -> Result<f64, Error> {\n    let id = board.attach_probe(probe());\n    let sample = board.measure();\n    board.detach_probe(id);\n    let sample = sample?;\n    Ok(sample)\n}\n";
-    let cx = Context {
-        files: vec![SourceFile::new("crates/campaign/src/runner.rs", repaired)],
-        config,
-        ..Context::default()
-    };
-    assert!(!lint_fires(&cx, "probe-balance"));
 }
 
 #[test]
