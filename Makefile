@@ -4,7 +4,7 @@
 # (ROADMAP.md: `cargo build --release && cargo test -q`).
 
 .PHONY: verify fmt lint xtask-lint sarif bless-api lint-fix build test \
-        bench check-interleave miri
+        bench miri
 
 verify: fmt lint xtask-lint build test
 
@@ -14,14 +14,13 @@ fmt:
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# The twelve-pass diagnostics framework (DESIGN.md §8, §12–§14),
+# The eleven-pass diagnostics framework (DESIGN.md §8, §12–§14),
 # configured by xtask/xtask.toml: panic reachability, units-escape
 # (unit-suffixed pub fields and typed-units boundary signatures),
 # dimensional flow, the partial_cmp ban, crate layering (plus workspace
 # lint inheritance), export determinism (export-file hash collections
 # and call-graph taint), merge associativity, stale-config validation,
-# sync hygiene, probe purity, paper-constant provenance, API-surface
-# snapshots. The crate headers are rustc's job (`[workspace.lints.rust]`
+# probe purity, paper-constant provenance, API-surface snapshots. The crate headers are rustc's job (`[workspace.lints.rust]`
 # in Cargo.toml), the DVFS tables check themselves at compile time, and
 # snapshot/restore/merge completeness is exhaustive destructuring.
 # `cargo run -p xtask -- lint --explain <lint-id>` prints any pass's
@@ -53,14 +52,6 @@ bench:
 	cargo bench -p dora-bench --bench parallel
 	cargo bench -p dora-bench --bench forksweep
 
-# Model-check the campaign executor under every bounded interleaving
-# (DESIGN.md §9): the interleave crate's own suite, then the executor
-# suite with the sync facade swapped to the model primitives.
-check-interleave:
-	cargo test -p interleave
-	RUSTFLAGS="--cfg interleave" cargo test -p dora-campaign
-
-# Undefined-behavior sweep of the concurrency layer (nightly-only).
+# Undefined-behavior sweep of the campaign executor (nightly-only).
 miri:
-	cargo +nightly miri test -p interleave --lib
 	cargo +nightly miri test -p dora-campaign --lib executor

@@ -136,7 +136,7 @@ pub(crate) fn evaluate_impl(
         .iter()
         .flat_map(|w| policies.iter().map(move |&p| (w, p)))
         .collect();
-    let results = executor.try_map(&grid, |&(workload, policy)| {
+    let results = executor.map(&grid, |&(workload, policy)| {
         let oracle_freqs = oracles.get(&workload.id());
         let mut governor = policy.governor(
             &config.board,
@@ -146,7 +146,8 @@ pub(crate) fn evaluate_impl(
             oracle_freqs,
         )?;
         Ok(run_scenario(workload, governor.as_mut(), config))
-    })?;
+    });
+    let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(Evaluation { results, oracles })
 }
 

@@ -17,15 +17,13 @@
 //! With `jobs == 1` the executor does not spawn at all — it *is* the
 //! sequential loop, byte for byte and allocation for allocation.
 //!
-//! All synchronization goes through [`crate::sync`], so building with
-//! `--cfg interleave` swaps in the model checker and
-//! `tests/interleave.rs` proves these guarantees hold under every
-//! bounded interleaving, not just the schedules the OS happens to pick.
-//! DESIGN.md §9 walks through the cursor protocol and the argument for
-//! why the first reported `try_map` error is schedule-independent.
+//! Fallible work returns `Result`s through [`Executor::map`] and the
+//! caller collects them, so the first error in input order is the one
+//! reported. DESIGN.md §9 gives the concurrency argument.
 
-use crate::sync::{thread, AtomicBool, AtomicUsize, Mutex, Ordering, PoisonError};
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 /// How many worker threads a campaign may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -154,96 +152,6 @@ impl Executor {
             .map(|slot| slot.expect("every index was claimed exactly once"))
             .collect()
     }
-
-    /// [`Executor::map`] for fallible work: the first error (in **input
-    /// order**, not completion order) wins, so error reporting is as
-    /// deterministic as the results.
-    ///
-    /// An error also cancels the remaining work: once any item fails, a
-    /// shared stop flag keeps workers from claiming further items (items
-    /// already claimed still run to completion). Cancellation cannot
-    /// change which error is reported — the cursor hands out indices in
-    /// order, so the smallest erroring index is always claimed, and
-    /// therefore always recorded, before any later error can stop the
-    /// fan-out.
-    #[allow(clippy::expect_used)] // in the Ok case every index was claimed
-    pub fn try_map<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(&T) -> Result<R, E> + Sync,
-    {
-        let workers = self.jobs.min(items.len());
-        if workers <= 1 {
-            return items.iter().map(f).collect();
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let first_err: Mutex<Option<(usize, E)>> = Mutex::new(None);
-        let batches: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            // ordering: a best-effort shutdown hint; the lock
-                            // around `first_err` already orders the error
-                            // itself, and a stale read here only costs one
-                            // extra item of work.
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // ordering: claim ticket, as in `map`.
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= items.len() {
-                                break;
-                            }
-                            match f(&items[idx]) {
-                                Ok(result) => local.push((idx, result)),
-                                Err(err) => {
-                                    let mut slot =
-                                        first_err.lock().unwrap_or_else(PoisonError::into_inner);
-                                    if slot.as_ref().is_none_or(|(seen, _)| idx < *seen) {
-                                        *slot = Some((idx, err));
-                                    }
-                                    drop(slot);
-                                    // ordering: pure flag; see the load above.
-                                    stop.store(true, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut batches = Vec::with_capacity(workers);
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => batches.push(local),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            batches
-        });
-
-        if let Some((_, err)) = first_err
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
-            return Err(err);
-        }
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        for (idx, result) in batches.into_iter().flatten() {
-            slots[idx] = Some(result);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.expect("no error recorded, so every index was claimed"))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -292,51 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn try_map_reports_first_error_in_input_order() {
-        let items: Vec<u64> = (0..32).collect();
-        let result = Executor::new(Parallelism::Fixed(4)).try_map(&items, |&x| {
-            if x % 10 == 3 {
-                Err(x)
-            } else {
-                Ok(x)
-            }
-        });
-        assert_eq!(result, Err(3));
-        let ok = Executor::new(Parallelism::Fixed(4)).try_map(&items, |&x| Ok::<u64, ()>(x * 2));
-        assert_eq!(ok, Ok(items.iter().map(|&x| x * 2).collect::<Vec<_>>()));
-    }
-
-    #[test]
-    fn try_map_cancels_remaining_work_after_an_error() {
-        use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
-
-        let items: Vec<u64> = (0..4096).collect();
-        let processed = StdAtomicUsize::new(0);
-        let result = Executor::new(Parallelism::Fixed(4)).try_map(&items, |&x| {
-            processed.fetch_add(1, StdOrdering::SeqCst);
-            if x == 0 {
-                Err("item 0 failed")
-            } else {
-                // Enough busywork that cancellation can outrun the sweep.
-                let mut acc = x;
-                for i in 0..5_000 {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-                }
-                Ok(acc)
-            }
-        });
-        // The error is deterministic even though cancellation raced the
-        // other workers; far fewer than all items should have run.
-        assert_eq!(result, Err("item 0 failed"));
-        let ran = processed.load(StdOrdering::SeqCst);
-        assert!(
-            ran < items.len(),
-            "cancellation should skip most of the {} items, but {ran} ran",
-            items.len()
-        );
-    }
-
-    #[test]
     fn worker_panics_propagate() {
         let items: Vec<u64> = (0..16).collect();
         let caught = std::panic::catch_unwind(|| {
@@ -352,28 +215,26 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// `map` is bit-identical to the sequential loop for arbitrary
-        /// item and worker counts, including the degenerate ones.
+        /// item and worker counts, including the degenerate ones, and
+        /// calls `f` exactly once per item: a doubly claimed index
+        /// would leave the output of a pure `f` unchanged, so only the
+        /// per-item call counts can see it.
         #[test]
         fn map_matches_sequential_for_arbitrary_shapes(
             items in prop::collection::vec(0u64..1_000_000, 0..40),
             workers in 1usize..9,
         ) {
-            let parallel = Executor::new(Parallelism::Fixed(workers)).map(&items, |&x| x * 3 + 1);
+            let tagged: Vec<(usize, u64)> = items.iter().copied().enumerate().collect();
+            let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            let parallel = Executor::new(Parallelism::Fixed(workers)).map(&tagged, |&(i, x)| {
+                calls[i].fetch_add(1, Ordering::SeqCst);
+                x * 3 + 1
+            });
             let sequential: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
             prop_assert_eq!(parallel, sequential);
-        }
-
-        /// `try_map` reports the smallest erroring index for arbitrary
-        /// error sets, or the full sequential result when none errors.
-        #[test]
-        fn try_map_error_choice_is_schedule_independent(
-            items in prop::collection::vec(0u64..50, 0..40),
-            workers in 1usize..9,
-        ) {
-            let verdict = |&x: &u64| if x % 5 == 0 { Err(x) } else { Ok(x * 2) };
-            let got = Executor::new(Parallelism::Fixed(workers)).try_map(&items, verdict);
-            let expected: Result<Vec<u64>, u64> = items.iter().map(verdict).collect();
-            prop_assert_eq!(got, expected);
+            for count in &calls {
+                prop_assert_eq!(count.load(Ordering::SeqCst), 1);
+            }
         }
     }
 }

@@ -251,7 +251,7 @@ pub(crate) fn run_fleet(
         .step_by(usize::try_from(shard_size).unwrap_or(usize::MAX))
         .map(|start| (start, (start + shard_size).min(config.sessions)))
         .collect();
-    let shard_reports = executor.try_map(
+    let shard_reports = executor.map(
         &shards,
         |&(start, end)| -> Result<FleetReport, FleetError> {
             let mut report = FleetReport::empty(config.seed, &governor_names);
@@ -293,7 +293,8 @@ pub(crate) fn run_fleet(
             }
             Ok(report)
         },
-    )?;
+    );
+    let shard_reports = shard_reports.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     // Phase 4 — the deterministic left fold, in shard-index order.
     let mut merged = FleetReport::empty(config.seed, &governor_names);

@@ -59,7 +59,6 @@ pub mod fleet;
 pub mod policy;
 pub mod runner;
 pub mod session;
-pub(crate) mod sync;
 pub mod training;
 pub mod workload;
 

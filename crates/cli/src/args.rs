@@ -15,17 +15,29 @@ pub struct Args {
 const BOOLEAN_FLAGS: [&str; 3] = ["quick", "trace", "oracle"];
 
 impl Args {
-    /// Parses a raw argument list.
+    /// Parses a raw argument list against the flags (names without the
+    /// leading `--`) the subcommand accepts.
     ///
     /// # Errors
     ///
-    /// Rejects options missing a required value.
-    pub fn parse(raw: &[String]) -> Result<Args, String> {
+    /// Rejects a flag outside `accepted`, naming it and listing the
+    /// accepted ones, and options missing a required value.
+    pub fn parse(raw: &[String], accepted: &[&str]) -> Result<Args, String> {
         let mut args = Args::default();
         let mut i = 0;
         while i < raw.len() {
             let token = &raw[i];
             if let Some(name) = token.strip_prefix("--") {
+                if !accepted.contains(&name) {
+                    return Err(if accepted.is_empty() {
+                        format!("unknown flag --{name}; this command takes no flags")
+                    } else {
+                        format!(
+                            "unknown flag --{name}; accepted: --{}",
+                            accepted.join(", --")
+                        )
+                    });
+                }
                 if BOOLEAN_FLAGS.contains(&name) {
                     args.options.insert(name.to_string(), None);
                 } else {
@@ -211,20 +223,21 @@ impl Args {
 mod tests {
     use super::*;
 
+    /// Every flag the tests below pass.
+    const FLAGS: &[&str] = &[
+        "page", "quick", "mpki", "deadline", "out", "jobs", "seed", "format", "trace", "soc",
+    ];
+
     fn strings(parts: &[&str]) -> Vec<String> {
         parts.iter().map(ToString::to_string).collect()
     }
 
     #[test]
     fn parses_mixed_arguments() {
-        let a = Args::parse(&strings(&[
-            "models.txt",
-            "--page",
-            "Reddit",
-            "--quick",
-            "--mpki",
-            "5.5",
-        ]))
+        let a = Args::parse(
+            &strings(&["models.txt", "--page", "Reddit", "--quick", "--mpki", "5.5"]),
+            FLAGS,
+        )
         .expect("valid");
         assert_eq!(a.positional(0), Some("models.txt"));
         assert_eq!(a.get("page"), Some("Reddit"));
@@ -235,24 +248,24 @@ mod tests {
 
     #[test]
     fn missing_value_rejected() {
-        assert!(Args::parse(&strings(&["--page"])).is_err());
-        assert!(Args::parse(&strings(&["--page", "--quick"])).is_err());
+        assert!(Args::parse(&strings(&["--page"]), FLAGS).is_err());
+        assert!(Args::parse(&strings(&["--page", "--quick"]), FLAGS).is_err());
     }
 
     #[test]
     fn bad_number_rejected() {
         for bad in ["lots", "nan", "inf", "-inf", "NaN"] {
-            let a = Args::parse(&strings(&["--mpki", bad])).expect("parses");
+            let a = Args::parse(&strings(&["--mpki", bad]), FLAGS).expect("parses");
             assert!(a.get_f64("mpki", 0.0).is_err(), "--mpki {bad}");
         }
     }
 
     #[test]
     fn deadline_must_be_finite_and_positive() {
-        let absent = Args::parse(&[]).expect("parses").deadline();
+        let absent = Args::parse(&[], FLAGS).expect("parses").deadline();
         assert_eq!(absent, Ok(Seconds::new(3.0)));
         for bad in ["0", "-1", "nan", "inf"] {
-            let a = Args::parse(&strings(&["--deadline", bad])).expect("parses");
+            let a = Args::parse(&strings(&["--deadline", bad]), FLAGS).expect("parses");
             let err = a.deadline().expect_err(bad);
             assert!(err.contains("--deadline"), "{err}");
         }
@@ -260,14 +273,14 @@ mod tests {
 
     #[test]
     fn require_reports_flag_name() {
-        let a = Args::parse(&[]).expect("parses");
+        let a = Args::parse(&[], FLAGS).expect("parses");
         let err = a.require("out").expect_err("absent");
         assert!(err.contains("--out"));
     }
 
     /// The executor `--jobs <value>` resolves to.
     fn executor_for(value: &str) -> Executor {
-        Args::parse(&strings(&["--jobs", value]))
+        Args::parse(&strings(&["--jobs", value]), FLAGS)
             .expect("parses")
             .executor()
             .expect("valid width")
@@ -275,14 +288,17 @@ mod tests {
 
     #[test]
     fn jobs_flag_selects_executor_width() {
-        let default = Args::parse(&[]).expect("parses").executor().expect("auto");
+        let default = Args::parse(&[], FLAGS)
+            .expect("parses")
+            .executor()
+            .expect("auto");
         assert!(default.jobs() >= 1);
         assert_eq!(executor_for("1").jobs(), 1);
         assert_eq!(executor_for("4").jobs(), 4);
         for bad in ["-2", "many", "1.5", ""] {
             // "-2" may already fail at parse; anything that parses must
             // be rejected by executor().
-            if let Ok(a) = Args::parse(&strings(&["--jobs", bad])) {
+            if let Ok(a) = Args::parse(&strings(&["--jobs", bad]), FLAGS) {
                 assert!(a.executor().is_err(), "--jobs {bad} must be rejected");
             }
         }
@@ -290,9 +306,10 @@ mod tests {
 
     #[test]
     fn common_args_share_one_grammar() {
-        let a = Args::parse(&strings(&[
-            "--jobs", "2", "--seed", "7", "--format", "csv", "--trace",
-        ]))
+        let a = Args::parse(
+            &strings(&["--jobs", "2", "--seed", "7", "--format", "csv", "--trace"]),
+            FLAGS,
+        )
         .expect("parses");
         let common = a.common(42).expect("valid");
         assert_eq!(common.executor.jobs(), 2);
@@ -300,27 +317,33 @@ mod tests {
         assert_eq!(common.format, OutputFormat::Csv);
         assert!(common.trace);
 
-        let defaults = Args::parse(&[]).expect("parses").common(42).expect("valid");
+        let defaults = Args::parse(&[], FLAGS)
+            .expect("parses")
+            .common(42)
+            .expect("valid");
         assert_eq!(defaults.seed, 42);
         assert_eq!(defaults.format, OutputFormat::Text);
         assert!(!defaults.trace);
 
-        let bad = Args::parse(&strings(&["--format", "yaml"])).expect("parses");
+        let bad = Args::parse(&strings(&["--format", "yaml"]), FLAGS).expect("parses");
         let err = bad.common(42).expect_err("unknown format");
         assert!(err.contains("yaml"), "{err}");
     }
 
     #[test]
     fn soc_flag_selects_a_registry_profile() {
-        let default = Args::parse(&[]).expect("parses").soc().expect("default");
+        let default = Args::parse(&[], FLAGS)
+            .expect("parses")
+            .soc()
+            .expect("default");
         assert_eq!(default.name(), "msm8974");
-        let bl = Args::parse(&strings(&["--soc", "biglittle-a15a7"]))
+        let bl = Args::parse(&strings(&["--soc", "biglittle-a15a7"]), FLAGS)
             .expect("parses")
             .soc()
             .expect("registered");
         assert_eq!(bl.name(), "biglittle-a15a7");
         assert_eq!(bl.board_config().clusters.len(), 2);
-        let err = Args::parse(&strings(&["--soc", "exynos9"]))
+        let err = Args::parse(&strings(&["--soc", "exynos9"]), FLAGS)
             .expect("parses")
             .soc()
             .expect_err("unknown profile");
@@ -335,7 +358,10 @@ mod tests {
         // `--jobs 0` and the flag's absence both mean auto: one worker
         // per available core, exactly what Parallelism::Auto resolves to.
         let auto = Executor::new(Parallelism::Auto).jobs();
-        let absent = Args::parse(&[]).expect("parses").executor().expect("auto");
+        let absent = Args::parse(&[], FLAGS)
+            .expect("parses")
+            .executor()
+            .expect("auto");
         assert_eq!(absent.jobs(), auto);
         assert_eq!(executor_for("0").jobs(), auto);
         // Explicit widths round-trip verbatim, matching Fixed(n).

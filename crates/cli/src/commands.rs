@@ -15,7 +15,7 @@ use dora_experiments::pipeline::{Pipeline, Scale};
 
 /// `dora train`: run the offline campaign and write the model bundle.
 pub fn train(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["out", "quick", "seed", "jobs"])?;
     let out = args.require("out")?;
     let common = args.common(42)?;
     let scale = if args.flag("quick") {
@@ -50,7 +50,7 @@ fn load_models(path: &str) -> Result<DoraModels, String> {
 
 /// `dora inspect`: summarize a persisted model bundle.
 pub fn inspect(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[])?;
     let path = args
         .positional(0)
         .ok_or("usage: dora inspect <models.txt>")?;
@@ -89,7 +89,7 @@ pub fn inspect(raw: &[String]) -> Result<(), String> {
 
 /// `dora profile`: extract Table I features from an HTML file.
 pub fn profile(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[])?;
     let path = args
         .positional(0)
         .ok_or("usage: dora profile <page.html>")?;
@@ -121,7 +121,7 @@ fn resolve_page(args: &Args) -> Result<PageFeatures, String> {
 
 /// `dora predict`: print the Algorithm 1 curve and decision.
 pub fn predict(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["page", "html", "mpki", "util", "temp", "deadline"])?;
     let path = args
         .positional(0)
         .ok_or("usage: dora predict <models.txt> --page NAME")?;
@@ -253,7 +253,12 @@ fn governed_policy(name: &str) -> Result<Policy, String> {
 
 /// `dora govern`: simulate one governed page load.
 pub fn govern(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(
+        raw,
+        &[
+            "page", "kernel", "deadline", "governor", "trace", "soc", "seed",
+        ],
+    )?;
     let path = args
         .positional(0)
         .ok_or("usage: dora govern <models.txt> --page NAME")?;
@@ -327,7 +332,7 @@ pub fn govern(raw: &[String]) -> Result<(), String> {
 
 /// `dora csv`: run a workload slice under one stock governor, emit CSV.
 pub fn csv(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["page", "kernel", "governor", "jobs", "seed", "soc"])?;
     let page = args.require("page")?;
     let all = WorkloadSet::paper54();
     let slice: Vec<Workload> = all
@@ -371,7 +376,12 @@ pub fn csv(raw: &[String]) -> Result<(), String> {
 /// the sharded executor and report fleet-wide battery-life deltas per
 /// governor.
 pub fn fleet(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(
+        raw,
+        &[
+            "sessions", "shard", "oracle", "deadline", "jobs", "seed", "format", "quick", "soc",
+        ],
+    )?;
     let common = args.common(42)?;
     let deadline = args.deadline()?;
     let mut config = FleetConfig {
@@ -422,7 +432,10 @@ pub fn fleet(raw: &[String]) -> Result<(), String> {
 /// `dora session`: run a multi-page browsing session under a governor.
 pub fn session(raw: &[String]) -> Result<(), String> {
     use dora_campaign::session::{run_session, SessionConfig};
-    let args = Args::parse(raw)?;
+    let args = Args::parse(
+        raw,
+        &["pages", "kernel", "governor", "deadline", "soc", "seed"],
+    )?;
     let catalog = Catalog::alexa18();
     let itinerary = args.get("pages").unwrap_or("Reddit,CNN,Amazon,MSN");
     let pages: Result<Vec<_>, String> = itinerary
@@ -483,7 +496,8 @@ pub fn session(raw: &[String]) -> Result<(), String> {
 }
 
 /// `dora pages`: list the catalog.
-pub fn pages() -> Result<(), String> {
+pub fn pages(raw: &[String]) -> Result<(), String> {
+    Args::parse(raw, &[])?;
     let catalog = Catalog::alexa18();
     println!(
         "{:<12} {:<6} {:<9} {:>7} {:>7} {:>6} {:>6} {:>6}",
@@ -506,7 +520,8 @@ pub fn pages() -> Result<(), String> {
 }
 
 /// `dora kernels`: list the co-run suite.
-pub fn kernels() -> Result<(), String> {
+pub fn kernels(raw: &[String]) -> Result<(), String> {
+    Args::parse(raw, &[])?;
     println!(
         "{:<18} {:<8} {:>10} {:>10}",
         "kernel", "class", "mean APKI", "duty"

@@ -1,17 +1,24 @@
 //! `dora` — the command-line face of the reproduction.
 //!
 //! ```text
-//! dora train   [--quick] [--seed N] [--jobs N] --out models.txt
+//! dora train   [--quick] [--seed N] [--jobs N] --out <models.txt>
 //! dora inspect <models.txt>
 //! dora profile <page.html>
 //! dora predict <models.txt> (--page NAME | --html FILE)
 //!              [--mpki X] [--util X] [--temp C] [--deadline S]
 //! dora govern  <models.txt> --page NAME [--kernel NAME] [--deadline S]
 //!              [--governor dora|interactive|performance|powersave] [--trace]
-//!              [--soc PROFILE]
+//!              [--seed N] [--soc PROFILE]
 //! dora csv     --page NAME [--kernel NAME] [--governor NAME] [--jobs N]
+//!              [--seed N] [--soc PROFILE]
 //! dora fleet   [<models.txt>] [--sessions N] [--shard N] [--oracle]
-//!              [--jobs N] [--seed N] [--format text|csv] [--soc PROFILE] [--quick]
+//!              [--deadline S] [--jobs N] [--seed N] [--format text|csv]
+//!              [--quick] [--soc PROFILE]
+//! dora session [<models.txt>] [--pages A,B,C] [--kernel NAME]
+//!              [--governor dora|interactive|performance|powersave]
+//!              [--deadline S] [--seed N] [--soc PROFILE]
+//! dora pages
+//! dora kernels
 //! ```
 //!
 //! Argument parsing is hand-rolled: the grammar is small and the
@@ -33,22 +40,24 @@ USAGE:
                [--mpki X] [--util X] [--temp C] [--deadline S]
   dora govern  <models.txt> --page NAME [--kernel NAME] [--deadline S]
                [--governor dora|interactive|performance|powersave] [--trace]
-               [--soc PROFILE]
+               [--seed N] [--soc PROFILE]
   dora csv     --page NAME [--kernel NAME] [--governor NAME] [--jobs N]
+               [--seed N] [--soc PROFILE]
   dora fleet   [<models.txt>] [--sessions N] [--shard N] [--oracle]
                [--deadline S] [--jobs N] [--seed N] [--format text|csv]
                [--quick] [--soc PROFILE]
   dora session [<models.txt>] [--pages A,B,C] [--kernel NAME]
                [--governor dora|interactive|performance|powersave]
-               [--soc PROFILE]
+               [--deadline S] [--seed N] [--soc PROFILE]
   dora pages
   dora kernels
 
-Campaign and fleet commands share --jobs/--seed/--format/--trace/--soc
-and fan scenarios out over all cores; results are bit-identical at any
-width. --jobs 1 forces the classic sequential loop. `dora fleet` streams
-the sampled device population through mergeable sketches, so memory
-stays flat no matter how many sessions you ask for.
+Each command accepts only the flags shown for it; any other flag is an
+error. Campaign and fleet commands fan scenarios out over all cores;
+results are bit-identical at any width. --jobs 1 forces the classic
+sequential loop. `dora fleet` streams the sampled device population
+through mergeable sketches, so memory stays flat no matter how many
+sessions you ask for.
 
 --soc selects the SoC profile (msm8974, the paper's platform, or
 biglittle-a15a7, a two-cluster big.LITTLE part); on multi-cluster
@@ -86,8 +95,8 @@ fn main() -> ExitCode {
         "csv" => commands::csv(rest),
         "fleet" => commands::fleet(rest),
         "session" => commands::session(rest),
-        "pages" => commands::pages(),
-        "kernels" => commands::kernels(),
+        "pages" => commands::pages(rest),
+        "kernels" => commands::kernels(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

@@ -148,7 +148,51 @@ fn bad_numeric_flags_exit_1_naming_the_flag() {
 }
 
 #[test]
-#[ignore = "runs six governed loads twice (~minute in debug); run in release"]
+fn unknown_and_foreign_flags_exit_1_naming_the_flag() {
+    // Flags are checked before any file is read or any load is
+    // simulated, so the missing models file cannot mask the error.
+    let models = "no-such-models.txt";
+    let subcommands: [(&[&str], &str); 10] = [
+        (&["train", "--out", "m.txt"], "--page"),
+        (&["inspect", models], "--page"),
+        (&["profile", "page.html"], "--jobs"),
+        (&["predict", models, "--page", "MSN"], "--kernel"),
+        (&["govern", models, "--page", "MSN"], "--mpki"),
+        (&["csv", "--page", "Amazon"], "--deadline"),
+        (&["fleet", "--quick"], "--page"),
+        (&["session"], "--sessions"),
+        (&["pages"], "--soc"),
+        (&["kernels"], "--seed"),
+    ];
+    for (base, foreign) in subcommands {
+        for flag in ["--deadlne", foreign] {
+            let mut argv = base.to_vec();
+            argv.extend([flag, "1"]);
+            let out = dora(&argv);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(1), "{argv:?}: {err}");
+            assert!(
+                err.contains(&format!("unknown flag {flag}")),
+                "{argv:?}: {err}"
+            );
+        }
+    }
+    // The message lists what the command does accept.
+    let err = stderr(&dora(&[
+        "govern",
+        models,
+        "--page",
+        "MSN",
+        "--deadlne",
+        "0.1",
+    ]));
+    assert!(
+        err.contains("accepted: --page") && err.contains("--deadline"),
+        "{err}"
+    );
+}
+
+#[test]
 fn csv_with_jobs_1_matches_parallel_output() {
     // --jobs 1 is the classic sequential loop; any other width must
     // produce byte-identical CSV (the executor's determinism guarantee).
@@ -163,7 +207,6 @@ fn csv_with_jobs_1_matches_parallel_output() {
 }
 
 #[test]
-#[ignore = "simulates a multi-page session (~minute in debug); run in release"]
 fn session_without_models_uses_stock_governor() {
     let out = dora(&[
         "session",

@@ -58,9 +58,6 @@ pub struct Config {
     /// (`[panic-reachability] allow`), e.g.
     /// `campaign::runner::Runner::run`.
     pub panic_allow: Vec<String>,
-    /// Path prefixes of sync-facade implementations, exempt from the
-    /// sync-hygiene facade ban (`[sync-hygiene] facade_paths`).
-    pub sync_facade_paths: Vec<String>,
     /// Path prefixes of probe-off hot-path files the probe-purity lint
     /// scans for allocation/formatting (`[probe-purity] hot_paths`).
     pub probe_hot_paths: Vec<String>,
@@ -168,14 +165,6 @@ impl Config {
                         }
                     }
                 }
-                "sync-hygiene" => {
-                    for (key, v) in entries {
-                        if key != "facade_paths" {
-                            return Err(format!("unknown key `{key}` in [sync-hygiene]"));
-                        }
-                        config.sync_facade_paths = string_list(v, "[sync-hygiene] facade_paths")?;
-                    }
-                }
                 "probe-purity" => {
                     for (key, v) in entries {
                         if key != "hot_paths" {
@@ -266,7 +255,7 @@ mod tests {
     const SAMPLE: &str = r#"
 [levels]
 partial-cmp = "warn"
-sync-hygiene = "allow"
+probe-purity = "allow"
 
 [allow]
 units-escape = ["crates/experiments/", "crates/cli/"]
@@ -303,7 +292,7 @@ mergeable_types = ["FixedHistogram", "Running"]
     fn full_sample_round_trips() {
         let c = Config::from_toml(SAMPLE).expect("parses");
         assert_eq!(c.level("partial-cmp"), Level::Warn);
-        assert_eq!(c.level("sync-hygiene"), Level::Allow);
+        assert_eq!(c.level("probe-purity"), Level::Allow);
         assert_eq!(c.level("panic-reachability"), Level::Deny);
         assert!(c.is_allowed("units-escape", "crates/cli/src/args.rs"));
         assert!(!c.is_allowed("units-escape", "crates/soc/src/dvfs.rs"));
@@ -350,6 +339,7 @@ mergeable_types = ["FixedHistogram", "Running"]
             "state-coverage",
             "snapshot-pairing",
             "probe-balance",
+            "sync-hygiene",
         ] {
             let err = Config::from_toml(&format!("[{table}]\n\"a\" = 1\n")).expect_err("bad");
             assert!(err.contains("unknown table"), "{table}: {err}");

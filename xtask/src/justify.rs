@@ -1,11 +1,10 @@
 //! Shared justification-comment detection.
 //!
-//! The dataflow pass accepts the same escape idiom the older passes
-//! use: a `// <marker> <reason>` comment either trailing on the
-//! flagged line or anywhere in the contiguous comment/attribute block
-//! immediately above it. Markers are namespaced per lint (`dim:`,
-//! `units:`, `merge:`, …) so a justification silences exactly one
-//! pass.
+//! Every pass that honors an escape comment uses this one scanner: a
+//! `// <marker> <reason>` comment either trailing on the flagged line
+//! or anywhere in the contiguous comment/attribute block immediately
+//! above it. Markers are namespaced per lint (`dim:`, `units:`,
+//! `merge:`, `alloc:`) so a justification silences exactly one pass.
 
 /// Whether the 1-based `line` of `text` carries a `// <marker>`
 /// justification — trailing on the line itself, or in the contiguous

@@ -16,10 +16,11 @@
 //! *implement* the blessed accumulators), as is accumulation into typed
 //! unit fields (`Joules`, …) whose `+` is the newtype's. Deliberate raw
 //! accumulation is justified in place with `// merge: <reason>` (same
-//! line or the comment block directly above).
+//! line or the comment/attribute block directly above).
 
 use crate::callgraph::CallGraph;
 use crate::diag::{Diagnostic, Span};
+use crate::justify::justified;
 use crate::lex::{LineIndex, TokenKind};
 use crate::Context;
 use std::collections::BTreeMap;
@@ -28,26 +29,6 @@ use std::collections::BTreeMap;
 pub struct MergeAssociativity;
 
 const MARKER: &str = "// merge:";
-
-/// Whether raw line `line_idx` (0-based) carries a `// merge:`
-/// justification: same line, or the contiguous comment block above.
-fn has_merge_justification(raw_lines: &[&str], line_idx: usize) -> bool {
-    if raw_lines.get(line_idx).is_some_and(|l| l.contains(MARKER)) {
-        return true;
-    }
-    let mut i = line_idx;
-    while i > 0 {
-        i -= 1;
-        let trimmed = raw_lines[i].trim_start();
-        if !trimmed.starts_with("//") {
-            return false;
-        }
-        if raw_lines[i].contains(MARKER) {
-            return true;
-        }
-    }
-    false
-}
 
 impl super::Pass for MergeAssociativity {
     fn id(&self) -> &'static str {
@@ -117,7 +98,6 @@ impl super::Pass for MergeAssociativity {
             }
             let file = &cx.files[node.file];
             let src = file.text.as_str();
-            let raw_lines: Vec<&str> = src.lines().collect();
             let index = LineIndex::new(&file.text);
             let Some((body_lo, body_hi)) = node.item.body else {
                 continue;
@@ -134,7 +114,7 @@ impl super::Pass for MergeAssociativity {
                 .unwrap_or_else(|| node.item.qual.clone());
             let mut flag = |what: String, byte: usize| {
                 let line = index.line(byte);
-                if has_merge_justification(&raw_lines, line.saturating_sub(1)) {
+                if justified(src, line, MARKER) {
                     return;
                 }
                 out.push(

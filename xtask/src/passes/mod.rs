@@ -18,7 +18,6 @@ pub mod panic_reachability;
 pub mod partial_cmp;
 pub mod probe_purity;
 pub mod stale_config;
-pub mod sync_hygiene;
 pub mod units_escape;
 
 /// One static-analysis pass. Passes are stateless (`Send + Sync`) so
@@ -51,7 +50,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(determinism_taint::DeterminismTaint),
         Box::new(merge_associativity::MergeAssociativity),
         Box::new(stale_config::StaleConfig),
-        Box::new(sync_hygiene::SyncHygiene),
         Box::new(probe_purity::ProbePurity),
         Box::new(constants::PaperConstants),
         Box::new(api_surface::ApiSurface),

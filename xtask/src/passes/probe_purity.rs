@@ -15,10 +15,10 @@
 //! allocation/formatting constructs. A site that is
 //! genuinely lazy (inside an `emit_with` closure) or one-time (a
 //! constructor) carries an `// alloc:` justification on the same line or
-//! in the comment block directly above, mirroring sync-hygiene's
-//! `// ordering:` convention.
+//! in the comment/attribute block directly above ([`crate::justify`]).
 
 use crate::diag::{Diagnostic, Span};
+use crate::justify::justified;
 use crate::source::blank_strings;
 use crate::Context;
 
@@ -62,28 +62,6 @@ fn token_columns(line: &str, needle: &str) -> Vec<usize> {
     out
 }
 
-/// Whether raw line `line_idx` (0-based) carries an `// alloc:`
-/// justification: on the line itself, or in the contiguous run of
-/// comment-only lines directly above it.
-fn has_alloc_justification(raw_lines: &[&str], line_idx: usize) -> bool {
-    let marker = "// alloc:";
-    if raw_lines.get(line_idx).is_some_and(|l| l.contains(marker)) {
-        return true;
-    }
-    let mut i = line_idx;
-    while i > 0 {
-        i -= 1;
-        let trimmed = raw_lines[i].trim_start();
-        if !trimmed.starts_with("//") {
-            return false;
-        }
-        if raw_lines[i].contains(marker) {
-            return true;
-        }
-    }
-    false
-}
-
 impl super::Pass for ProbePurity {
     fn id(&self) -> &'static str {
         "probe-purity"
@@ -119,11 +97,10 @@ impl super::Pass for ProbePurity {
                 continue;
             }
             let blanked = blank_strings(&file.stripped);
-            let raw_lines: Vec<&str> = file.text.lines().collect();
             for (i, line) in blanked.lines().enumerate() {
                 for needle in ALLOC_NEEDLES {
                     for col in token_columns(line, needle) {
-                        if !has_alloc_justification(&raw_lines, i) {
+                        if !justified(&file.text, i + 1, "// alloc:") {
                             out.push(
                                 Diagnostic::error(
                                     self.id(),

@@ -102,10 +102,6 @@ impl super::Pass for StaleConfig {
                     cx.config.constants_modules.iter().collect(),
                 ),
                 (
-                    "[sync-hygiene] facade_paths",
-                    cx.config.sync_facade_paths.iter().collect(),
-                ),
-                (
                     "[probe-purity] hot_paths",
                     cx.config.probe_hot_paths.iter().collect(),
                 ),

@@ -32,6 +32,7 @@
 use crate::callgraph::CallGraph;
 use crate::diag::{Diagnostic, Span};
 use crate::items::Vis;
+use crate::justify::justified;
 use crate::lex::TokenKind;
 use crate::source::SourceFile;
 use crate::Context;
@@ -67,32 +68,6 @@ pub fn suffixed_fields(file: &SourceFile) -> Vec<(usize, String)> {
 
 fn is_f64(ty: &str) -> bool {
     matches!(ty.trim_start_matches('&'), "f64" | "mut f64")
-}
-
-/// Whether the declaration at `line` (1-based) carries a `// units:`
-/// justification — trailing on the line or in the comment block above.
-fn justified(text: &str, line: usize) -> bool {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut i = line.saturating_sub(1);
-    if lines
-        .get(i)
-        .and_then(|l| l.find("//").map(|idx| &l[idx..]))
-        .is_some_and(|c| c.contains("units:"))
-    {
-        return true;
-    }
-    while i > 0 {
-        let above = lines.get(i - 1).map_or("", |l| l.trim_start());
-        if above.starts_with("//") || above.starts_with("#[") {
-            if above.contains("units:") {
-                return true;
-            }
-            i -= 1;
-        } else {
-            break;
-        }
-    }
-    false
 }
 
 impl super::Pass for UnitsEscape {
@@ -203,7 +178,7 @@ impl super::Pass for UnitsEscape {
                 continue;
             }
             let file = &cx.files[node.file];
-            if justified(&file.text, node.item.line) {
+            if justified(&file.text, node.item.line, "units:") {
                 continue;
             }
             let qual = node.item.qual.as_str();
