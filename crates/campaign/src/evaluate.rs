@@ -13,7 +13,7 @@ use crate::runner::{
 };
 use crate::workload::{Workload, WorkloadSet};
 use dora::DoraModels;
-use dora_sim_core::stats::Samples;
+use dora_sim_core::units::{Ppw, Seconds};
 use dora_soc::Frequency;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -175,18 +175,18 @@ impl Evaluation {
     /// (workload id, ratio), in workload order. Workloads the baseline
     /// did not run are skipped.
     pub fn normalized_ppw(&self, governor: &str, baseline: &str) -> Vec<(String, f64)> {
-        let base: BTreeMap<&str, f64> = self
+        let base: BTreeMap<&str, Ppw> = self
             .results
             .iter()
             .filter(|r| r.governor == baseline)
-            .map(|r| (r.workload_id.as_str(), r.ppw.value()))
+            .map(|r| (r.workload_id.as_str(), r.ppw))
             .collect();
         self.results
             .iter()
             .filter(|r| r.governor == governor)
             .filter_map(|r| {
                 base.get(r.workload_id.as_str())
-                    .map(|b| (r.workload_id.clone(), r.ppw.value() / b))
+                    .map(|&b| (r.workload_id.clone(), r.ppw / b))
             })
             .collect()
     }
@@ -194,17 +194,17 @@ impl Evaluation {
     /// Mean normalized PPW of a governor over a subset — the bars of
     /// Fig. 7(a).
     pub fn mean_normalized_ppw(&self, governor: &str, baseline: &str, subset: Subset) -> f64 {
-        let base: BTreeMap<&str, f64> = self
+        let base: BTreeMap<&str, Ppw> = self
             .results
             .iter()
             .filter(|r| r.governor == baseline)
-            .map(|r| (r.workload_id.as_str(), r.ppw.value()))
+            .map(|r| (r.workload_id.as_str(), r.ppw))
             .collect();
         let ratios: Vec<f64> = self
             .results
             .iter()
             .filter(|r| r.governor == governor && subset.admits(r))
-            .filter_map(|r| base.get(r.workload_id.as_str()).map(|b| r.ppw.value() / b))
+            .filter_map(|r| base.get(r.workload_id.as_str()).map(|&b| r.ppw / b))
             .collect();
         if ratios.is_empty() {
             0.0
@@ -222,11 +222,12 @@ impl Evaluation {
         rows.iter().filter(|r| r.met_deadline).count() as f64 / rows.len() as f64
     }
 
-    /// The load-time sample set of a governor — the CDF of Fig. 7(b).
-    pub fn load_time_samples(&self, governor: &str) -> Samples {
+    /// The load times of a governor's runs, in workload order — the
+    /// sample set behind the CDF of Fig. 7(b).
+    pub fn load_time_samples(&self, governor: &str) -> Vec<Seconds> {
         self.results_for(governor)
             .iter()
-            .map(|r| r.load_time.value())
+            .map(|r| r.load_time)
             .collect()
     }
 
@@ -247,6 +248,7 @@ mod tests {
     use super::*;
     use crate::driver::CampaignDriver;
     use dora_coworkloads::Intensity;
+    use dora_sim_core::stats::Samples;
     use dora_sim_core::SimDuration;
 
     fn evaluate(
@@ -383,7 +385,11 @@ mod tests {
     fn load_time_samples_build_cdf() {
         let eval = evaluate(&small_set(), &[Policy::Performance], None, &quick())
             .expect("no models needed");
-        let samples = eval.load_time_samples("performance");
+        let samples: Samples = eval
+            .load_time_samples("performance")
+            .iter()
+            .map(|t| t.value())
+            .collect();
         assert_eq!(samples.len(), 2);
         assert!(samples.cdf_at(60.0) == 1.0);
     }

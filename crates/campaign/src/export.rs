@@ -5,6 +5,8 @@
 //! CSV. Hand-rolled (quoting included) so the workspace carries no
 //! serialization dependency.
 
+#![allow(clippy::disallowed_methods, reason = "CSV columns are plain numbers")]
+
 use crate::runner::{RunResult, SweepPoint};
 use std::fmt::Write as _;
 

@@ -117,6 +117,10 @@ impl DeviceArchetype {
         ambient: Celsius,
         weight: f64,
     ) -> DeviceArchetype {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the label renders the ambient as whole degrees, a format `Celsius` does not print"
+        )]
         let label = format!("{}@{:.0}C", class.name(), ambient.value());
         let name = if profile.name() == SocProfile::msm8974().name() {
             label

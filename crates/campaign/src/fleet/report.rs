@@ -8,6 +8,11 @@
 //! executor width, so the merged report (and its [`FleetReport::digest`])
 //! is byte-identical across `--jobs 1/N`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "report sketches, digests and tables hold plain numbers"
+)]
+
 use crate::runner::RunResult;
 use dora_sim_core::sketch::{Digest64, FixedHistogram, SketchError};
 use dora_sim_core::units::{Joules, Seconds, WattHours};

@@ -126,13 +126,6 @@ impl Args {
         }
     }
 
-    /// The campaign executor selected by `--jobs N` (default: one worker
-    /// per core; `--jobs 1` reproduces the sequential loop exactly;
-    /// `--jobs 0` means auto, matching make/cargo convention).
-    ///
-    /// # Errors
-    ///
-    /// When `--jobs` is present but not a non-negative integer.
     /// The SoC profile selected by `--soc <name>` (MSM8974, the paper's
     /// platform, when absent).
     ///
@@ -152,6 +145,13 @@ impl Args {
         }
     }
 
+    /// The campaign executor selected by `--jobs N` (default: one worker
+    /// per core; `--jobs 1` reproduces the sequential loop exactly;
+    /// `--jobs 0` means auto, matching make/cargo convention).
+    ///
+    /// # Errors
+    ///
+    /// When `--jobs` is present but not a non-negative integer.
     pub fn executor(&self) -> Result<Executor, String> {
         match self.get("jobs") {
             None => Ok(Executor::new(Parallelism::Auto)),

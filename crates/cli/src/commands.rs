@@ -1,5 +1,10 @@
 //! The CLI subcommands.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "renders quantities as plain numbers in tables, CSV and JSON"
+)]
+
 use crate::args::{Args, OutputFormat};
 use dora::units::{Celsius, Mpki, Utilization, WattHours};
 use dora::{from_text, to_text, DoraModels};

@@ -288,8 +288,7 @@ impl DoraGovernor {
                 let feasible_enough =
                     current_row.feasible || self.config.policy == DoraPolicy::EnergyOnly;
                 let close_enough = if target_row.ppw > Ppw::ZERO {
-                    (target_row.ppw.value() - current_row.ppw.value()) / target_row.ppw.value()
-                        < self.config.switch_margin
+                    (target_row.ppw - current_row.ppw) / target_row.ppw < self.config.switch_margin
                 } else {
                     false
                 };

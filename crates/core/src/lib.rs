@@ -55,6 +55,13 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "tests compare quantities against plain-number references"
+    )
+)]
 
 pub use dora_sim_core::units;
 

@@ -72,6 +72,10 @@ impl PredictorInputs {
     }
 
     /// [`PredictorInputs::to_vector`] on the stack.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the regression feature vector is plain numbers"
+    )]
     fn to_array(self) -> [f64; INPUTS] {
         let [n, c, h, a, d] = self.page.as_vector();
         [

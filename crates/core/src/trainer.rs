@@ -21,6 +21,11 @@
 //! Surfaces are fit piecewise per memory-bus tier when a tier has enough
 //! observations, with a global fallback fit always present.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "regression targets and accuracy metrics are plain numbers"
+)]
+
 use crate::models::{DoraModels, FrequencyEncoding, PiecewiseSurface, PredictorInputs};
 use dora_modeling::leakage::{fit_leakage, LeakageObservation};
 use dora_modeling::metrics::{evaluate, EvalSummary};

@@ -2,10 +2,6 @@
 //! the combined report to stdout (tee it into `EXPERIMENTS.md`'s measured
 //! section). Pass `--quick` for a reduced training grid.
 
-// The driver reports wall-clock elapsed time for the whole run; this is
-// host-side reporting, not simulation state.
-#![allow(clippy::disallowed_methods)]
-
 use dora_experiments::pipeline::{Pipeline, Scale};
 use std::time::Instant;
 
@@ -21,6 +17,9 @@ fn main() {
     } else {
         Scale::Full
     };
+    // The driver reports wall-clock elapsed time for the whole run; this
+    // is host-side reporting, not simulation state.
+    #[allow(clippy::disallowed_methods)]
     let t0 = Instant::now();
     eprintln!("[all] training pipeline ({scale:?})...");
     let pipeline = Pipeline::build(scale, 42);

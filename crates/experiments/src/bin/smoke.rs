@@ -4,6 +4,10 @@
 // Smoke binary fails fast by design; budgeted under [panic-budget] in
 // xtask/xtask.toml.
 #![allow(clippy::expect_used)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "prints quantities as plain numbers"
+)]
 
 use dora_campaign::driver::CampaignDriver;
 use dora_campaign::evaluate::{Policy, Subset};

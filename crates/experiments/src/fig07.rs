@@ -17,6 +17,7 @@ use crate::report::{fmt_f, fmt_gain, render_series, Table};
 use dora_campaign::driver::CampaignDriver;
 use dora_campaign::evaluate::{Evaluation, Policy, Subset};
 use dora_campaign::workload::WorkloadSet;
+use dora_sim_core::stats::Samples;
 use dora_sim_core::Rng;
 
 /// The Fig. 7 dataset.
@@ -141,7 +142,12 @@ impl Fig07 {
         ]);
         let mut series = String::new();
         for g in GOVERNORS {
-            let samples = self.evaluation.load_time_samples(g);
+            let samples: Samples = self
+                .evaluation
+                .load_time_samples(g)
+                .iter()
+                .map(|t| t.value())
+                .collect();
             b.row(vec![
                 g.to_string(),
                 fmt_f(self.evaluation.deadline_met_fraction(g) * 100.0, 1),

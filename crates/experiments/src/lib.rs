@@ -39,6 +39,10 @@
 // invariants; each file is budgeted under [panic-budget] in xtask/xtask.toml
 // and the budget only ratchets down.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "figures and tables render quantities as plain numbers"
+)]
 
 pub mod ablation;
 pub mod fig01;

@@ -334,7 +334,7 @@ impl Governor for InteractiveGovernor {
         let current = observation.frequency;
 
         // Demanded frequency so that util·f_cur / f_new == target_load.
-        let demanded_mhz = current.as_mhz() * util.value() / self.config.target_load.value();
+        let demanded_mhz = current.as_mhz() * util / self.config.target_load;
         let mut target = self.table.ceil(Frequency::from_mhz(demanded_mhz));
 
         // Hispeed jump on a busy core.
@@ -418,8 +418,7 @@ impl Governor for OndemandGovernor {
         } else {
             // The kernel's proportional decay: next = fmax · util / threshold,
             // snapped to the next table frequency at or above the demand.
-            let demanded_mhz =
-                self.table.max_frequency().as_mhz() * util.value() / self.up_threshold.value();
+            let demanded_mhz = self.table.max_frequency().as_mhz() * util / self.up_threshold;
             self.table.ceil(Frequency::from_mhz(demanded_mhz))
         }
     }
@@ -521,7 +520,7 @@ impl ThermalThrottle {
             "hysteresis requires release ({release}) below trip ({trip})"
         );
         assert!(
-            (40.0..=150.0).contains(&trip.value()),
+            (Celsius::new(40.0)..=Celsius::new(150.0)).contains(&trip),
             "implausible trip point {trip}"
         );
         let name = format!("{}+throttle", inner.name());

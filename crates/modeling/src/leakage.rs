@@ -108,10 +108,20 @@ impl LeakageFit {
     }
 }
 
+/// `model − measured` in watts as a raw number: the Levenberg–Marquardt
+/// solver's residuals and Jacobian entries.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "least-squares fitting works on raw residuals and their squares"
+)]
+fn residual(model: Watts, measured: Watts) -> f64 {
+    model.value() - measured.value()
+}
+
 fn sse(params: &Eq5Params, obs: &[LeakageObservation]) -> f64 {
     obs.iter()
         .map(|o| {
-            let r = params.eval(o.voltage, o.temp).value() - o.power.value();
+            let r = residual(params.eval(o.voltage, o.temp), o.power);
             r * r
         })
         .sum()
@@ -136,7 +146,7 @@ fn lm_descend(
         // Residuals and numerical Jacobian.
         let residuals: Vec<f64> = obs
             .iter()
-            .map(|o| params.eval(o.voltage, o.temp).value() - o.power.value())
+            .map(|o| residual(params.eval(o.voltage, o.temp), o.power))
             .collect();
         let mut jac = Matrix::zeros(n, 6);
         for j in 0..6 {
@@ -145,8 +155,10 @@ fn lm_descend(
             bumped[j] += h;
             let p_bumped = Eq5Params::from_theta(&bumped);
             for (i, o) in obs.iter().enumerate() {
-                let d =
-                    (p_bumped.eval(o.voltage, o.temp) - params.eval(o.voltage, o.temp)).value() / h;
+                let d = residual(
+                    p_bumped.eval(o.voltage, o.temp),
+                    params.eval(o.voltage, o.temp),
+                ) / h;
                 jac.set(i, j, if d.is_finite() { d } else { 0.0 });
             }
         }
@@ -235,7 +247,7 @@ pub fn fit_leakage(obs: &[LeakageObservation], seed: u64) -> Result<LeakageFit, 
         if o.voltage <= 0.0
             || !o.voltage.is_finite()
             || !o.temp.is_finite()
-            || o.power.value() < 0.0
+            || o.power < Watts::ZERO
             || !o.power.is_finite()
         {
             return Err(ModelError::ShapeMismatch(format!(

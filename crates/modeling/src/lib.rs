@@ -36,6 +36,13 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "tests compare quantities against plain-number references"
+    )
+)]
 
 pub mod crossval;
 pub mod leakage;

@@ -5,9 +5,6 @@
 //! the reducers they share:
 //!
 //! * [`Running`] — Welford mean/variance/min/max without storing samples.
-//! * [`TimeWeighted`] — average of a piecewise-constant signal (e.g. power
-//!   in watts between governor decisions), weighted by how long each value
-//!   was held.
 //! * [`Ema`] — exponential moving average, used by utilization tracking in
 //!   the `interactive` governor model.
 //! * [`Samples`] — a retained sample set with exact quantiles and an
@@ -135,66 +132,6 @@ impl Running {
         self.count = total;
         self.min = self.min.min(min);
         self.max = self.max.max(max);
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal.
-///
-/// Record `(value, hold_duration_seconds)` segments; the mean weights each
-/// value by how long it was held, which is the correct way to average power
-/// or frequency over a run with unequal governor intervals.
-///
-/// # Example
-///
-/// ```
-/// use dora_sim_core::stats::TimeWeighted;
-///
-/// let mut p = TimeWeighted::new();
-/// p.record(1.0, 3.0); // 1 W for 3 s
-/// p.record(5.0, 1.0); // 5 W for 1 s
-/// assert_eq!(p.mean(), 2.0);
-/// assert_eq!(p.integral(), 8.0); // joules
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeWeighted {
-    integral: f64,
-    total_weight: f64,
-}
-
-impl TimeWeighted {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a segment where `value` was held for `weight` (seconds).
-    /// Segments with non-positive or non-finite weight are ignored.
-    pub fn record(&mut self, value: f64, weight: f64) {
-        if weight <= 0.0 || !weight.is_finite() || !value.is_finite() {
-            return;
-        }
-        self.integral += value * weight;
-        self.total_weight += weight;
-    }
-
-    /// The weighted mean; zero when nothing recorded.
-    pub fn mean(&self) -> f64 {
-        if self.total_weight == 0.0 {
-            0.0
-        } else {
-            self.integral / self.total_weight
-        }
-    }
-
-    /// The integral `Σ value·weight` (e.g. joules if value is watts and
-    /// weight is seconds).
-    pub fn integral(&self) -> f64 {
-        self.integral
-    }
-
-    /// The total recorded weight.
-    pub fn total_weight(&self) -> f64 {
-        self.total_weight
     }
 }
 
@@ -443,25 +380,6 @@ mod tests {
         assert_eq!(left.count(), whole.count());
         assert!((left.mean() - whole.mean()).abs() < 1e-10);
         assert!((left.variance() - whole.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn time_weighted_average_and_integral() {
-        let mut tw = TimeWeighted::new();
-        tw.record(2.0, 1.0);
-        tw.record(4.0, 3.0);
-        assert!((tw.mean() - 3.5).abs() < 1e-12);
-        assert!((tw.integral() - 14.0).abs() < 1e-12);
-        assert!((tw.total_weight() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_rejects_bad_segments() {
-        let mut tw = TimeWeighted::new();
-        tw.record(1.0, 0.0);
-        tw.record(1.0, -2.0);
-        tw.record(f64::NAN, 1.0);
-        assert_eq!(tw.mean(), 0.0);
     }
 
     #[test]

@@ -178,6 +178,14 @@ impl Celsius {
     pub fn to_kelvin(self) -> f64 {
         self.0 + 273.15
     }
+
+    /// The steady-state temperature `T + P·R` of a node held at this
+    /// temperature while `power` flows out through a thermal resistance
+    /// of `resistance_k_per_w` kelvin per watt.
+    #[must_use]
+    pub fn heated(self, power: Watts, resistance_k_per_w: f64) -> Celsius {
+        Celsius(self.0 + power.0 * resistance_k_per_w)
+    }
 }
 
 impl Ppw {
@@ -200,7 +208,7 @@ impl Ppw {
     /// `E = T·P` exactly this is [`Ppw::from_time_power`]. Degenerate
     /// inputs yield `Ppw::ZERO` so a corrupt prediction can never win.
     pub fn from_energy(energy: Joules) -> Ppw {
-        let e = energy.value();
+        let e = energy.0;
         if e.is_finite() && e > 0.0 {
             Ppw(1.0 / e)
         } else {
@@ -361,6 +369,41 @@ macro_rules! linear_ops {
 linear_ops!(Seconds);
 linear_ops!(Watts);
 linear_ops!(Joules);
+linear_ops!(Ppw);
+
+/// A temperature difference is a plain number of kelvin.
+impl std::ops::Sub for Celsius {
+    type Output = f64;
+    fn sub(self, rhs: Celsius) -> f64 {
+        self.0 - rhs.0
+    }
+}
+
+/// A temperature shifted by a difference of `rhs` kelvin.
+impl std::ops::Add<f64> for Celsius {
+    type Output = Celsius;
+    fn add(self, rhs: f64) -> Celsius {
+        Celsius(self.0 + rhs)
+    }
+}
+
+/// Scaling a number by a busy fraction (e.g. a clock by the load it
+/// carries).
+impl std::ops::Mul<Utilization> for f64 {
+    type Output = f64;
+    fn mul(self, rhs: Utilization) -> f64 {
+        self * rhs.0
+    }
+}
+
+/// Dividing a number by a busy fraction (e.g. the clock that would carry
+/// a load at a target utilization).
+impl std::ops::Div<Utilization> for f64 {
+    type Output = f64;
+    fn div(self, rhs: Utilization) -> f64 {
+        self / rhs.0
+    }
+}
 
 impl std::ops::Mul<Seconds> for Watts {
     type Output = Joules;
@@ -503,6 +546,12 @@ mod tests {
     #[test]
     fn kelvin_conversion() {
         assert_eq!(Celsius::new(25.0).to_kelvin(), 298.15);
+        assert_eq!(Celsius::new(30.0) - Celsius::new(25.0), 5.0);
+        assert_eq!(Celsius::new(25.0) + 5.0, Celsius::new(30.0));
+        assert_eq!(
+            Celsius::new(25.0).heated(Watts::new(2.0), 13.0),
+            Celsius::new(51.0)
+        );
     }
 
     #[test]
@@ -516,6 +565,34 @@ mod tests {
         assert_eq!("8.74Wh".parse::<WattHours>().unwrap(), battery);
     }
 
+    /// Every unit type's `value` is a disallowed method in the workspace
+    /// `clippy.toml`, so a new quantity cannot escape the ban silently.
+    #[test]
+    fn clippy_bans_value_on_every_unit_type() {
+        let source = include_str!("units.rs");
+        let clippy = include_str!("../../../clippy.toml");
+        let types: Vec<&str> = source
+            .split("quantity!(\n")
+            .skip(1)
+            .filter_map(|invocation| {
+                invocation
+                    .lines()
+                    .map(str::trim)
+                    .find(|line| !line.starts_with("///"))
+            })
+            .map(|line| line.trim_end_matches(','))
+            .collect();
+        // Both macros are parsed: a plain and a bounded quantity.
+        assert!(
+            types.contains(&"Seconds") && types.contains(&"Utilization"),
+            "{types:?}"
+        );
+        for ty in types {
+            let entry = format!("path = \"dora_sim_core::units::{ty}::value\"");
+            assert!(clippy.contains(&entry), "clippy.toml lacks {entry}");
+        }
+    }
+
     #[test]
     fn sums_and_scaling() {
         let total: Joules = [Joules::new(1.0), Joules::new(2.5)].into_iter().sum();
@@ -523,6 +600,11 @@ mod tests {
         assert_eq!(Seconds::new(2.0) * 3.0, Seconds::new(6.0));
         assert_eq!(Watts::new(6.0) / 3.0, Watts::new(2.0));
         assert_eq!(Seconds::new(6.0) / Seconds::new(3.0), 2.0);
+        assert_eq!(
+            (Ppw::new(0.3) - Ppw::new(0.2)) / Ppw::new(0.5),
+            (0.3 - 0.2) / 0.5
+        );
+        assert_eq!(1000.0 * Utilization::clamped(0.5) / Utilization::ONE, 500.0);
         let mut acc = Watts::ZERO;
         acc += Watts::new(1.5);
         assert_eq!(acc, Watts::new(1.5));

@@ -25,7 +25,6 @@ use crate::profile::ClusterId;
 use crate::task::Task;
 use crate::thermal::ThermalNode;
 use dora_sim_core::probe::{Probe, ProbeBus, ProbeEvent, ProbeId};
-use dora_sim_core::stats::TimeWeighted;
 use dora_sim_core::units::{Celsius, Joules, Seconds, Watts};
 use dora_sim_core::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -96,7 +95,9 @@ pub struct Board {
     pub(crate) cluster_of: Vec<usize>,
     pub(crate) now: SimTime,
     pub(crate) energy: Joules,
-    pub(crate) power_track: TimeWeighted,
+    /// `Σ P·dt` and `Σ dt` over the quanta whose power was finite: the
+    /// numerator and denominator of [`Board::mean_power`].
+    pub(crate) power_track: (Joules, Seconds),
     pub(crate) last_power: PowerBreakdown,
     pub(crate) switch_count: u64,
     pub(crate) pending_stall: SimDuration,
@@ -145,7 +146,7 @@ impl Board {
             cluster_of: config.affinity.clone(),
             now: SimTime::ZERO,
             energy: Joules::ZERO,
-            power_track: TimeWeighted::new(),
+            power_track: (Joules::ZERO, Seconds::ZERO),
             last_power: PowerBreakdown::default(),
             switch_count: 0,
             pending_stall: SimDuration::ZERO,
@@ -266,7 +267,12 @@ impl Board {
 
     /// Time-weighted mean device power so far.
     pub fn mean_power(&self) -> Watts {
-        Watts::new(self.power_track.mean())
+        let (integral, time) = self.power_track;
+        if time == Seconds::ZERO {
+            Watts::ZERO
+        } else {
+            integral / time
+        }
     }
 
     /// The itemized power of the most recent quantum.
@@ -594,7 +600,10 @@ impl Board {
         let dt_span = Seconds::new(dt_s);
         self.energy += breakdown.total() * dt_span;
         self.energy_breakdown.accumulate(&breakdown, dt_span);
-        self.power_track.record(breakdown.total().value(), dt_s);
+        if dt_span > Seconds::ZERO && breakdown.total().is_finite() {
+            self.power_track.0 += breakdown.total() * dt_span;
+            self.power_track.1 += dt_span;
+        }
         self.thermal.step(breakdown.soc(), dt_span);
         self.last_power = breakdown;
         self.probes.emit_with(self.now, || ProbeEvent::PowerSample {

@@ -143,6 +143,10 @@ impl ContentionSolver {
             }
             let latency = memory.miss_latency(params.tier, self.dram_demand);
             for (i, p) in profiles.iter().enumerate() {
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "seconds × Hz is a cycle count, which has no unit type; the operand order is pinned"
+                )]
                 let miss_cycles = (p.l2_apki / 1000.0)
                     * self.miss_ratios[i]
                     * latency.value()

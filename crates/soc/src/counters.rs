@@ -48,7 +48,7 @@ impl CoreCounters {
 
     /// Busy fraction in `[0, 1]`. Zero when no wall time has elapsed.
     pub fn utilization(&self) -> Utilization {
-        if self.total_time.value() <= 0.0 {
+        if self.total_time <= Seconds::ZERO {
             Utilization::ZERO
         } else {
             Utilization::clamped(self.busy_time / self.total_time)

@@ -126,15 +126,19 @@ impl PowerParams {
     ///
     /// Returns a message describing the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        let fields = [
-            ("platform_floor", self.platform_floor.value()),
-            ("dram_j_per_byte", self.dram_j_per_byte),
-        ];
-        for (name, v) in fields {
-            if !(v.is_finite() && v >= 0.0) {
-                // alloc: configuration error path, never reached while stepping.
-                return Err(format!("{name} must be non-negative and finite, got {v}"));
-            }
+        let floor = self.platform_floor;
+        if !(floor.is_finite() && floor >= Watts::ZERO) {
+            // alloc: configuration error path, never reached while stepping.
+            return Err(format!(
+                "platform_floor must be non-negative and finite, got {floor}"
+            ));
+        }
+        let v = self.dram_j_per_byte;
+        if !(v.is_finite() && v >= 0.0) {
+            // alloc: configuration error path, never reached while stepping.
+            return Err(format!(
+                "dram_j_per_byte must be non-negative and finite, got {v}"
+            ));
         }
         Ok(())
     }

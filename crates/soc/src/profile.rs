@@ -273,8 +273,8 @@ impl MigrationCost {
     ///
     /// Returns a message describing the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        let e = self.energy.value();
-        if !(e.is_finite() && e >= 0.0) {
+        let e = self.energy;
+        if !(e.is_finite() && e >= Joules::ZERO) {
             return Err(format!(
                 "migration energy must be non-negative and finite, got {e}"
             ));

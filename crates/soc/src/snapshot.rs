@@ -22,8 +22,7 @@ use crate::counters::CounterSet;
 use crate::power::PowerBreakdown;
 use crate::task::Task;
 use crate::thermal::ThermalNode;
-use dora_sim_core::stats::TimeWeighted;
-use dora_sim_core::units::Joules;
+use dora_sim_core::units::{Joules, Seconds};
 use dora_sim_core::{SimDuration, SimTime};
 
 /// One core slot's captured state.
@@ -50,7 +49,7 @@ pub struct BoardSnapshot {
     pub(crate) cluster_of: Vec<usize>,
     pub(crate) now: SimTime,
     pub(crate) energy: Joules,
-    pub(crate) power_track: TimeWeighted,
+    pub(crate) power_track: (Joules, Seconds),
     pub(crate) last_power: PowerBreakdown,
     pub(crate) switch_count: u64,
     pub(crate) pending_stall: SimDuration,
@@ -130,7 +129,7 @@ impl Board {
             cluster_of: cluster_of.clone(),
             now: *now,
             energy: *energy,
-            power_track: power_track.clone(),
+            power_track: *power_track,
             last_power: *last_power,
             switch_count: *switch_count,
             pending_stall: *pending_stall,
@@ -225,7 +224,7 @@ impl Board {
         cluster_of.clone_from(saved_cluster_of);
         *now = *saved_now;
         *energy = *saved_energy;
-        *power_track = saved_power_track.clone();
+        *power_track = *saved_power_track;
         *last_power = *saved_last_power;
         *switch_count = *saved_switch_count;
         *pending_stall = *saved_pending_stall;

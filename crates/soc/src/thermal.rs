@@ -59,10 +59,11 @@ impl ThermalParams {
                 self.resistance_k_per_w
             ));
         }
-        if !(self.time_constant.is_finite() && self.time_constant.value() > 0.0) {
+        if !(self.time_constant.is_finite() && self.time_constant > Seconds::ZERO) {
             return Err(format!("bad time constant {}", self.time_constant));
         }
-        if !(self.ambient.is_finite() && (-40.0..=60.0).contains(&self.ambient.value())) {
+        let plausible = Celsius::new(-40.0)..=Celsius::new(60.0);
+        if !(self.ambient.is_finite() && plausible.contains(&self.ambient)) {
             return Err(format!("implausible ambient {}", self.ambient));
         }
         Ok(())
@@ -91,10 +92,10 @@ pub struct ThermalNode {
     params: ThermalParams,
     temperature: Celsius,
     peak: Celsius,
-    /// `exp(-dt/τ)` of the last step length, keyed on the length's bits.
+    /// `exp(-dt/τ)` of the last step length, keyed on that length.
     /// Boards step in fixed quanta, so the exponential is taken once
     /// rather than every quantum; the factor is the same value either way.
-    decay: (u64, f64),
+    decay: (Seconds, f64),
 }
 
 impl ThermalNode {
@@ -110,7 +111,7 @@ impl ThermalNode {
             params,
             temperature: params.ambient,
             peak: params.ambient,
-            decay: (f64::NAN.to_bits(), f64::NAN),
+            decay: (Seconds::new(f64::NAN), f64::NAN),
         }
     }
 
@@ -120,23 +121,24 @@ impl ThermalNode {
     ///
     /// Negative or non-finite power is treated as zero.
     pub fn step(&mut self, soc_power: Watts, dt: Seconds) {
-        let dt_s = dt.value();
-        if dt_s <= 0.0 || !dt_s.is_finite() {
+        if dt <= Seconds::ZERO || !dt.is_finite() {
             return;
         }
         let p = if soc_power.is_finite() {
-            soc_power.value().max(0.0)
+            soc_power.max(Watts::ZERO)
         } else {
-            0.0
+            Watts::ZERO
         };
-        let t_ss = self.params.ambient.value() + p * self.params.resistance_k_per_w;
-        if self.decay.0 != dt_s.to_bits() {
-            self.decay = (
-                dt_s.to_bits(),
-                (-dt_s / self.params.time_constant.value()).exp(),
-            );
+        let t_ss = self
+            .params
+            .ambient
+            .heated(p, self.params.resistance_k_per_w);
+        // `dt > 0`, so comparing lengths is comparing their bits; the NaN
+        // the node starts with matches no length.
+        if self.decay.0 != dt {
+            self.decay = (dt, (-(dt / self.params.time_constant)).exp());
         }
-        self.temperature = Celsius::new(t_ss + (self.temperature.value() - t_ss) * self.decay.1);
+        self.temperature = t_ss + (self.temperature - t_ss) * self.decay.1;
         self.peak = self.peak.max(self.temperature);
     }
 

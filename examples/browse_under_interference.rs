@@ -9,6 +9,11 @@
 //! (`cargo run --example browse_under_interference -- list` prints them)
 //! and any Table III kernel name (or `alone`) work.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "prints quantities as plain numbers"
+)]
+
 use dora_repro::browser::catalog::Catalog;
 use dora_repro::campaign::runner::{run_page, ScenarioConfig};
 use dora_repro::coworkloads::Kernel;

@@ -10,6 +10,11 @@
 //! cargo run --release --example custom_governor
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "prints quantities as plain numbers"
+)]
+
 use dora_repro::campaign::runner::{run_page_observed, run_scenario, ScenarioConfig};
 use dora_repro::campaign::workload::WorkloadSet;
 use dora_repro::governors::{Governor, GovernorObservation, InteractiveGovernor};

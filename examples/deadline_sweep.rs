@@ -6,6 +6,11 @@
 //! cargo run --release --example deadline_sweep -- MSN high
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "prints quantities as plain numbers"
+)]
+
 use dora_repro::campaign::runner::run_scenario;
 use dora_repro::campaign::workload::WorkloadSet;
 use dora_repro::coworkloads::Intensity;

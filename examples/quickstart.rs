@@ -7,6 +7,10 @@
 
 // Example code: failing fast on setup keeps the walkthrough readable.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "prints quantities as plain numbers"
+)]
 
 use dora_repro::campaign::driver::CampaignDriver;
 use dora_repro::campaign::evaluate::{Policy, Subset};

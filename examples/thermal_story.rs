@@ -11,6 +11,10 @@
 
 // Example code: failing fast on setup keeps the walkthrough readable.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "prints quantities as plain numbers"
+)]
 
 use dora_repro::browser::catalog::Catalog;
 use dora_repro::browser::engine::RenderEngine;

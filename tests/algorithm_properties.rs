@@ -3,6 +3,10 @@
 
 // Test code asserts invariants directly; the panic ratchet covers libraries.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests compare quantities against plain-number references"
+)]
 
 mod common;
 

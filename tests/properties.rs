@@ -6,6 +6,11 @@
 //! round-trips, bit-exact determinism of whole-board simulations, and
 //! energy accounting that closes on every registered SoC profile.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests compare quantities against plain-number references"
+)]
+
 use dora_repro::browser::PageFeatures;
 use dora_repro::modeling::surface::{ResponseSurface, SurfaceKind};
 use dora_repro::sim::stats::Samples;

@@ -1,6 +1,11 @@
 //! Property-based tests of the browsing-session runner and the streaming
 //! statistics it reports through.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests compare quantities against plain-number references"
+)]
+
 mod common;
 
 use dora_repro::browser::{Catalog, PageFeatures};

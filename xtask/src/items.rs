@@ -171,32 +171,6 @@ pub fn file_module_path(rel: &str) -> (String, Vec<String>) {
     (crate_key, modules)
 }
 
-/// Joins token texts into readable type/signature text: a space is
-/// inserted only between two alphanumeric tokens, so `Vec<T>` and
-/// `&mut f64` render naturally.
-pub fn join_tokens(src: &str, tokens: &[Token], range: (usize, usize)) -> String {
-    let mut out = String::new();
-    let mut prev_wordy = false;
-    for tok in tokens
-        .iter()
-        .take(range.1)
-        .skip(range.0)
-        .filter(|t| !t.kind.is_trivia())
-    {
-        let text = tok.text(src);
-        let wordy = matches!(
-            tok.kind,
-            TokenKind::Ident | TokenKind::Int | TokenKind::Float | TokenKind::Lifetime
-        );
-        if prev_wordy && wordy && !out.is_empty() {
-            out.push(' ');
-        }
-        out.push_str(text);
-        prev_wordy = wordy;
-    }
-    out
-}
-
 #[derive(Debug, Clone)]
 enum Scope {
     Mod { name: Option<String>, test: bool },

@@ -3,8 +3,8 @@
 //! Every pass that honors an escape comment uses this one scanner: a
 //! `// <marker> <reason>` comment either trailing on the flagged line
 //! or anywhere in the contiguous comment/attribute block immediately
-//! above it. Markers are namespaced per lint (`dim:`, `units:`,
-//! `merge:`, `alloc:`) so a justification silences exactly one pass.
+//! above it. Markers are namespaced per lint (`units:`, `merge:`,
+//! `alloc:`) so a justification silences exactly one pass.
 
 /// Whether the 1-based `line` of `text` carries a `// <marker>`
 /// justification — trailing on the line itself, or in the contiguous
@@ -40,28 +40,28 @@ mod tests {
 
     #[test]
     fn trailing_marker_on_the_line_counts() {
-        let text = "let a = 1;\nlet b = t.value() * p.value(); // dim: intentional\n";
-        assert!(justified(text, 2, "dim:"));
-        assert!(!justified(text, 1, "dim:"));
+        let text = "let a = 1;\nlet b = t.value() * p.value(); // units: intentional\n";
+        assert!(justified(text, 2, "units:"));
+        assert!(!justified(text, 1, "units:"));
     }
 
     #[test]
     fn comment_block_above_counts_through_attributes() {
         let text =
-            "// dim: raw product feeds the CSV column\n#[allow(dead_code)]\nlet b = t * p;\n";
-        assert!(justified(text, 3, "dim:"));
+            "// units: raw product feeds the CSV column\n#[allow(dead_code)]\nlet b = t * p;\n";
+        assert!(justified(text, 3, "units:"));
     }
 
     #[test]
     fn non_contiguous_comment_does_not_count() {
-        let text = "// dim: for the other line\n\nlet b = t * p;\n";
-        assert!(!justified(text, 3, "dim:"));
+        let text = "// units: for the other line\n\nlet b = t * p;\n";
+        assert!(!justified(text, 3, "units:"));
     }
 
     #[test]
     fn markers_are_namespaced() {
-        let text = "let b = t * p; // units: not a dim escape\n";
+        let text = "let b = t * p; // units: not a merge escape\n";
         assert!(justified(text, 1, "units:"));
-        assert!(!justified(text, 1, "dim:"));
+        assert!(!justified(text, 1, "merge:"));
     }
 }

@@ -10,13 +10,9 @@
 //!   (functions, consts, structs, uses) extracted from the token
 //!   stream, and a conservative intra-workspace call graph built on
 //!   top of both.
-//! * [`cfg`] / [`dataflow`] — the intraprocedural layer: statement-
-//!   level control-flow graphs built from the token stream, and a
-//!   forward abstract-interpretation framework (worklist fixpoint,
-//!   join, reaching definitions) the dataflow passes run on.
 //! * [`source`] / [`workspace`] — source loading (each file carries its
-//!   tokens, items, lazily built per-function CFGs, and a
-//!   column-preserving stripped view) and the crate dependency graph.
+//!   tokens, items and a column-preserving stripped view) and the crate
+//!   dependency graph.
 //! * [`config`] — `xtask.toml`: per-lint levels, allowlists, the crate
 //!   layer order, determinism scan paths, constants modules,
 //!   panic-reachability entry allowlists, units-boundary paths.
@@ -34,9 +30,7 @@
 #![deny(missing_docs)]
 
 pub mod callgraph;
-pub mod cfg;
 pub mod config;
-pub mod dataflow;
 pub mod diag;
 pub mod items;
 pub mod justify;

@@ -11,7 +11,6 @@ use crate::Context;
 pub mod api_surface;
 pub mod constants;
 pub mod determinism_taint;
-pub mod dimensional_flow;
 pub mod layering;
 pub mod merge_associativity;
 pub mod panic_reachability;
@@ -44,7 +43,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(panic_reachability::PanicReachability),
         Box::new(units_escape::UnitsEscape),
-        Box::new(dimensional_flow::DimensionalFlow),
         Box::new(partial_cmp::PartialCmp),
         Box::new(layering::CrateLayering),
         Box::new(determinism_taint::DeterminismTaint),

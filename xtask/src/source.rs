@@ -11,10 +11,8 @@
 //! gone. Blanking replaces bytes with spaces, preserving both line
 //! numbers *and* columns, so reported spans stay true.
 
-use crate::cfg::Cfg;
 use crate::items::ItemSet;
 use crate::lex::{lex, Token, TokenKind};
-use std::sync::OnceLock;
 
 /// One library source file loaded into the lint [`crate::Context`].
 #[derive(Debug, Clone)]
@@ -30,8 +28,6 @@ pub struct SourceFile {
     pub items: ItemSet,
     /// [`library_code`] view: comments and `#[cfg(test)]` items blanked.
     pub stripped: String,
-    /// Per-function CFGs, built on first request (see [`Self::cfgs`]).
-    cfgs: OnceLock<Vec<Option<Cfg>>>,
 }
 
 impl SourceFile {
@@ -49,26 +45,7 @@ impl SourceFile {
             tokens,
             items,
             stripped,
-            cfgs: OnceLock::new(),
         }
-    }
-
-    /// Control-flow graphs for this file's functions, index-aligned
-    /// with `items.fns` (`None` for bodyless trait methods).
-    ///
-    /// Built lazily on first request and cached for the file's
-    /// lifetime, so the dataflow passes share one construction.
-    pub fn cfgs(&self) -> &[Option<Cfg>] {
-        self.cfgs.get_or_init(|| {
-            self.items
-                .fns
-                .iter()
-                .map(|f| {
-                    f.body
-                        .map(|body| Cfg::build(&self.text, &self.tokens, body))
-                })
-                .collect()
-        })
     }
 
     /// The crate directory key this file belongs to: `crates/<name>/…` →

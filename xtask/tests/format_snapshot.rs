@@ -131,7 +131,7 @@ fn every_pass_has_substantive_explain_text() {
 fn explain_rejects_unknown_ids_listing_known_ones() {
     let err = render::explain("no-such-lint").expect_err("must reject");
     assert!(err.contains("unknown lint id `no-such-lint`"), "{err}");
-    for id in ["dimensional-flow", "merge-associativity", "stale-config"] {
+    for id in ["units-escape", "merge-associativity", "stale-config"] {
         assert!(err.contains(id), "known-id list missing {id}: {err}");
     }
 }

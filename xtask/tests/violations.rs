@@ -477,40 +477,3 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
         "{diags:?}"
     );
 }
-
-#[test]
-fn raw_dimension_mix_fails_and_typed_arithmetic_passes() {
-    // No config: the dimension vocabulary is fixed at compile time.
-    let src = "use dora_sim_core::units::*;\npub fn energy(t: Seconds, p: Watts) -> f64 {\n    t.value() * p.value()\n}\n";
-    let cx = Context {
-        files: vec![SourceFile::new("crates/modeling/src/power.rs", src)],
-        ..Context::default()
-    };
-    assert_eq!(exit_code(&cx), 1);
-    let diags = run_passes(&cx);
-    let hit = diags
-        .iter()
-        .find(|d| d.lint == "dimensional-flow")
-        .expect("dimensional-flow must fire");
-    assert_eq!(hit.span.file, "crates/modeling/src/power.rs");
-    assert_eq!(hit.span.line, 3, "{hit:?}");
-    assert!(
-        hit.message
-            .contains("raw W·s product is not rebuilt as Joules"),
-        "{hit:?}"
-    );
-    assert!(
-        hit.help.as_deref().is_some_and(|h| {
-            h.contains("`Watts * Seconds` is `Joules`") && h.contains("// dim: <reason>")
-        }),
-        "{hit:?}"
-    );
-
-    // Building the product through the typed impl repairs the tree.
-    let repaired = src.replace("t.value() * p.value()", "(p * t).value()");
-    let cx = Context {
-        files: vec![SourceFile::new("crates/modeling/src/power.rs", repaired)],
-        ..Context::default()
-    };
-    assert!(!lint_fires(&cx, "dimensional-flow"));
-}
