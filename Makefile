@@ -14,18 +14,19 @@ fmt:
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# The ten-pass diagnostics framework (DESIGN.md §8, §12–§13),
-# configured by xtask/xtask.toml: panic reachability, units-escape
-# (unit-suffixed pub fields and typed-units boundary signatures),
-# the partial_cmp ban, crate layering (plus workspace lint
-# inheritance), export determinism (export-file hash collections and
-# call-graph taint), merge associativity, stale-config validation,
-# probe purity, paper-constant provenance, API-surface snapshots. The
-# crate headers are rustc's job (`[workspace.lints.rust]` in
-# Cargo.toml), unit dimensions are clippy's (`value()` is a disallowed
-# method, see clippy.toml), the DVFS tables check themselves at compile
-# time, and snapshot/restore/merge completeness is exhaustive
-# destructuring.
+# The eight-pass diagnostics framework (DESIGN.md §8, §12–§13),
+# configured by xtask/xtask.toml: units-escape (unit-suffixed pub
+# fields and typed-units boundary signatures), the partial_cmp ban,
+# crate layering (plus workspace lint inheritance), merge
+# associativity, stale-config validation, probe purity, paper-constant
+# provenance, API-surface snapshots. The crate headers are rustc's job
+# (`[workspace.lints.rust]` in Cargo.toml); panic sanctions, the
+# HashMap/HashSet and wall-clock bans and unit dimensions are clippy's
+# (the panic-family lints with `#[expect(…, reason)]`,
+# `disallowed-types` and the `value()` disallowed method, see
+# clippy.toml); the DVFS tables check
+# themselves at compile time, and snapshot/restore/merge completeness
+# is exhaustive destructuring.
 # `cargo run -p xtask -- lint --explain <lint-id>` prints any pass's
 # long-form rationale. `--timing --budget-ms` is the runtime-regression
 # gate CI applies to the suite itself (total wall-clock AND a per-pass

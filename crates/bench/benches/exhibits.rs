@@ -6,8 +6,7 @@
 //! the exhibit's own measurement campaign. `table02` is the baseline
 //! no-simulation case.
 
-// Benchmark setup fails fast; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "benchmark setup fails fast")]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dora_bench::heavy_criterion;

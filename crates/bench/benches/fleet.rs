@@ -8,8 +8,7 @@
 //! merging shard reports, which bounds how cheap the streaming side of
 //! the design stays as fleets scale.
 
-// Benchmark setup fails fast; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "benchmark setup fails fast")]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dora_campaign::driver::CampaignDriver;

@@ -10,8 +10,7 @@
 //! executor so the comparison isolates the algorithmic saving from
 //! thread-level scaling.
 
-// Benchmark setup fails fast; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "benchmark setup fails fast")]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dora_campaign::runner::{

@@ -7,8 +7,7 @@
 //! `algorithm1_select_operating_point_biglittle` runs the same sweep over
 //! both clusters of the big.LITTLE profile.
 
-// Benchmark setup fails fast; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "benchmark setup fails fast")]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dora::models::PredictorInputs;

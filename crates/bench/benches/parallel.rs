@@ -7,8 +7,7 @@
 //! multi-worker runs to approach `jobs×` on idle machines; the scaling
 //! headroom is the whole point of the campaign executor.
 
-// Benchmark setup fails fast; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "benchmark setup fails fast")]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dora_campaign::driver::CampaignDriver;

@@ -72,7 +72,10 @@ pub struct Catalog {
 }
 
 /// Shorthand used by the static table below.
-#[allow(clippy::expect_used)] // catalog literals are structurally valid by inspection
+#[expect(
+    clippy::expect_used,
+    reason = "catalog literals are structurally valid by inspection"
+)]
 fn page(
     name: &'static str,
     class: PageClass,

@@ -316,7 +316,10 @@ impl RenderEngine {
 }
 
 impl Default for RenderEngine {
-    #[allow(clippy::expect_used)] // EngineParams::default is validated by test
+    #[expect(
+        clippy::expect_used,
+        reason = "EngineParams::default is validated by test"
+    )]
     fn default() -> Self {
         RenderEngine::new(EngineParams::default()).expect("defaults are valid")
     }

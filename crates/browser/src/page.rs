@@ -134,7 +134,10 @@ impl PageFeatures {
     /// # Panics
     ///
     /// Panics if `complexity` is outside `[0, 1]`.
-    #[allow(clippy::expect_used)] // synthesized fractions cap below validity bounds
+    #[expect(
+        clippy::expect_used,
+        reason = "synthesized fractions cap below validity bounds"
+    )]
     pub fn synthesize(rng: &mut Rng, complexity: f64) -> PageFeatures {
         assert!(
             (0.0..=1.0).contains(&complexity),

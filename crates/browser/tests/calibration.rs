@@ -6,8 +6,7 @@
 //! (Section IV-B). Low-class pages load in < 2 s at the top frequency;
 //! High-class pages take > 2 s.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "test code asserts invariants directly")]
 
 use dora_browser::catalog::{Catalog, PageClass};
 use dora_browser::engine::RenderEngine;

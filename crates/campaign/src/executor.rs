@@ -99,7 +99,10 @@ impl Executor {
     /// merged after the join, so the steady state takes no lock at all.
     /// A panic in `f` propagates to the caller once all workers have
     /// stopped.
-    #[allow(clippy::expect_used)] // the cursor hands out each index exactly once
+    #[expect(
+        clippy::expect_used,
+        reason = "the cursor hands out each index exactly once"
+    )]
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,

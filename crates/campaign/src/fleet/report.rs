@@ -57,7 +57,10 @@ impl GovernorSheet {
     /// # Panics
     ///
     /// Never: the histogram shapes are compile-time constants.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the histogram shapes are compile-time constants"
+    )]
     pub fn new(governor: &str) -> GovernorSheet {
         GovernorSheet {
             governor: governor.to_string(),

@@ -314,7 +314,7 @@ impl GovernedLoop {
     /// Panics if the governor returns a cluster the board lacks or a
     /// frequency outside that cluster's DVFS table (a policy bug, not an
     /// environmental condition).
-    #[allow(clippy::expect_used)] // documented governor-bug panic
+    #[expect(clippy::expect_used, reason = "documented governor-bug panic")]
     pub fn step(&mut self, board: &mut Board, governor: &mut dyn Governor) {
         let dt = board.config().quantum;
         // The integral tracks the governed (browser) cluster's clock; on
@@ -446,7 +446,10 @@ pub fn run_page_observed(
 /// Builds a fresh board, assigns the co-runner, and runs the thermal
 /// warm-up per the configured [`WarmupPolicy`]. The returned board is
 /// ready for a measured load (browser cores cleared).
-#[allow(clippy::expect_used)] // fresh-board invariants: documented panic
+#[expect(
+    clippy::expect_used,
+    reason = "fresh-board invariants: documented panic"
+)]
 pub(crate) fn warmed_board(
     kernel: Option<&dora_coworkloads::Kernel>,
     governor: &mut dyn Governor,
@@ -488,7 +491,10 @@ pub(crate) fn warmed_board(
 }
 
 /// Measures one page load on an already warmed board.
-#[allow(clippy::expect_used)] // warmed-board invariants: documented panic
+#[expect(
+    clippy::expect_used,
+    reason = "warmed-board invariants: documented panic"
+)]
 pub(crate) fn measured_load(
     board: &mut Board,
     page: &dora_browser::catalog::CatalogPage,
@@ -947,7 +953,7 @@ mod tests {
                 curve,
             } = &d.event
             else {
-                unreachable!("filtered above");
+                panic!("filtered above");
             };
             assert_eq!(governor, "interactive");
             assert_eq!(*cluster, 0, "homogeneous boards decide on cluster 0");

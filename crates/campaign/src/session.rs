@@ -107,7 +107,10 @@ impl SessionResult {
 ///
 /// Panics if `pages` is empty or the governor returns a frequency outside
 /// the board's DVFS table.
-#[allow(clippy::expect_used)] // fresh-board invariants: documented panic
+#[expect(
+    clippy::expect_used,
+    reason = "fresh-board invariants: documented panic"
+)]
 pub fn run_session(
     pages: &[&CatalogPage],
     kernel: Option<&Kernel>,

@@ -97,7 +97,10 @@ pub(crate) fn training_campaign_impl(
 /// removed from every sample, leaving the SoC leakage, since idle cores
 /// clock-gate their dynamic power away. Each soak is an independent
 /// board, so observations are bit-identical to the sequential sweep.
-#[allow(clippy::expect_used)] // table-sourced frequency: documented invariant
+#[expect(
+    clippy::expect_used,
+    reason = "table-sourced frequency: documented invariant"
+)]
 pub(crate) fn leakage_calibration_impl(
     base: &BoardConfig,
     ambients: &[Celsius],

@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn all_nine_kernels_participate() {
         let set = WorkloadSet::paper54();
-        let used: std::collections::HashSet<&str> =
+        let used: std::collections::BTreeSet<&str> =
             set.workloads().iter().map(|w| w.kernel.name()).collect();
         assert_eq!(used.len(), 9, "kernels used: {used:?}");
     }
@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn ids_are_unique() {
         let set = WorkloadSet::paper54();
-        let ids: std::collections::HashSet<String> =
+        let ids: std::collections::BTreeSet<String> =
             set.workloads().iter().map(Workload::id).collect();
         assert_eq!(ids.len(), 54);
     }

@@ -2,13 +2,13 @@
 
 use dora::units::Seconds;
 use dora_campaign::{Executor, Parallelism};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed arguments: positional operands plus `--flag [value]` options.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     positional: Vec<String>,
-    options: HashMap<String, Option<String>>,
+    options: BTreeMap<String, Option<String>>,
 }
 
 /// Flags that take no value.

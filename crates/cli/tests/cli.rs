@@ -1,7 +1,6 @@
 //! End-to-end tests of the `dora` binary via `std::process::Command`.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "test code asserts invariants directly")]
 
 use std::process::{Command, Output};
 

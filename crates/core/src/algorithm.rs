@@ -76,7 +76,10 @@ impl ClusterModel {
     /// Panics if `board` has no clusters (a validated [`BoardConfig`]
     /// always has at least one).
     pub fn from_profile(models: &DoraModels, board: &BoardConfig) -> Vec<ClusterModel> {
-        #[allow(clippy::expect_used)] // documented panic: validated configs are non-empty
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: validated configs are non-empty"
+        )]
         let primary = board.clusters.first().expect("validated config");
         board
             .clusters
@@ -312,7 +315,10 @@ fn sweep<'a>(
             curve,
         },
         None => {
-            #[allow(clippy::expect_used)] // documented panic: callers pass at least one cluster
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic: callers pass at least one cluster"
+            )]
             let fastest = fastest.expect("at least one cluster");
             OperatingPointDecision {
                 chosen: fastest.point,

@@ -180,7 +180,7 @@ impl DoraGovernor {
         page: PageFeatures,
         config: DoraConfig,
     ) -> Self {
-        #[allow(clippy::expect_used)] // constructor contract: documented panic
+        #[expect(clippy::expect_used, reason = "constructor contract: documented panic")]
         config.validate().expect("invalid DORA configuration");
         let name = match (config.policy, config.include_leakage) {
             (DoraPolicy::Dora, true) => "DORA".to_string(),

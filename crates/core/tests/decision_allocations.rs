@@ -11,8 +11,7 @@
     unsafe_code,
     reason = "counting allocations means implementing the unsafe `GlobalAlloc` trait"
 )]
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "test code asserts invariants directly")]
 
 use dora::models::{DoraModels, FrequencyEncoding, PiecewiseSurface, PredictorInputs};
 use dora::select_frequency;

@@ -269,7 +269,10 @@ impl Kernel {
     /// A representative kernel per class — the trio used when the paper
     /// sweeps "an application from each memory intensity category":
     /// kmeans (low), bfs (medium), backprop (high).
-    #[allow(clippy::expect_used)] // the three names are members of the static suite
+    #[expect(
+        clippy::expect_used,
+        reason = "the three names are members of the static suite"
+    )]
     pub fn representatives() -> [Kernel; 3] {
         [
             Kernel::by_name("kmeans").expect("in suite"),

@@ -6,8 +6,7 @@
 //! frequency and asserts the measurement, so the suite's labels can never
 //! drift from its behaviour.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "test code asserts invariants directly")]
 #![allow(
     clippy::disallowed_methods,
     reason = "tests compare quantities against plain-number references"

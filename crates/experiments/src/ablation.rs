@@ -56,6 +56,10 @@ pub struct Ablation {
 }
 
 /// Trains a variant and evaluates it on held-out observations.
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 fn model_variant(
     label: &str,
     pipeline: &Pipeline,
@@ -78,6 +82,10 @@ fn model_variant(
 }
 
 /// Runs a DORA config variant over a workload slice.
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 fn governor_variant(
     label: &str,
     pipeline: &Pipeline,

@@ -3,7 +3,6 @@
 //! section). Pass `--quick` for a reduced training grid.
 
 use dora_experiments::pipeline::{Pipeline, Scale};
-use std::time::Instant;
 
 fn banner(title: &str) {
     println!("\n{}", "=".repeat(72));
@@ -17,10 +16,11 @@ fn main() {
     } else {
         Scale::Full
     };
-    // The driver reports wall-clock elapsed time for the whole run; this
-    // is host-side reporting, not simulation state.
-    #[allow(clippy::disallowed_methods)]
-    let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the elapsed-time banner is host-side reporting, not simulation state"
+    )]
+    let t0 = std::time::Instant::now();
     eprintln!("[all] training pipeline ({scale:?})...");
     let pipeline = Pipeline::build(scale, 42);
     eprintln!(

@@ -1,9 +1,7 @@
 //! End-to-end smoke run: quick-train DORA, then compare it with the
 //! interactive baseline on a handful of workloads.
 
-// Smoke binary fails fast by design; budgeted under [panic-budget] in
-// xtask/xtask.toml.
-#![allow(clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "the smoke binary fails fast by design")]
 #![allow(
     clippy::disallowed_methods,
     reason = "prints quantities as plain numbers"

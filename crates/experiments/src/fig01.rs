@@ -56,6 +56,10 @@ pub struct Fig01 {
 }
 
 /// Measures the figure.
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 pub fn run(config: &ScenarioConfig) -> Fig01 {
     let catalog = Catalog::alexa18();
     let reddit = catalog.page("Reddit").expect("Reddit in catalog");

@@ -52,6 +52,10 @@ pub struct Fig02 {
 }
 
 /// Mean idle device power at `freq` after thermal settling.
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 fn idle_power(config: &ScenarioConfig, freq: Frequency) -> Watts {
     let mut board = Board::new(config.board.clone(), config.seed);
     board.set_frequency(freq).expect("table frequency");
@@ -63,6 +67,10 @@ fn idle_power(config: &ScenarioConfig, freq: Frequency) -> Watts {
 
 /// The kernel's alone-run marginal energy per instruction (joules), i.e.
 /// its energy increment over the idle platform divided by the work done.
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 fn kernel_joules_per_instruction(
     config: &ScenarioConfig,
     kernel: &Kernel,
@@ -84,6 +92,10 @@ fn kernel_joules_per_instruction(
 }
 
 /// Measures the figure.
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 pub fn run(config: &ScenarioConfig) -> Fig02 {
     let catalog = Catalog::alexa18();
     let freq = config.board.dvfs.max_frequency();

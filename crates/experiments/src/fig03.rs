@@ -40,6 +40,10 @@ pub struct Fig03 {
     pub msn: Fig03Side,
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 fn side(page: &str, config: &ScenarioConfig, executor: &Executor) -> Fig03Side {
     let set = WorkloadSet::paper54();
     let workload = set

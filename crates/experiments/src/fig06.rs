@@ -32,6 +32,10 @@ pub struct Fig06 {
 }
 
 /// Measures the figure. Needs the pipeline for the model-error overlay.
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 pub fn run(pipeline: &Pipeline, config: &ScenarioConfig) -> Fig06 {
     let set = WorkloadSet::paper54();
     let workload = set
@@ -93,6 +97,10 @@ impl Fig06 {
     /// move to a neighboring bin (the paper's robustness argument): the
     /// PPW error bound `(1+Pe)(1+te) − 1` must be smaller than the PPW gap
     /// to the better neighbor.
+    #[expect(
+        clippy::expect_used,
+        reason = "result rows come from the fixed sweep grid of `run`"
+    )]
     pub fn fopt_is_robust(&self) -> bool {
         let (te, pe) = self.model_errors_at_fopt;
         let ppw_error = ((1.0 + pe.abs()) * (1.0 + te.abs())) - 1.0;

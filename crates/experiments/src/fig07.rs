@@ -37,6 +37,10 @@ pub const GOVERNORS: [&str; 5] = ["interactive", "performance", "DL", "EE", "DOR
 /// # Panics
 ///
 /// Panics on internal policy errors (models are always supplied here).
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 pub fn run(pipeline: &Pipeline) -> Fig07 {
     let driver = CampaignDriver::new().executor(pipeline.executor);
     let evaluation = driver

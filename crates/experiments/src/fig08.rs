@@ -43,6 +43,10 @@ pub const GOVERNORS: [&str; 7] = ["interactive", "performance", "fD", "fE", "DOR
 /// # Panics
 ///
 /// Panics on internal policy errors (models are always supplied here).
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 pub fn run(pipeline: &Pipeline) -> Fig08 {
     let evaluation = CampaignDriver::new()
         .executor(pipeline.executor)

@@ -54,6 +54,10 @@ pub struct Fig10 {
     pub cold: AmbientSweep,
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 fn ablation(pipeline: &Pipeline) -> LeakageAblation {
     // The ablation needs the PPW optimum inside the leakage-sensitive
     // high-voltage band (the paper's Amazon sits at 1.9 GHz; with this
@@ -96,6 +100,10 @@ fn ablation(pipeline: &Pipeline) -> LeakageAblation {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 fn ambient_sweep(pipeline: &Pipeline, board: BoardConfig) -> AmbientSweep {
     let ambient_c = board.thermal.ambient.value();
     let config = pipeline.scenario.to_builder().board(board).build();

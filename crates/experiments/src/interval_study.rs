@@ -127,6 +127,10 @@ pub struct AdaptationRow {
 /// Runs the dynamic-interference probe: MSN loading while the co-runner
 /// steps from `kmeans` (low) to `backprop` (high) 0.6 s into the load,
 /// under a 2.5 s deadline that the post-step conditions make tight.
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 pub fn run_adaptation(pipeline: &Pipeline) -> Vec<AdaptationRow> {
     let catalog = dora_browser::Catalog::alexa18();
     let page = catalog.page("MSN").expect("MSN in catalog");
@@ -243,6 +247,10 @@ impl IntervalStudy {
 
     /// The paper's conclusion as a predicate: 100 ms within a small margin
     /// of 50 ms, and at least as good as 250 ms.
+    #[expect(
+        clippy::expect_used,
+        reason = "result rows come from the fixed sweep grid of `run`"
+    )]
     pub fn hundred_ms_is_the_sweet_spot(&self) -> bool {
         let at = |ms: u64| {
             self.rows

@@ -35,10 +35,6 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-// Burn-down: exhibit regenerators still unwrap/expect on documented pipeline
-// invariants; each file is budgeted under [panic-budget] in xtask/xtask.toml
-// and the budget only ratchets down.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 #![allow(
     clippy::disallowed_methods,
     reason = "figures and tables render quantities as plain numbers"

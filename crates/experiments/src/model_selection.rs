@@ -46,6 +46,10 @@ pub struct ModelSelection {
 ///
 /// Panics if a surface kind fails to train — the campaign grids are
 /// identifiable by construction, so that indicates a broken build.
+#[expect(
+    clippy::expect_used,
+    reason = "figure driver: asserts on its own fixed sweep grid; a panic is a broken experiment, not a runtime error"
+)]
 pub fn run(pipeline: &Pipeline) -> ModelSelection {
     let eval_set: Vec<_> = evaluation_observations(pipeline)
         .into_iter()
@@ -78,6 +82,10 @@ impl ModelSelection {
     /// # Panics
     ///
     /// Panics if the kind is absent (never happens for `run` output).
+    #[expect(
+        clippy::expect_used,
+        reason = "result rows come from the fixed sweep grid of `run`"
+    )]
     pub fn row(&self, kind: SurfaceKind) -> &SelectionRow {
         self.rows
             .iter()

@@ -71,6 +71,10 @@ impl Pipeline {
     /// # Panics
     ///
     /// Panics if training fails, as for [`Pipeline::build`].
+    #[expect(
+        clippy::expect_used,
+        reason = "the campaign grids are identifiable by construction"
+    )]
     pub fn build_with(scale: Scale, seed: u64, executor: &Executor) -> Self {
         let scenario = ScenarioConfig::builder().seed(seed).build();
         let workloads = WorkloadSet::paper54();

@@ -7,8 +7,7 @@
 //! kernel that drifts from it in any term, product or summation order
 //! fails here.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "test code asserts invariants directly")]
 
 use dora_modeling::surface::{FittedSurface, ResponseSurface, SurfaceKind, MAX_INPUTS};
 use dora_sim_core::Rng;

@@ -13,7 +13,10 @@ pub struct SizeRange {
 }
 
 impl SizeRange {
-    #[allow(clippy::expect_used)] // drawn value is bounded by a usize range
+    #[expect(
+        clippy::expect_used,
+        reason = "drawn value is bounded by a usize range"
+    )]
     fn draw(&self, rng: &mut TestRng) -> usize {
         if self.min + 1 >= self.max {
             self.min
@@ -93,7 +96,7 @@ mod tests {
     #[test]
     fn ranged_length_vectors() {
         let mut rng = TestRng::for_case("ranged", 0);
-        let mut lens = std::collections::HashSet::new();
+        let mut lens = std::collections::BTreeSet::new();
         for _ in 0..100 {
             let v = vec(0u64..10, 1..4).generate(&mut rng);
             assert!((1..4).contains(&v.len()));

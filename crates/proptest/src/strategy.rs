@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn integer_ranges_cover_and_respect_bounds() {
         let mut rng = TestRng::for_case("cover", 0);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
             let v = (3u64..7).generate(&mut rng);
             assert!((3..7).contains(&v));

@@ -126,6 +126,10 @@ impl TestRunner {
     ///
     /// Panics on the first failing case, reporting the case index and the
     /// failure message (which includes the generated inputs).
+    #[expect(
+        clippy::panic,
+        reason = "a panic is the shim's test-failure reporting path"
+    )]
     pub fn run<F>(&mut self, name: &str, mut case: F)
     where
         F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,

@@ -119,7 +119,10 @@ impl Board {
     /// # Panics
     ///
     /// Panics if the configuration fails [`BoardConfig::validate`].
-    #[allow(clippy::expect_used)] // constructor contract: documented # Panics
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor contract: documented # Panics"
+    )]
     pub fn new(config: BoardConfig, seed: u64) -> Self {
         config.validate().expect("invalid board configuration");
         let cache = SharedCache::new(config.l2_capacity_bytes);

@@ -175,7 +175,10 @@ impl LoopTask {
     /// # Panics
     ///
     /// Panics if the profile fails [`PhaseProfile::validate`].
-    #[allow(clippy::expect_used)] // constructor contract: documented # Panics
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor contract: documented # Panics"
+    )]
     pub fn new(name: impl Into<String>, profile: PhaseProfile) -> Self {
         profile.validate().expect("invalid phase profile");
         LoopTask {
@@ -262,7 +265,10 @@ impl PhasedTask {
     ///
     /// Panics if any phase has a non-positive instruction budget or an
     /// invalid profile.
-    #[allow(clippy::expect_used)] // constructor contract: documented # Panics
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor contract: documented # Panics"
+    )]
     pub fn new(name: impl Into<String>, phases: Vec<(f64, PhaseProfile)>) -> Self {
         for (budget, profile) in &phases {
             assert!(
@@ -389,7 +395,10 @@ impl CyclicTask {
     ///
     /// Panics if `phases` is empty, any budget is non-positive, or any
     /// profile is invalid.
-    #[allow(clippy::expect_used)] // constructor contract: documented # Panics
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor contract: documented # Panics"
+    )]
     pub fn new(name: impl Into<String>, phases: Vec<(f64, PhaseProfile)>) -> Self {
         assert!(!phases.is_empty(), "a cyclic task needs at least one phase");
         for (budget, profile) in &phases {

@@ -87,7 +87,7 @@ impl ThermalParams {
 /// let expected = 25.0 + 3.0 * node.params().resistance_k_per_w;
 /// assert!((node.temperature().value() - expected).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ThermalNode {
     params: ThermalParams,
     temperature: Celsius,
@@ -105,7 +105,7 @@ impl ThermalNode {
     ///
     /// Panics if `params` fail validation.
     pub fn new(params: ThermalParams) -> Self {
-        #[allow(clippy::expect_used)] // constructor contract: documented panic
+        #[expect(clippy::expect_used, reason = "constructor contract: documented panic")]
         params.validate().expect("invalid thermal parameters");
         ThermalNode {
             params,
@@ -168,7 +168,7 @@ impl ThermalNode {
             ambient,
             ..self.params
         };
-        #[allow(clippy::expect_used)] // setter contract: documented panic
+        #[expect(clippy::expect_used, reason = "setter contract: documented panic")]
         next.validate().expect("invalid ambient");
         self.params = next;
     }

@@ -5,8 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-// Example code: failing fast on setup keeps the walkthrough readable.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "failing fast on setup keeps the walkthrough readable"
+)]
 #![allow(
     clippy::disallowed_methods,
     reason = "prints quantities as plain numbers"

@@ -1,8 +1,7 @@
 //! Property-based tests of Algorithm 1 and model persistence, over
 //! randomized (but physically shaped) trained model bundles.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "test code asserts invariants directly")]
 #![allow(
     clippy::disallowed_methods,
     reason = "tests compare quantities against plain-number references"

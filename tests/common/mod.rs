@@ -1,7 +1,6 @@
 //! Test fixtures shared by the root package's integration suites.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "test code asserts invariants directly")]
 
 use dora_repro::browser::PageFeatures;
 use dora_repro::dora::models::{DoraModels, FrequencyEncoding, PiecewiseSurface, PredictorInputs};

@@ -12,8 +12,7 @@
 //! simulator, sampler or merge-order change must re-pin both values in
 //! the same commit, with the reason in the commit message.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "test code asserts invariants directly")]
 
 use dora_repro::campaign::driver::CampaignDriver;
 use dora_repro::campaign::executor::{Executor, Parallelism};

@@ -3,8 +3,7 @@
 //! tolerable in debug builds. The full-scale equivalents live as
 //! `#[ignore]`d tests in `dora-experiments` and run in release.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::expect_used, reason = "test code asserts invariants directly")]
 #![allow(
     clippy::disallowed_methods,
     reason = "tests compare quantities against plain-number references"

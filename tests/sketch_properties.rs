@@ -9,8 +9,7 @@
 //! but regrouping shards may move the sum by an ULP. The properties
 //! below pin down both halves of that contract.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(clippy::unwrap_used, reason = "test code asserts invariants directly")]
 
 use dora_repro::sim::sketch::{Digest64, FixedHistogram};
 use proptest::prelude::*;

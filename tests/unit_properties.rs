@@ -2,8 +2,6 @@
 //! constructor domains, clamping, the power/energy/time triangle and the
 //! PPW objective's shape.
 
-// Test code asserts invariants directly; the panic ratchet covers libraries.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 #![allow(
     clippy::disallowed_methods,
     reason = "tests compare quantities against plain-number references"

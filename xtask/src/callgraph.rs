@@ -14,7 +14,7 @@
 //! Everything is ordered by file-load order, so traversals and reported
 //! paths are deterministic.
 
-use crate::items::{FnItem, Vis};
+use crate::items::FnItem;
 use crate::lex::TokenKind;
 use crate::Context;
 use std::collections::BTreeMap;
@@ -30,8 +30,6 @@ pub struct FnNode {
     pub crate_key: String,
     /// The extracted item.
     pub item: FnItem,
-    /// Byte span of the body (inside the braces), if any.
-    pub body_bytes: Option<(usize, usize)>,
 }
 
 /// Forward/backward reachability with parent links for path reporting.
@@ -82,19 +80,6 @@ impl CallGraph {
         Builder::new(cx).build()
     }
 
-    /// The innermost function whose body byte-span contains `byte` in
-    /// file index `file`.
-    pub fn enclosing_fn(&self, file: usize, byte: usize) -> Option<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| {
-                n.file == file && n.body_bytes.is_some_and(|(lo, hi)| lo <= byte && byte < hi)
-            })
-            .min_by_key(|(_, n)| n.body_bytes.map(|(lo, hi)| hi - lo))
-            .map(|(i, _)| i)
-    }
-
     /// Breadth-first forward reachability (caller → callee) from
     /// `starts`.
     pub fn forward(&self, starts: &[usize]) -> Reach {
@@ -129,29 +114,6 @@ impl CallGraph {
             }
         }
         reach
-    }
-
-    /// Shortest call path from any non-test `pub` function down to
-    /// `target` (inclusive at both ends), as node indices. A `pub`
-    /// target returns `[target]`.
-    pub fn path_from_pub(&self, target: usize) -> Option<Vec<usize>> {
-        let pubs: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.item.vis == Vis::Pub && !n.item.in_test)
-            .map(|(i, _)| i)
-            .collect();
-        if pubs.contains(&target) {
-            return Some(vec![target]);
-        }
-        // Walk callers from the target; the first pub hit ends the
-        // shortest chain, then reverse it into caller→…→target order.
-        let reach = self.backward(&[target]);
-        let hit = pubs.into_iter().find(|&p| reach.contains(p))?;
-        let mut path = reach.path_to(hit)?;
-        path.reverse();
-        Some(path)
     }
 
     /// Renders a node path as `a::b -> c::d`.
@@ -233,13 +195,6 @@ impl<'a> Builder<'a> {
         for (file_idx, file) in self.cx.files.iter().enumerate() {
             let crate_key = file.crate_key().to_string();
             for item in &file.items.fns {
-                let body_bytes = item.body.and_then(|(lo, hi)| {
-                    if hi > lo {
-                        Some((file.tokens[lo].lo, file.tokens[hi - 1].hi))
-                    } else {
-                        None
-                    }
-                });
                 let idx = self.nodes.len();
                 if !item.in_test {
                     self.by_name.entry(item.name.clone()).or_default().push(idx);
@@ -263,7 +218,6 @@ impl<'a> Builder<'a> {
                     rel: file.rel.clone(),
                     crate_key: crate_key.clone(),
                     item: item.clone(),
-                    body_bytes,
                 });
             }
             for u in &file.items.uses {
@@ -766,31 +720,6 @@ mod tests {
         assert_eq!(type_head("Vec<T>").as_deref(), Some("Vec"));
         assert_eq!(type_head("(f64,f64)"), None);
         assert_eq!(type_head("[u64;4]"), None);
-    }
-
-    #[test]
-    fn path_from_pub_reports_shortest_chain() {
-        let f = SourceFile::new(
-            "crates/soc/src/chain.rs",
-            "pub fn top() {\n    mid();\n}\nfn mid() {\n    bottom();\n}\nfn bottom() {}\n",
-        );
-        let g = graph(vec![f]);
-        let bottom = idx(&g, "soc::chain::bottom");
-        let path = g.path_from_pub(bottom).expect("reachable");
-        assert_eq!(
-            g.render_path(&path),
-            "soc::chain::top -> soc::chain::mid -> soc::chain::bottom"
-        );
-    }
-
-    #[test]
-    fn enclosing_fn_finds_innermost_body() {
-        let src = "pub fn outer() {\n    let c = || inner_marker();\n    c();\n}\n";
-        let f = SourceFile::new("crates/soc/src/e.rs", src);
-        let g = graph(vec![f]);
-        let byte = src.find("inner_marker").unwrap();
-        let at = g.enclosing_fn(0, byte).expect("inside outer");
-        assert_eq!(g.nodes[at].item.qual, "soc::e::outer");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! The config file owns everything a pass can be parameterized on:
 //! per-lint levels, per-lint file allowlists, the crate layer order, the
-//! determinism-scanned export paths, the designated paper-constants
-//! modules with their trivial-float exemptions, and the sanctioned
-//! panic entry points (`[panic-reachability] allow`, which subsumed the
-//! old per-file `[panic-budget]` counts).
+//! designated paper-constants modules with their trivial-float
+//! exemptions, the probe-off hot paths, the typed-units boundary, and
+//! the shard-merge sinks. Panic sanctions and the hash-collection ban
+//! are the compiler's (`#[expect(clippy::…)]` and clippy.toml).
 
 use crate::toml::{self, Value};
 use std::collections::BTreeMap;
@@ -45,19 +45,12 @@ pub struct Config {
     /// The declared crate layers, bottom-up (`[layering] layers`). A crate
     /// may depend only on crates in its own or a lower layer.
     pub layers: Vec<Vec<String>>,
-    /// Path prefixes of export/serialization code the determinism lint
-    /// scans (`[determinism] export_paths`).
-    pub determinism_paths: Vec<String>,
     /// Files designated as paper-constants modules (`[constants] modules`).
     pub constants_modules: Vec<String>,
     /// Float values exempt from the constants audit (`[constants]
     /// trivial`): structural values like 0.0, 1.0, 1024.0 that encode no
     /// physical or model assumption.
     pub trivial_floats: Vec<f64>,
-    /// Qualified function paths sanctioned to contain panic sites
-    /// (`[panic-reachability] allow`), e.g.
-    /// `campaign::runner::Runner::run`.
-    pub panic_allow: Vec<String>,
     /// Path prefixes of probe-off hot-path files the probe-purity lint
     /// scans for allocation/formatting (`[probe-purity] hot_paths`).
     pub probe_hot_paths: Vec<String>,
@@ -68,9 +61,6 @@ pub struct Config {
     /// declared here because the types are macro-generated and invisible
     /// to item extraction.
     pub unit_types: Vec<String>,
-    /// Qualified function paths treated as extra nondeterminism sources
-    /// by the determinism-taint lint (`[determinism-taint] source_fns`).
-    pub taint_source_fns: Vec<String>,
     /// Qualified shard-merge sink functions (`[merge-associativity]
     /// sink_fns`): raw `f64` accumulation reachable from these is
     /// flagged unless it goes through a mergeable sketch type.
@@ -135,14 +125,6 @@ impl Config {
                         }
                     }
                 }
-                "determinism" => {
-                    for (key, v) in entries {
-                        if key != "export_paths" {
-                            return Err(format!("unknown key `{key}` in [determinism]"));
-                        }
-                        config.determinism_paths = string_list(v, "[determinism] export_paths")?;
-                    }
-                }
                 "constants" => {
                     for (key, v) in entries {
                         match key.as_str() {
@@ -171,14 +153,6 @@ impl Config {
                             return Err(format!("unknown key `{key}` in [probe-purity]"));
                         }
                         config.probe_hot_paths = string_list(v, "[probe-purity] hot_paths")?;
-                    }
-                }
-                "panic-reachability" => {
-                    for (key, v) in entries {
-                        if key != "allow" {
-                            return Err(format!("unknown key `{key}` in [panic-reachability]"));
-                        }
-                        config.panic_allow = string_list(v, "[panic-reachability] allow")?;
                     }
                 }
                 "units-escape" => {
@@ -214,14 +188,6 @@ impl Config {
                                 ))
                             }
                         }
-                    }
-                }
-                "determinism-taint" => {
-                    for (key, v) in entries {
-                        if key != "source_fns" {
-                            return Err(format!("unknown key `{key}` in [determinism-taint]"));
-                        }
-                        config.taint_source_fns = string_list(v, "[determinism-taint] source_fns")?;
                     }
                 }
                 other => return Err(format!("unknown table `[{other}]` in xtask.toml")),
@@ -266,22 +232,13 @@ layers = [
   ["dora-browser"],
 ]
 
-[determinism]
-export_paths = ["crates/campaign/src/export.rs"]
-
 [constants]
 modules = ["crates/soc/src/dvfs.rs"]
 trivial = [0.0, 1.0, 1024.0]
 
-[panic-reachability]
-allow = ["campaign::runner::Runner::run"]
-
 [units-escape]
 boundary_paths = ["crates/soc/"]
 unit_types = ["Seconds", "Watts"]
-
-[determinism-taint]
-source_fns = ["campaign::executor::unordered_reduce"]
 
 [merge-associativity]
 sink_fns = ["campaign::fleet::report::FleetReport::merge"]
@@ -293,18 +250,13 @@ mergeable_types = ["FixedHistogram", "Running"]
         let c = Config::from_toml(SAMPLE).expect("parses");
         assert_eq!(c.level("partial-cmp"), Level::Warn);
         assert_eq!(c.level("probe-purity"), Level::Allow);
-        assert_eq!(c.level("panic-reachability"), Level::Deny);
+        assert_eq!(c.level("units-escape"), Level::Deny);
         assert!(c.is_allowed("units-escape", "crates/cli/src/args.rs"));
         assert!(!c.is_allowed("units-escape", "crates/soc/src/dvfs.rs"));
         assert_eq!(c.layers.len(), 2);
         assert_eq!(c.layers[0], vec!["dora-sim-core", "dora-soc"]);
-        assert_eq!(c.panic_allow, vec!["campaign::runner::Runner::run"]);
         assert_eq!(c.units_boundary_paths, vec!["crates/soc/"]);
         assert_eq!(c.unit_types, vec!["Seconds", "Watts"]);
-        assert_eq!(
-            c.taint_source_fns,
-            vec!["campaign::executor::unordered_reduce"]
-        );
         assert!(c.is_trivial_float(1024.0));
         assert!(!c.is_trivial_float(64.0));
         assert_eq!(
@@ -340,6 +292,9 @@ mergeable_types = ["FixedHistogram", "Running"]
             "snapshot-pairing",
             "probe-balance",
             "sync-hygiene",
+            "panic-reachability",
+            "determinism",
+            "determinism-taint",
         ] {
             let err = Config::from_toml(&format!("[{table}]\n\"a\" = 1\n")).expect_err("bad");
             assert!(err.contains("unknown table"), "{table}: {err}");

@@ -63,9 +63,6 @@ impl fmt::Display for Span {
 /// How a finding affects the lint run's exit status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Informational; never fails the run (e.g. a below-budget ratchet
-    /// opportunity).
-    Note,
     /// Reported but non-fatal (a lint configured `level = "warn"`).
     Warning,
     /// Fails the run.
@@ -73,19 +70,9 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// The lowercase keyword used in human and JSON output.
+    /// The lowercase keyword used in human, JSON and SARIF output.
     pub fn as_str(self) -> &'static str {
         match self {
-            Severity::Note => "note",
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-
-    /// The SARIF `level` keyword for this severity.
-    pub fn sarif_level(self) -> &'static str {
-        match self {
-            Severity::Note => "note",
             Severity::Warning => "warning",
             Severity::Error => "error",
         }
@@ -126,17 +113,6 @@ impl Diagnostic {
         }
     }
 
-    /// A note-severity diagnostic (informational, never fatal).
-    pub fn note(lint: &'static str, span: Span, message: impl Into<String>) -> Self {
-        Diagnostic {
-            lint,
-            severity: Severity::Note,
-            span,
-            message: message.into(),
-            help: None,
-        }
-    }
-
     /// Attaches remediation help.
     #[must_use]
     pub fn with_help(mut self, help: impl Into<String>) -> Self {
@@ -167,8 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn severity_orders_note_below_error() {
-        assert!(Severity::Note < Severity::Warning);
+    fn severity_orders_warning_below_error() {
         assert!(Severity::Warning < Severity::Error);
     }
 

@@ -8,7 +8,7 @@
 //! everything else with balanced-bracket scans. Macro *definitions* are
 //! skipped as token soup; macro *invocations* at item position are
 //! skipped balanced. Function bodies are recorded as token ranges so the
-//! call-graph and taint passes can scan them later.
+//! call graph and the body-scanning passes can walk them later.
 //!
 //! Qualified names (`FnItem::qual`) use the crate *directory* key
 //! (`soc`, not `dora-soc`) followed by the `::`-joined module path

@@ -14,8 +14,9 @@
 //!   tokens, items and a column-preserving stripped view) and the crate
 //!   dependency graph.
 //! * [`config`] — `xtask.toml`: per-lint levels, allowlists, the crate
-//!   layer order, determinism scan paths, constants modules,
-//!   panic-reachability entry allowlists, units-boundary paths.
+//!   layer order, constants modules, probe hot paths, units-boundary
+//!   paths, shard-merge sinks. Panic sanctions and the hash-collection
+//!   and clock bans are clippy's (`#[expect(…, reason)]`, `clippy.toml`).
 //! * [`passes`] — the [`Pass`] trait and registry. Each lint is a plugin
 //!   over a shared read-only [`Context`].
 //! * [`render`] — human, `--format json` and `--format sarif` emitters,
@@ -211,9 +212,10 @@ pub struct PassTiming {
 pub fn run_passes_timed(cx: &Context) -> (Vec<Diagnostic>, Vec<PassTiming>) {
     let passes = passes::registry();
     let results = parallel_map(passes.len(), |i| {
-        // Timing the driver is the one sanctioned wall-clock use in this
-        // workspace: durations are reported, never fed into results.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_types,
+            reason = "timing the driver: durations are reported, never fed into results"
+        )]
         let start = std::time::Instant::now();
         let raw = passes[i].run(cx);
         (raw, start.elapsed())
@@ -284,11 +286,7 @@ pub fn apply_policy(config: &Config, raw: Vec<Diagnostic>) -> Vec<Diagnostic> {
         }
         match config.level(d.lint) {
             Level::Allow => continue,
-            Level::Warn => {
-                if d.severity == Severity::Error {
-                    d.severity = Severity::Warning;
-                }
-            }
+            Level::Warn => d.severity = Severity::Warning,
             Level::Deny => {}
         }
         out.push(d);

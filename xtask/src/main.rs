@@ -158,7 +158,10 @@ fn timing_report(
     (out, over)
 }
 
-#[allow(clippy::disallowed_methods)] // timing the driver: reported, never fed into results
+#[expect(
+    clippy::disallowed_types,
+    reason = "timing the driver: reported, never fed into results"
+)]
 fn lint(root: &Path, args: &[String]) -> Result<i32, String> {
     let opts = parse_lint_args(args)?;
     let LintArgs {
@@ -199,14 +202,14 @@ fn lint(root: &Path, args: &[String]) -> Result<i32, String> {
         std::fs::write(&bench, json).map_err(|e| format!("writing {}: {e}", bench.display()))?;
         eprintln!("wrote {}", bench.display());
     }
-    let (errors, warnings, notes) = render::tally(&diags);
+    let (errors, warnings) = render::tally(&diags);
     match format {
         Format::Human => {
             print!("{}", render::human(&diags));
             if errors == 0 {
-                println!("xtask lint: clean ({warnings} warning(s), {notes} note(s))");
+                println!("xtask lint: clean ({warnings} warning(s))");
             } else {
-                eprintln!("xtask lint: {errors} error(s), {warnings} warning(s), {notes} note(s)");
+                eprintln!("xtask lint: {errors} error(s), {warnings} warning(s)");
             }
         }
         Format::Json => print!("{}", render::json(&diags)),

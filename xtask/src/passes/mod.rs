@@ -10,10 +10,8 @@ use crate::Context;
 
 pub mod api_surface;
 pub mod constants;
-pub mod determinism_taint;
 pub mod layering;
 pub mod merge_associativity;
-pub mod panic_reachability;
 pub mod partial_cmp;
 pub mod probe_purity;
 pub mod stale_config;
@@ -41,11 +39,9 @@ pub trait Pass: Send + Sync {
 /// Every registered pass, in documentation order.
 pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(panic_reachability::PanicReachability),
         Box::new(units_escape::UnitsEscape),
         Box::new(partial_cmp::PartialCmp),
         Box::new(layering::CrateLayering),
-        Box::new(determinism_taint::DeterminismTaint),
         Box::new(merge_associativity::MergeAssociativity),
         Box::new(stale_config::StaleConfig),
         Box::new(probe_purity::ProbePurity),

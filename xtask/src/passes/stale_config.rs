@@ -3,7 +3,7 @@
 //!
 //! Allowlists and scan scopes rot silently: a file rename strips an
 //! `[allow]` prefix of its targets, a function rename orphans a
-//! `[panic-reachability]` entry, a type rename turns a
+//! `[merge-associativity]` sink, a type rename turns a
 //! `[merge-associativity]` mergeable type into a no-op — and every one
 //! of those *weakens* the gate without failing it. This pass generalizes
 //! the older per-pass stale-entry notes into one sweep: lint ids in
@@ -94,10 +94,6 @@ impl super::Pass for StaleConfig {
                     cx.config.allow.values().flatten().collect::<Vec<_>>(),
                 ),
                 (
-                    "[determinism] export_paths",
-                    cx.config.determinism_paths.iter().collect(),
-                ),
-                (
                     "[constants] modules",
                     cx.config.constants_modules.iter().collect(),
                 ),
@@ -130,18 +126,11 @@ impl super::Pass for StaleConfig {
         }
         // Qualified function paths and mergeable type names.
         if have_files {
-            for (what, quals) in [
-                ("[panic-reachability] allow", &cx.config.panic_allow),
-                (
-                    "[determinism-taint] source_fns",
-                    &cx.config.taint_source_fns,
-                ),
-                ("[merge-associativity] sink_fns", &cx.config.merge_sink_fns),
-            ] {
-                for qual in quals {
-                    if !fn_quals.contains(qual.as_str()) {
-                        err(format!("{what} entry `{qual}` resolves to no function"));
-                    }
+            for qual in &cx.config.merge_sink_fns {
+                if !fn_quals.contains(qual.as_str()) {
+                    err(format!(
+                        "[merge-associativity] sink_fns entry `{qual}` resolves to no function"
+                    ));
                 }
             }
             for ty in &cx.config.merge_mergeable_types {
@@ -195,9 +184,14 @@ mod tests {
 
     #[test]
     fn unknown_lint_id_is_flagged() {
-        // `dimensional-flow` is a retired pass: a leftover level for it
-        // must be reported like any typo.
-        for id in ["no-such-lint", "dimensional-flow"] {
+        // Retired passes: a leftover level for one must be reported like
+        // any typo.
+        for id in [
+            "no-such-lint",
+            "dimensional-flow",
+            "panic-reachability",
+            "determinism-taint",
+        ] {
             let diags = StaleConfig.run(&cx(&format!("[levels]\n{id} = \"warn\"\n")));
             assert_eq!(diags.len(), 1, "{diags:?}");
             assert_eq!(diags[0].severity, Severity::Error);
@@ -231,7 +225,7 @@ mod tests {
     #[test]
     fn orphaned_function_quals_and_type_names_are_flagged() {
         let diags = StaleConfig.run(&cx(
-            "[panic-reachability]\nallow = [\"soc::agg::gone\"]\n\n[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\nmergeable_types = [\"Ghost\"]\n",
+            "[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\", \"soc::agg::gone\"]\nmergeable_types = [\"Ghost\"]\n",
         ));
         let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
         assert_eq!(diags.len(), 2, "{diags:?}");
@@ -247,7 +241,7 @@ mod tests {
     fn unit_types_are_exempt_and_empty_contexts_skip_tree_checks() {
         let cx = Context {
             config: Config::from_toml(
-                "[units-escape]\nboundary_paths = [\"crates/gone/\"]\nunit_types = [\"NotAStruct\"]\n\n[panic-reachability]\nallow = [\"ghost::fn\"]\n",
+                "[units-escape]\nboundary_paths = [\"crates/gone/\"]\nunit_types = [\"NotAStruct\"]\n\n[merge-associativity]\nsink_fns = [\"ghost::fn\"]\n",
             )
             .expect("config"),
             ..Context::default()

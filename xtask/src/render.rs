@@ -144,7 +144,7 @@ pub fn sarif(diags: &[Diagnostic], rules: &[(&str, &str)]) -> String {
              \"artifactLocation\": {{\"uri\": \"{}\"}}{}\n            }}\n          }}]\n        }}",
             json_escape(d.lint),
             rule_index,
-            d.severity.sarif_level(),
+            d.severity.as_str(),
             json_escape(&d.message),
             json_escape(&d.span.file),
             region,
@@ -177,7 +177,7 @@ pub fn bench_json(files: usize, total_ms: f64, timings: &[PassTiming]) -> String
 }
 
 /// Counts of each severity, for the summary line and the exit code.
-pub fn tally(diags: &[Diagnostic]) -> (usize, usize, usize) {
+pub fn tally(diags: &[Diagnostic]) -> (usize, usize) {
     let errors = diags
         .iter()
         .filter(|d| d.severity == Severity::Error)
@@ -186,11 +186,7 @@ pub fn tally(diags: &[Diagnostic]) -> (usize, usize, usize) {
         .iter()
         .filter(|d| d.severity == Severity::Warning)
         .count();
-    let notes = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Note)
-        .count();
-    (errors, warnings, notes)
+    (errors, warnings)
 }
 
 #[cfg(test)]
@@ -201,22 +197,25 @@ mod tests {
     fn sample() -> Vec<Diagnostic> {
         vec![
             Diagnostic::error(
-                "map-determinism",
+                "partial-cmp",
                 Span::at("crates/campaign/src/evaluate.rs", 81, 14),
-                "`HashMap` in export-reachable code",
+                "float ordering via `partial_cmp`",
             )
-            .with_help("use BTreeMap"),
-            Diagnostic::note("panic-ratchet", Span::file("src/lib.rs"), "below budget"),
+            .with_help("use f64::total_cmp"),
+            Diagnostic {
+                severity: Severity::Warning,
+                ..Diagnostic::error("stale-config", Span::file("xtask/xtask.toml"), "stale")
+            },
         ]
     }
 
     #[test]
     fn human_blocks_carry_span_and_help() {
         let text = human(&sample());
-        assert!(text.contains("error[map-determinism]"));
+        assert!(text.contains("error[partial-cmp]"));
         assert!(text.contains("--> crates/campaign/src/evaluate.rs:81:14"));
-        assert!(text.contains("= help: use BTreeMap"));
-        assert!(text.contains("note[panic-ratchet]"));
+        assert!(text.contains("= help: use f64::total_cmp"));
+        assert!(text.contains("warning[stale-config]"));
     }
 
     #[test]
@@ -247,6 +246,6 @@ mod tests {
 
     #[test]
     fn tally_counts() {
-        assert_eq!(tally(&sample()), (1, 0, 1));
+        assert_eq!(tally(&sample()), (1, 1));
     }
 }

@@ -4,22 +4,26 @@
 //! these documents; a field rename or reordering is a breaking change and
 //! must show up as a reviewed diff here.
 
-use xtask::diag::{Diagnostic, Span};
+use xtask::diag::{Diagnostic, Severity, Span};
 use xtask::render;
 
 fn sample() -> Vec<Diagnostic> {
     vec![
         Diagnostic::error(
-            "map-determinism",
-            Span::at("crates/campaign/src/export.rs", 12, 5),
-            "`HashMap` in export-reachable code: iteration order is nondeterministic",
+            "units-escape",
+            Span::at("crates/soc/src/thermal.rs", 12, 5),
+            "pub fn `settle` takes raw `f64` quantity `dwell_ms` across the typed-units boundary",
         )
-        .with_help("use BTreeMap/BTreeSet, or collect and sort before serializing"),
-        Diagnostic::note(
-            "panic-reachability",
-            Span::file("xtask/xtask.toml"),
-            "[panic-reachability] allow entry `soc::gone` matches no panic site; remove it",
-        ),
+        .with_help("take `Seconds` instead of a unit-suffixed f64"),
+        // A finding of a lint set to `level = "warn"` in `xtask.toml`.
+        Diagnostic {
+            severity: Severity::Warning,
+            ..Diagnostic::error(
+                "stale-config",
+                Span::file("xtask/xtask.toml"),
+                "[merge-associativity] sink_fns entry `soc::gone` resolves to no function",
+            )
+        },
     ]
 }
 
@@ -28,8 +32,8 @@ fn json_shape_is_stable() {
     let expected = r#"{
   "version": 1,
   "diagnostics": [
-    {"lint": "map-determinism", "severity": "error", "file": "crates/campaign/src/export.rs", "line": 12, "column": 5, "message": "`HashMap` in export-reachable code: iteration order is nondeterministic", "help": "use BTreeMap/BTreeSet, or collect and sort before serializing"},
-    {"lint": "panic-reachability", "severity": "note", "file": "xtask/xtask.toml", "line": 0, "column": 0, "message": "[panic-reachability] allow entry `soc::gone` matches no panic site; remove it", "help": null}
+    {"lint": "units-escape", "severity": "error", "file": "crates/soc/src/thermal.rs", "line": 12, "column": 5, "message": "pub fn `settle` takes raw `f64` quantity `dwell_ms` across the typed-units boundary", "help": "take `Seconds` instead of a unit-suffixed f64"},
+    {"lint": "stale-config", "severity": "warning", "file": "xtask/xtask.toml", "line": 0, "column": 0, "message": "[merge-associativity] sink_fns entry `soc::gone` resolves to no function", "help": null}
   ]
 }
 "#;
@@ -39,10 +43,13 @@ fn json_shape_is_stable() {
 #[test]
 fn sarif_shape_is_stable() {
     let rules = [
-        ("map-determinism", "no hash-seeded iteration in export code"),
         (
-            "panic-reachability",
-            "panic sites must be in sanctioned functions",
+            "units-escape",
+            "no raw f64 quantities across the typed-units boundary",
+        ),
+        (
+            "stale-config",
+            "every path, function, and type named in xtask.toml must resolve against the tree",
         ),
     ];
     let text = render::sarif(&sample(), &rules);
@@ -53,20 +60,20 @@ fn sarif_shape_is_stable() {
     assert!(text.contains("\"name\": \"xtask-lint\""));
 
     // The full rules table is present, in registry order.
-    let r0 = text.find("\"id\": \"map-determinism\"").expect("rule 0");
-    let r1 = text.find("\"id\": \"panic-reachability\"").expect("rule 1");
+    let r0 = text.find("\"id\": \"units-escape\"").expect("rule 0");
+    let r1 = text.find("\"id\": \"stale-config\"").expect("rule 1");
     assert!(r0 < r1);
 
     // Results carry ruleId, ruleIndex, level and a span-bearing location.
-    assert!(text.contains("\"ruleId\": \"map-determinism\""));
+    assert!(text.contains("\"ruleId\": \"units-escape\""));
     assert!(text.contains("\"ruleIndex\": 0"));
     assert!(text.contains("\"level\": \"error\""));
-    assert!(text.contains("\"uri\": \"crates/campaign/src/export.rs\""));
+    assert!(text.contains("\"uri\": \"crates/soc/src/thermal.rs\""));
     assert!(text.contains("\"region\": {\"startLine\": 12, \"startColumn\": 5}"));
 
-    // File-scoped findings omit the region entirely and map note → note.
+    // File-scoped findings omit the region entirely; warnings keep their level.
     assert!(text.contains("\"uri\": \"xtask/xtask.toml\"}\n"));
-    assert!(text.contains("\"level\": \"note\""));
+    assert!(text.contains("\"level\": \"warning\""));
 }
 
 #[test]
@@ -75,7 +82,7 @@ fn both_formats_are_valid_when_empty() {
         render::json(&[]),
         "{\n  \"version\": 1,\n  \"diagnostics\": [\n  ]\n}\n"
     );
-    let text = render::sarif(&[], &[("panic-reachability", "d")]);
+    let text = render::sarif(&[], &[("units-escape", "d")]);
     assert!(text.contains("\"results\": [\n      ]"));
 }
 

@@ -1,15 +1,15 @@
 //! End-to-end fixture tests: each semantic pass must turn a synthetic
 //! violating tree into a non-zero exit (error-severity diagnostics
 //! surviving `run_passes` policy), and the same tree repaired must come
-//! back clean. The call-graph passes (panic-reachability, units-escape,
-//! determinism-taint) additionally pin the expected span and help text.
+//! back clean. The call-graph passes (units-escape, merge-associativity)
+//! additionally pin the expected span and help text.
 
 use xtask::source::SourceFile;
 use xtask::workspace::parse_manifest;
 use xtask::{render, run_passes, Config, Context};
 
 fn exit_code(cx: &Context) -> i32 {
-    let (errors, _, _) = render::tally(&run_passes(cx));
+    let (errors, _) = render::tally(&run_passes(cx));
     i32::from(errors > 0)
 }
 
@@ -93,42 +93,6 @@ fn manifest_without_workspace_lints_fails_and_with_them_passes() {
 
     let inheriting = cx(&format!("{manifest}\n[lints]\nworkspace = true\n"));
     assert!(!lint_fires(&inheriting, "crate-layering"));
-}
-
-#[test]
-fn determinism_violation_fails_and_btreemap_passes() {
-    let config =
-        Config::from_toml("[determinism]\nexport_paths = [\"crates/campaign/src/export.rs\"]\n")
-            .expect("config");
-    let cx = Context {
-        files: vec![SourceFile::new(
-            "crates/campaign/src/export.rs",
-            "use std::collections::HashMap;\npub fn rows() -> HashMap<String, f64> { todo!() }\n",
-        )],
-        config: config.clone(),
-        ..Context::default()
-    };
-    assert_eq!(exit_code(&cx), 1);
-    let diags = run_passes(&cx);
-    let lines: Vec<usize> = diags
-        .iter()
-        .filter(|d| d.lint == "determinism-taint")
-        .map(|d| d.span.line)
-        .collect();
-    assert_eq!(lines, [1, 2], "the `use` line and the signature: {diags:?}");
-
-    let cx = Context {
-        files: vec![SourceFile::new(
-            "crates/campaign/src/export.rs",
-            "use std::collections::BTreeMap;\npub fn rows() -> BTreeMap<String, f64> { todo!() }\n",
-        )],
-        config,
-        ..Context::default()
-    };
-    assert!(
-        !lint_fires(&cx, "determinism-taint"),
-        "BTreeMap must not trip determinism-taint"
-    );
 }
 
 #[test]
@@ -229,44 +193,6 @@ fn api_drift_fails_and_blessed_snapshot_passes() {
 }
 
 #[test]
-fn reachable_panic_fails_with_call_path_and_allow_entry_passes() {
-    // A pub entry point reaching a helper's `.unwrap()` two hops down.
-    let src = "pub fn summarize(path: &str) -> usize {\n    parse(path)\n}\n\nfn parse(path: &str) -> usize {\n    read(path).len()\n}\n\nfn read(path: &str) -> String {\n    std::fs::read_to_string(path).unwrap()\n}\n";
-    let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/io.rs", src)],
-        ..Context::default()
-    };
-    assert_eq!(exit_code(&cx), 1);
-    let diags = run_passes(&cx);
-    let hit = diags
-        .iter()
-        .find(|d| d.lint == "panic-reachability")
-        .expect("panic-reachability must fire");
-    assert_eq!(hit.span.file, "crates/soc/src/io.rs");
-    assert_eq!(hit.span.line, 10, "{hit:?}");
-    assert!(
-        hit.message
-            .contains("soc::io::summarize -> soc::io::parse -> soc::io::read"),
-        "finding must show the pub call path: {hit:?}"
-    );
-    assert!(
-        hit.help
-            .as_deref()
-            .is_some_and(|h| h.contains("add `\"soc::io::read\"` to [panic-reachability] allow")),
-        "{hit:?}"
-    );
-
-    // Sanctioning exactly that function repairs the tree.
-    let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/io.rs", src)],
-        config: Config::from_toml("[panic-reachability]\nallow = [\"soc::io::read\"]\n")
-            .expect("config"),
-        ..Context::default()
-    };
-    assert!(!lint_fires(&cx, "panic-reachability"));
-}
-
-#[test]
 fn escaping_f64_fails_and_typed_signature_passes() {
     let config = Config::from_toml(
         "[units-escape]\nboundary_paths = [\"crates/soc/\"]\nunit_types = [\"Seconds\"]\n",
@@ -311,55 +237,6 @@ fn escaping_f64_fails_and_typed_signature_passes() {
         ..Context::default()
     };
     assert!(!lint_fires(&cx, "units-escape"));
-}
-
-#[test]
-fn hash_map_taint_reaching_export_fails_and_btreemap_passes() {
-    let config =
-        Config::from_toml("[determinism]\nexport_paths = [\"crates/campaign/src/export.rs\"]\n")
-            .expect("config");
-    let export = "use crate::rows::collect_rows;\n\npub fn write_csv() -> String {\n    collect_rows().join(\"\\n\")\n}\n";
-    // The helper lives OUTSIDE the export path, so only the call-graph
-    // taint pass can see it from the sink.
-    let tainted = "use std::collections::HashMap;\n\npub fn collect_rows() -> Vec<String> {\n    let m: HashMap<String, f64> = HashMap::new();\n    m.keys().cloned().collect()\n}\n";
-    let cx = Context {
-        files: vec![
-            SourceFile::new("crates/campaign/src/export.rs", export),
-            SourceFile::new("crates/campaign/src/rows.rs", tainted),
-        ],
-        config: config.clone(),
-        ..Context::default()
-    };
-    assert_eq!(exit_code(&cx), 1);
-    let diags = run_passes(&cx);
-    let hit = diags
-        .iter()
-        .find(|d| d.lint == "determinism-taint")
-        .expect("determinism-taint must fire");
-    assert_eq!(hit.span.file, "crates/campaign/src/rows.rs");
-    assert_eq!(hit.span.line, 4, "{hit:?}");
-    assert!(
-        hit.message.contains("`HashMap` iteration order")
-            && hit.message.contains("campaign::export::write_csv"),
-        "finding must name the source and the sink chain: {hit:?}"
-    );
-    assert!(
-        hit.help
-            .as_deref()
-            .is_some_and(|h| h.contains("BTreeMap/BTreeSet")),
-        "{hit:?}"
-    );
-
-    let repaired = tainted.replace("HashMap", "BTreeMap");
-    let cx = Context {
-        files: vec![
-            SourceFile::new("crates/campaign/src/export.rs", export),
-            SourceFile::new("crates/campaign/src/rows.rs", repaired),
-        ],
-        config,
-        ..Context::default()
-    };
-    assert!(!lint_fires(&cx, "determinism-taint"));
 }
 
 #[test]
