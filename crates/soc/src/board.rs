@@ -8,7 +8,10 @@
 //! instruction rates determine cache pressure, cache pressure
 //! determines miss ratios, misses determine DRAM queuing, and queuing feeds
 //! back into effective CPI — that makes a co-scheduled memory hog genuinely
-//! slow the browser down, the paper's central phenomenon.
+//! slow the browser down, the paper's central phenomenon. The solver owns
+//! the L2 and memory-system models and re-solves only when a quantum's
+//! inputs differ from the last one's; [`Board::solver_work`] counts quanta
+//! and solves.
 //!
 //! Observation goes through the typed probe bus
 //! ([`Board::attach_probe`]): events are built lazily, so with no probe
@@ -17,7 +20,7 @@
 //! Boards can also be checkpointed and forked mid-run via
 //! [`Board::snapshot`] (see `snapshot`).
 
-use crate::contention::{ContentionParams, ContentionSolver};
+use crate::contention::{ContentionParams, ContentionSolver, SolverWork};
 use crate::counters::{CoreCounters, CounterSet};
 use crate::dvfs::{Frequency, Opp};
 use crate::power::{self, PowerBreakdown};
@@ -85,7 +88,6 @@ pub(crate) struct StepScratch {
 #[derive(Debug)]
 pub struct Board {
     pub(crate) config: BoardConfig,
-    pub(crate) cache: SharedCache,
     pub(crate) thermal: ThermalNode,
     pub(crate) slots: Vec<CoreSlot>,
     pub(crate) counters: CounterSet,
@@ -105,7 +107,8 @@ pub struct Board {
     pub(crate) seed: u64,
     /// Observers. Not simulation state: excluded from snapshots.
     pub(crate) probes: ProbeBus,
-    /// Fixed-point solver with reusable buffers.
+    /// Fixed-point solver: owns the L2 and memory system, reusable
+    /// buffers and the last-input memo. Not simulation state.
     pub(crate) solver: ContentionSolver,
     /// Per-quantum working storage.
     pub(crate) scratch: StepScratch,
@@ -125,7 +128,10 @@ impl Board {
     )]
     pub fn new(config: BoardConfig, seed: u64) -> Self {
         config.validate().expect("invalid board configuration");
-        let cache = SharedCache::new(config.l2_capacity_bytes);
+        let solver = ContentionSolver::new(
+            SharedCache::new(config.l2_capacity_bytes),
+            config.memory.clone(),
+        );
         let thermal = ThermalNode::new(config.thermal);
         let slots = config
             .cores_enabled
@@ -139,7 +145,6 @@ impl Board {
             .collect();
         let counters = CounterSet::new(config.num_cores);
         Board {
-            cache,
             thermal,
             slots,
             counters,
@@ -156,7 +161,7 @@ impl Board {
             energy_breakdown: EnergyBreakdown::default(),
             seed,
             probes: ProbeBus::new(),
-            solver: ContentionSolver::new(),
+            solver,
             scratch: StepScratch::default(),
             config,
         }
@@ -300,6 +305,14 @@ impl Board {
     /// A snapshot of all counters (for governor delta sampling).
     pub fn counter_set(&self) -> &CounterSet {
         &self.counters
+    }
+
+    /// The contention solver's work counters: quanta stepped by this
+    /// board, and how many of them actually ran the fixed point rather
+    /// than reusing the previous quantum's answer. Not simulation state:
+    /// snapshots leave them out and a restore does not reset them.
+    pub fn solver_work(&self) -> SolverWork {
+        self.solver.work()
     }
 
     /// Assigns a task to a core.
@@ -524,13 +537,8 @@ impl Board {
             mem_overlap: self.config.mem_overlap,
             dirty_fraction: self.config.dirty_fraction,
         };
-        self.solver.solve(
-            &self.cache,
-            &self.config.memory,
-            &params,
-            &self.scratch.profiles,
-            &self.scratch.clocks,
-        );
+        self.solver
+            .solve(&params, &self.scratch.profiles, &self.scratch.clocks);
 
         // Retire work and update counters; interpolate finish times.
         self.scratch.core_utils.clear();

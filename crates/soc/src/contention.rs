@@ -7,8 +7,10 @@
 //! DRAM bus closes a second loop: total miss traffic raises the queuing
 //! delay behind each miss (Section II-B's interference channel).
 //!
-//! [`ContentionSolver`] resolves both loops by damped functional
-//! iteration over a fixed budget of [`FIXED_POINT_ITERATIONS`] rounds:
+//! [`ContentionSolver`] resolves both loops by plain (undamped)
+//! functional iteration over a fixed budget of
+//! [`FIXED_POINT_ITERATIONS`] rounds; each round replaces the
+//! instruction rates outright:
 //!
 //! 1. seed instruction rates at the contention-free `duty·f/CPI_base`;
 //! 2. derive cache demands, apportion the L2, derive miss ratios;
@@ -21,7 +23,20 @@
 //! their clusters' frequencies while still sharing the L2 and the DRAM
 //! bus; a homogeneous board passes the same clock for every profile.
 //!
-//! The solver is pure (no board state, no observers) and reuses its
+//! The solver owns the board's two constant inputs, the [`SharedCache`]
+//! and the [`MemorySystem`], so a `solve` depends only on what changes
+//! from quantum to quantum: the [`ContentionParams`], the profiles and
+//! their clocks. Phases and operating points last far longer than a
+//! quantum, so most calls repeat the previous call's inputs exactly.
+//! The solver therefore keeps a copy of the last inputs and skips the
+//! fixed point when the new ones are bit-identical: the outputs it still
+//! holds are then the answer. The comparison is on `f64::to_bits`, never
+//! `==`, because `-0.0 == 0.0` and `NaN != NaN`; the fixed point is a
+//! deterministic function of those bits, so a hit is exact by
+//! construction. The memo is that one entry, with no history.
+//! [`ContentionSolver::work`] counts calls and actual solves.
+//!
+//! The solver has no board state and no observers, and reuses its
 //! buffers across calls, so the steady-state hot path allocates nothing.
 //! The arithmetic is kept operation-for-operation identical to the
 //! pre-extraction inline loop in `board.rs`; the golden tests below pin
@@ -53,69 +68,150 @@ pub struct ContentionParams {
     pub(crate) dirty_fraction: f64,
 }
 
+/// Bitwise equality of two params: floats compare by `to_bits`.
+fn same_params_bits(a: &ContentionParams, b: &ContentionParams) -> bool {
+    // No `..`: a new field fails to compile until it joins the key.
+    let ContentionParams {
+        tier,
+        mem_overlap,
+        dirty_fraction,
+    } = a;
+    *tier == b.tier
+        && mem_overlap.to_bits() == b.mem_overlap.to_bits()
+        && dirty_fraction.to_bits() == b.dirty_fraction.to_bits()
+}
+
+/// Bitwise equality of two profiles: every field compares by `to_bits`.
+fn same_profile_bits(a: &PhaseProfile, b: &PhaseProfile) -> bool {
+    // No `..`: a new field fails to compile until it joins the key.
+    let PhaseProfile {
+        base_cpi,
+        l2_apki,
+        working_set_bytes,
+        reuse_fraction,
+        duty_cycle,
+    } = a;
+    base_cpi.to_bits() == b.base_cpi.to_bits()
+        && l2_apki.to_bits() == b.l2_apki.to_bits()
+        && working_set_bytes.to_bits() == b.working_set_bytes.to_bits()
+        && reuse_fraction.to_bits() == b.reuse_fraction.to_bits()
+        && duty_cycle.to_bits() == b.duty_cycle.to_bits()
+}
+
+/// A solver's deterministic work counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SolverWork {
+    /// Calls to [`ContentionSolver::solve`]: one per board quantum.
+    pub quanta: u64,
+    /// Calls whose inputs differed from the previous call's, so the
+    /// fixed point actually ran.
+    pub solves: u64,
+}
+
 /// Reusable solver for the CPI ↔ cache-share ↔ DRAM-latency fixed point.
 ///
 /// Call [`ContentionSolver::solve`] once per quantum; read the results
 /// back through the accessors. The output slices are indexed like the
 /// input `profiles` slice.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ContentionSolver {
+    cache: SharedCache,
+    memory: MemorySystem,
     instr_rates: Vec<f64>,
     miss_ratios: Vec<f64>,
     demands: Vec<CacheDemand>,
     shares: Vec<CacheShare>,
     scratch: ApportionScratch,
     dram_demand: f64,
+    /// The memo: the inputs the outputs above were solved for. The
+    /// params are `None` when the outputs came from anything but a
+    /// standard-budget solve.
+    last_params: Option<ContentionParams>,
+    /// Each profile of the memoized call, with its clock.
+    last_inputs: Vec<(PhaseProfile, f64)>,
+    work: SolverWork,
 }
 
 impl ContentionSolver {
-    /// A fresh solver with empty buffers.
-    pub fn new() -> Self {
-        Self::default()
+    /// A solver for a board with this L2 and memory system, with empty
+    /// buffers and no memo.
+    pub fn new(cache: SharedCache, memory: MemorySystem) -> Self {
+        ContentionSolver {
+            cache,
+            memory,
+            instr_rates: Vec::new(), // alloc: one-time construction
+            miss_ratios: Vec::new(), // alloc: one-time construction
+            demands: Vec::new(),     // alloc: one-time construction
+            shares: Vec::new(),      // alloc: one-time construction
+            scratch: ApportionScratch::default(),
+            dram_demand: 0.0,
+            last_params: None,
+            last_inputs: Vec::new(), // alloc: one-time construction
+            work: SolverWork {
+                quanta: 0,
+                solves: 0,
+            },
+        }
     }
 
     /// Solves the fixed point for the active-task `profiles` under the
     /// standard [`FIXED_POINT_ITERATIONS`] budget. `clocks[i]` is the
-    /// core clock (Hz) profile `i` retires at.
+    /// core clock (Hz) profile `i` retires at. When every input is
+    /// bit-identical to the previous call's, the outputs are already
+    /// the answer and the fixed point is skipped.
     ///
     /// # Panics
     ///
     /// Panics if `clocks.len() != profiles.len()`.
-    pub fn solve(
-        &mut self,
-        cache: &SharedCache,
-        memory: &MemorySystem,
+    pub fn solve(&mut self, params: &ContentionParams, profiles: &[PhaseProfile], clocks: &[f64]) {
+        assert_eq!(clocks.len(), profiles.len(), "one clock per profile");
+        self.work.quanta += 1;
+        if self.repeats_last(params, profiles, clocks) {
+            return;
+        }
+        self.work.solves += 1;
+        self.solve_inner(params, profiles, |i| clocks[i], FIXED_POINT_ITERATIONS);
+        self.last_params = Some(*params);
+        self.last_inputs.clear();
+        self.last_inputs
+            .extend(profiles.iter().copied().zip(clocks.iter().copied()));
+    }
+
+    /// Whether these inputs are bit-identical to the memoized ones.
+    fn repeats_last(
+        &self,
         params: &ContentionParams,
         profiles: &[PhaseProfile],
         clocks: &[f64],
-    ) {
-        assert_eq!(clocks.len(), profiles.len(), "one clock per profile");
-        self.solve_inner(
-            cache,
-            memory,
-            params,
-            profiles,
-            |i| clocks[i],
-            FIXED_POINT_ITERATIONS,
-        );
+    ) -> bool {
+        self.last_params
+            .as_ref()
+            .is_some_and(|last| same_params_bits(last, params))
+            && self.last_inputs.len() == profiles.len()
+            && self
+                .last_inputs
+                .iter()
+                .zip(profiles.iter().zip(clocks))
+                .all(|((p, f), (q, g))| same_profile_bits(p, q) && f.to_bits() == g.to_bits())
     }
 
     /// The fixed-point loop under an explicit iteration budget; only the
     /// convergence test runs it with another budget than
-    /// [`FIXED_POINT_ITERATIONS`]. `clock(i)` is the core clock (Hz)
-    /// profile `i` retires at. It is a closure rather than a slice
+    /// [`FIXED_POINT_ITERATIONS`]. It drops the memo, and only
+    /// [`ContentionSolver::solve`] sets it again, so outputs from another
+    /// budget are never served as a hit. `clock(i)` is the core clock
+    /// (Hz) profile `i` retires at. It is a closure rather than a slice
     /// because the generic form inlines into the board's quantum step:
     /// a slice-taking loop stepped an idle msm8974 board about 30 %
     /// slower (release build, 2-vCPU x86-64 VM).
     fn solve_inner(
         &mut self,
-        cache: &SharedCache,
-        memory: &MemorySystem,
         params: &ContentionParams,
         profiles: &[PhaseProfile],
         clock: impl Fn(usize) -> f64,
         iterations: usize,
     ) {
+        self.last_params = None;
         let n = profiles.len();
         self.instr_rates.clear();
         for (i, p) in profiles.iter().enumerate() {
@@ -133,7 +229,8 @@ impl ContentionSolver {
                     reuse_fraction: p.reuse_fraction,
                 });
             }
-            cache.apportion_into(&self.demands, &mut self.shares, &mut self.scratch);
+            self.cache
+                .apportion_into(&self.demands, &mut self.shares, &mut self.scratch);
             self.dram_demand = 0.0;
             for i in 0..n {
                 self.miss_ratios[i] = self.shares[i].miss_ratio;
@@ -141,7 +238,7 @@ impl ContentionSolver {
                 self.dram_demand +=
                     MemorySystem::demand_from_miss_rate(miss_rate, params.dirty_fraction);
             }
-            let latency = memory.miss_latency(params.tier, self.dram_demand);
+            let latency = self.memory.miss_latency(params.tier, self.dram_demand);
             for (i, p) in profiles.iter().enumerate() {
                 #[allow(
                     clippy::disallowed_methods,
@@ -173,6 +270,11 @@ impl ContentionSolver {
     pub fn dram_demand(&self) -> f64 {
         self.dram_demand
     }
+
+    /// Calls so far, and how many of them ran the fixed point.
+    pub fn work(&self) -> SolverWork {
+        self.work
+    }
 }
 
 #[cfg(test)]
@@ -184,10 +286,17 @@ mod tests {
     /// in Hz: the clock every fixture core runs at.
     const F_HZ: f64 = 1_497_600_000.0;
 
-    /// The msm8974 board's operating point at [`F_HZ`], pulled from the
-    /// same config the simulator runs under.
+    /// The msm8974 board's L2, memory system and operating point at
+    /// [`F_HZ`], pulled from the same config the simulator runs under.
     fn fixture() -> (SharedCache, MemorySystem, ContentionParams) {
-        let config = crate::profile::SocProfile::msm8974().board_config();
+        fixture_for("msm8974")
+    }
+
+    /// [`fixture`] for any registered SoC profile.
+    fn fixture_for(name: &str) -> (SharedCache, MemorySystem, ContentionParams) {
+        let config = crate::profile::SocProfile::by_name(name)
+            .expect("registered profile")
+            .board_config();
         let cache = SharedCache::new(config.l2_capacity_bytes);
         let tier = config
             .dvfs
@@ -279,6 +388,46 @@ mod tests {
             .prop_map(|(cpi, apki, ws, reuse, duty)| profile(cpi, apki, ws, reuse, duty))
     }
 
+    /// The raw bits of each float, for bitwise comparison.
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One call's inputs, as the memo walk below mutates them.
+    #[derive(Debug, Clone)]
+    struct Inputs {
+        params: ContentionParams,
+        profiles: Vec<PhaseProfile>,
+        clocks: Vec<f64>,
+    }
+
+    impl Inputs {
+        /// The `k`-th float input, counting every profile field (`base_cpi`
+        /// only when `with_cpi`), then every clock, then `mem_overlap`
+        /// and `dirty_fraction`, and wrapping around.
+        fn float_mut(&mut self, k: usize, with_cpi: bool) -> &mut f64 {
+            let mut fields: Vec<&mut f64> = Vec::new();
+            for p in &mut self.profiles {
+                if with_cpi {
+                    fields.push(&mut p.base_cpi);
+                }
+                fields.push(&mut p.l2_apki);
+                fields.push(&mut p.working_set_bytes);
+                fields.push(&mut p.reuse_fraction);
+                fields.push(&mut p.duty_cycle);
+            }
+            fields.extend(self.clocks.iter_mut());
+            fields.push(&mut self.params.mem_overlap);
+            fields.push(&mut self.params.dirty_fraction);
+            let n = fields.len();
+            fields.swap_remove(k % n)
+        }
+
+        fn solve_on(&self, solver: &mut ContentionSolver) {
+            solver.solve(&self.params, &self.profiles, &self.clocks);
+        }
+    }
+
     #[test]
     fn matches_pre_refactor_computation_on_pinned_golden_vector() {
         let (cache, memory, params) = fixture();
@@ -290,8 +439,8 @@ mod tests {
             profile(0.9, 45.0, 8.0, 0.1, 1.0),
             profile(2.0, 0.5, 0.05, 0.9, 0.1),
         ];
-        let mut solver = ContentionSolver::new();
-        solver.solve(&cache, &memory, &params, &profiles, &uniform(&profiles));
+        let mut solver = ContentionSolver::new(cache, memory.clone());
+        solver.solve(&params, &profiles, &uniform(&profiles));
         let (rates, misses, dram) =
             reference_fixed_point(&cache, &memory, &params, &profiles, F_HZ);
         // Bit-for-bit: the extraction must not change a single rounding.
@@ -306,36 +455,15 @@ mod tests {
     }
 
     #[test]
-    fn solver_reuse_across_calls_does_not_leak_state() {
-        let (cache, memory, params) = fixture();
-        let heavy = [
-            profile(1.1, 6.0, 1.5, 0.85, 0.9),
-            profile(0.9, 45.0, 8.0, 0.1, 1.0),
-        ];
-        let light = [profile(1.1, 6.0, 1.5, 0.85, 0.9)];
-        let mut reused = ContentionSolver::new();
-        reused.solve(&cache, &memory, &params, &heavy, &uniform(&heavy));
-        reused.solve(&cache, &memory, &params, &light, &uniform(&light));
-        let mut fresh = ContentionSolver::new();
-        fresh.solve(&cache, &memory, &params, &light, &uniform(&light));
-        assert_eq!(reused.instr_rates(), fresh.instr_rates());
-        assert_eq!(reused.miss_ratios(), fresh.miss_ratios());
-        assert_eq!(
-            reused.dram_demand().to_bits(),
-            fresh.dram_demand().to_bits()
-        );
-    }
-
-    #[test]
     fn per_core_clocks_slow_only_the_downclocked_core() {
         let (cache, memory, params) = fixture();
         let profiles = [
             profile(1.1, 6.0, 1.5, 0.85, 0.9),
             profile(1.1, 6.0, 1.5, 0.85, 0.9),
         ];
-        let mut solver = ContentionSolver::new();
+        let mut solver = ContentionSolver::new(cache, memory);
         // Core 1 on a half-speed LITTLE cluster.
-        solver.solve(&cache, &memory, &params, &profiles, &[F_HZ, F_HZ / 2.0]);
+        solver.solve(&params, &profiles, &[F_HZ, F_HZ / 2.0]);
         let rates = solver.instr_rates();
         assert!(
             rates[1] < rates[0] * 0.6,
@@ -346,8 +474,8 @@ mod tests {
     #[test]
     fn empty_profile_set_is_a_clean_no_op() {
         let (cache, memory, params) = fixture();
-        let mut solver = ContentionSolver::new();
-        solver.solve(&cache, &memory, &params, &[], &[]);
+        let mut solver = ContentionSolver::new(cache, memory);
+        solver.solve(&params, &[], &[]);
         assert!(solver.instr_rates().is_empty());
         assert!(solver.miss_ratios().is_empty());
         assert_eq!(solver.dram_demand(), 0.0);
@@ -364,13 +492,85 @@ mod tests {
             profiles in proptest::collection::vec(any_profile(), 1..5),
         ) {
             let (cache, memory, params) = fixture();
-            let mut solver = ContentionSolver::new();
-            solver.solve(&cache, &memory, &params, &profiles, &uniform(&profiles));
+            let mut solver = ContentionSolver::new(cache, memory.clone());
+            solver.solve(&params, &profiles, &uniform(&profiles));
             let (rates, misses, dram) =
                 reference_fixed_point(&cache, &memory, &params, &profiles, F_HZ);
             prop_assert_eq!(solver.instr_rates(), rates.as_slice());
             prop_assert_eq!(solver.miss_ratios(), misses.as_slice());
             prop_assert_eq!(solver.dram_demand().to_bits(), dram.to_bits());
+        }
+
+        /// A reused solver answers every call exactly as a fresh one
+        /// would, bit for bit, along a random walk of inputs built to
+        /// trip a wrong memo key: exact repeats, 1-ulp nudges of a single
+        /// float, `+0.0`/`-0.0` swaps (which `==` cannot tell apart), bus
+        /// tier flips, and tasks arriving and leaving, on every
+        /// registered SoC profile. Each input is solved twice in a row,
+        /// and the second call must be a memo hit.
+        #[test]
+        fn solver_reuse_across_calls_does_not_leak_state(
+            soc in 0usize..8,
+            start in proptest::collection::vec((any_profile(), 3.0e8f64..2.3e9), 0..5),
+            walk in proptest::collection::vec((0u8..5, 0usize..64, 0u8..2), 1..24),
+        ) {
+            let names = crate::profile::SocProfile::names();
+            let (cache, memory, params) = fixture_for(names[soc % names.len()]);
+            let mut inputs = Inputs {
+                params,
+                profiles: start.iter().map(|&(p, _)| p).collect(),
+                clocks: start.iter().map(|&(_, f)| f).collect(),
+            };
+            let mut sequence = vec![inputs.clone()];
+            for &(kind, k, flag) in &walk {
+                match kind {
+                    // An exact repeat.
+                    0 => {}
+                    1 => {
+                        let v = inputs.float_mut(k, true);
+                        *v = if flag == 0 && *v > 0.0 { v.next_down() } else { v.next_up() };
+                    }
+                    // Both signed zeros back to back, in either order. A
+                    // zero CPI is outside the solver's domain (the seed
+                    // rate divides by it), so `base_cpi` is left out.
+                    2 => {
+                        let sign = if flag == 0 { 1.0 } else { -1.0 };
+                        *inputs.float_mut(k, false) = sign * 0.0;
+                        sequence.push(inputs.clone());
+                        *inputs.float_mut(k, false) = -sign * 0.0;
+                    }
+                    3 => {
+                        let next = inputs.params.tier.index() + 1 + usize::from(flag);
+                        inputs.params.tier = BusTier::ALL[next % BusTier::ALL.len()];
+                    }
+                    _ => {
+                        if flag == 0 && !inputs.profiles.is_empty() {
+                            inputs.profiles.pop();
+                            inputs.clocks.pop();
+                        } else if inputs.profiles.len() < 5 {
+                            inputs.profiles.push(profile(1.1, 6.0, 1.5, 0.85, 0.9));
+                            inputs.clocks.push(F_HZ);
+                        }
+                    }
+                }
+                sequence.push(inputs.clone());
+            }
+            let mut reused = ContentionSolver::new(cache, memory.clone());
+            for step in &sequence {
+                step.solve_on(&mut reused);
+                let solves = reused.work().solves;
+                step.solve_on(&mut reused);
+                prop_assert_eq!(reused.work().solves, solves);
+                let mut fresh = ContentionSolver::new(cache, memory.clone());
+                step.solve_on(&mut fresh);
+                prop_assert_eq!(bits(reused.instr_rates()), bits(fresh.instr_rates()));
+                prop_assert_eq!(bits(reused.miss_ratios()), bits(fresh.miss_ratios()));
+                prop_assert_eq!(
+                    reused.dram_demand().to_bits(),
+                    fresh.dram_demand().to_bits()
+                );
+            }
+            prop_assert_eq!(reused.work().quanta, 2 * sequence.len() as u64);
         }
 
         /// The fixed point settles within the 4-iteration budget: one
@@ -380,15 +580,15 @@ mod tests {
             profiles in proptest::collection::vec(any_profile(), 1..5),
         ) {
             let (cache, memory, params) = fixture();
-            let mut at_budget = ContentionSolver::new();
             let clocks = uniform(&profiles);
-            at_budget.solve_inner(
-                &cache, &memory, &params, &profiles, |i| clocks[i], FIXED_POINT_ITERATIONS,
-            );
-            let mut one_more = ContentionSolver::new();
-            one_more.solve_inner(
-                &cache, &memory, &params, &profiles, |i| clocks[i], FIXED_POINT_ITERATIONS + 1,
-            );
+            let mut at_budget = ContentionSolver::new(cache, memory.clone());
+            at_budget.solve(&params, &profiles, &clocks);
+            // The same solver first memoizes the standard solve, then runs
+            // one more round: that must drop the memo, or the next `solve`
+            // would hand back the five-round answer.
+            let mut one_more = ContentionSolver::new(cache, memory);
+            one_more.solve(&params, &profiles, &clocks);
+            one_more.solve_inner(&params, &profiles, |i| clocks[i], FIXED_POINT_ITERATIONS + 1);
             for (a, b) in at_budget.instr_rates().iter().zip(one_more.instr_rates()) {
                 let residual = (a - b).abs() / a.max(1.0);
                 prop_assert!(
@@ -396,6 +596,14 @@ mod tests {
                     "rate moved {residual:.4} past the budget ({a} -> {b})",
                 );
             }
+            one_more.solve(&params, &profiles, &clocks);
+            prop_assert_eq!(one_more.work(), SolverWork { quanta: 2, solves: 2 });
+            prop_assert_eq!(bits(one_more.instr_rates()), bits(at_budget.instr_rates()));
+            prop_assert_eq!(bits(one_more.miss_ratios()), bits(at_budget.miss_ratios()));
+            prop_assert_eq!(
+                one_more.dram_demand().to_bits(),
+                at_budget.dram_demand().to_bits()
+            );
         }
 
         /// More co-runner demand never lowers the victim's miss ratio:
@@ -410,10 +618,10 @@ mod tests {
             let (cache, memory, params) = fixture();
             let mut hotter = hog;
             hotter.l2_apki = (hog.l2_apki * scale).min(200.0);
-            let mut base = ContentionSolver::new();
-            base.solve(&cache, &memory, &params, &[victim, hog], &[F_HZ; 2]);
-            let mut pressured = ContentionSolver::new();
-            pressured.solve(&cache, &memory, &params, &[victim, hotter], &[F_HZ; 2]);
+            let mut base = ContentionSolver::new(cache, memory.clone());
+            base.solve(&params, &[victim, hog], &[F_HZ; 2]);
+            let mut pressured = ContentionSolver::new(cache, memory);
+            pressured.solve(&params, &[victim, hotter], &[F_HZ; 2]);
             prop_assert!(
                 pressured.miss_ratios()[0] >= base.miss_ratios()[0] - 1e-9,
                 "victim miss ratio dropped under pressure: {} -> {}",

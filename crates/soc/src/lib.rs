@@ -26,8 +26,9 @@
 //!   model — the `--soc <name>` axis of every layer above.
 //! * [`counters`] — the `perf`-style counters governors sample: retired
 //!   instructions, busy cycles, L2 accesses/misses, per-core utilization.
-//! * [`contention`] — the pure per-quantum fixed point coupling
-//!   instruction rates, cache shares, and DRAM queuing latency.
+//! * [`contention`] — the per-quantum fixed point coupling instruction
+//!   rates, cache shares, and DRAM queuing latency, re-solved only when
+//!   its inputs change.
 //! * [`board`] — the assembled platform stepped in fixed quanta, with DVFS
 //!   switch overhead accounting, a typed probe bus for observation, and
 //!   [`snapshot`] checkpoint/fork support.

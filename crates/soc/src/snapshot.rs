@@ -3,9 +3,11 @@
 //! A [`BoardSnapshot`] is a pure value holding everything that determines
 //! a board's future behaviour: task progress, counters, thermal and
 //! energy state, DVFS position, pending stall, and the seed. It
-//! deliberately excludes observers (probes) and the solver's scratch
-//! buffers — those never influence the simulation, so restoring onto a
-//! board with different probes attached still replays bit-identically.
+//! deliberately excludes observers (probes) and the contention solver
+//! (its buffers, its last-input memo and its work counters) — those
+//! never influence the simulation, so restoring onto a board with
+//! different probes attached, or whose memo holds other inputs, still
+//! replays bit-identically.
 //! [`Board::snapshot`] and [`Board::restore`] destructure both structs
 //! without `..`, so a field added to either fails to compile until it
 //! is transferred or named as not simulation state.
@@ -88,11 +90,10 @@ impl Board {
         let Board {
             // Configuration: the restore target brings its own.
             config: _,
-            // Holds only the L2 capacity, which is configuration.
-            cache: _,
             // Observers never influence the simulation.
             probes: _,
-            // Reusable buffers, overwritten before each use.
+            // Configuration, reusable buffers and a memo that can only
+            // hit on bit-identical inputs, so it never needs clearing.
             solver: _,
             scratch: _,
             thermal,
@@ -189,7 +190,6 @@ impl Board {
         let Board {
             // Not simulation state; see `snapshot`.
             config: _,
-            cache: _,
             probes: _,
             solver: _,
             scratch: _,

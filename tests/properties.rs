@@ -3,8 +3,9 @@
 //! These exercise the substrate with randomized inputs far outside the
 //! curated paper workloads: conservation laws in the task machinery,
 //! boundedness of the cache and memory contention models, regression
-//! round-trips, bit-exact determinism of whole-board simulations, and
-//! energy accounting that closes on every registered SoC profile.
+//! round-trips, bit-exact determinism of whole-board simulations,
+//! snapshots that replay bitwise from any quantum, and energy accounting
+//! that closes on every registered SoC profile.
 
 #![allow(
     clippy::disallowed_methods,
@@ -44,6 +45,38 @@ fn arb_profile() -> impl Strategy<Value = PhaseProfile> {
             reuse_fraction: reuse,
             duty_cycle: duty,
         })
+}
+
+/// Every output a replay must reproduce, as raw bits: the clock, the
+/// energy and its breakdown, power, temperature, the switch count, and
+/// each core's counters and finish time.
+fn board_bits(board: &Board) -> Vec<u64> {
+    let e = board.energy_breakdown();
+    let mut bits = vec![
+        board.time().as_nanos(),
+        board.energy().value().to_bits(),
+        e.platform.value().to_bits(),
+        e.core_dynamic.value().to_bits(),
+        e.uncore.value().to_bits(),
+        e.dram.value().to_bits(),
+        e.leakage.value().to_bits(),
+        board.mean_power().value().to_bits(),
+        board.temperature().value().to_bits(),
+        board.peak_temperature().value().to_bits(),
+        board.switch_count(),
+    ];
+    for core in 0..board.config().num_cores {
+        let c = board.counters(core);
+        bits.extend([
+            c.instructions.to_bits(),
+            c.busy_time.value().to_bits(),
+            c.total_time.value().to_bits(),
+            c.l2_accesses.to_bits(),
+            c.l2_misses.to_bits(),
+            board.finish_time(core).map_or(u64::MAX, |t| t.as_nanos()),
+        ]);
+    }
+    bits
 }
 
 proptest! {
@@ -211,6 +244,71 @@ proptest! {
             )
         };
         prop_assert_eq!(run(), run());
+    }
+
+    /// A snapshot taken at a random quantum replays bitwise. It is
+    /// restored onto a fresh board and onto a board that has been
+    /// stepping a different load, whose contention memo therefore holds
+    /// other inputs. The original, both restored boards and an
+    /// uninterrupted run then step on together and must agree bit for
+    /// bit, on every registered profile.
+    #[test]
+    fn snapshot_at_a_random_quantum_replays_bitwise(
+        browser in arb_profile(),
+        corunner in arb_profile(),
+        other in arb_profile(),
+        work in 1e6f64..5e7,
+        opp in 0usize..16,
+        before in 1u64..300,
+        after in 1u64..300,
+        decoy in 1u64..300,
+    ) {
+        for name in SocProfile::names() {
+            let config = SocProfile::by_name(name).expect("registered").board_config();
+            let quantum = config.quantum;
+            let last = ClusterId::new(config.clusters.len() - 1);
+            let loaded = || {
+                let mut board = Board::new(config.clone(), 11);
+                for c in 0..board.num_clusters() {
+                    let table = &board.config().clusters[c].dvfs;
+                    let f = table.opp(opp % table.len()).frequency;
+                    board.set_cluster_frequency(ClusterId::new(c), f).expect("own table entry");
+                }
+                board
+                    .assign(0, Box::new(PhasedTask::new("main", vec![(work, browser)])))
+                    .expect("free core");
+                board.assign(2, Box::new(LoopTask::new("hog", corunner))).expect("free core");
+                board.migrate(2, last).expect("valid cluster");
+                board
+            };
+            let mut uninterrupted = loaded();
+            for _ in 0..before + after {
+                uninterrupted.step(quantum);
+            }
+            let mut original = loaded();
+            for _ in 0..before {
+                original.step(quantum);
+            }
+            let snapshot = original.snapshot();
+            let mut fresh = Board::new(config.clone(), 0);
+            fresh.restore(&snapshot).expect("same profile");
+            let mut busy = Board::new(config.clone(), 5);
+            busy.assign(0, Box::new(LoopTask::new("other", other))).expect("free core");
+            busy.assign(1, Box::new(LoopTask::new("other-aux", other))).expect("free core");
+            for _ in 0..decoy {
+                busy.step(quantum);
+            }
+            busy.restore(&snapshot).expect("same profile");
+            for _ in 0..after {
+                original.step(quantum);
+                fresh.step(quantum);
+                busy.step(quantum);
+            }
+            let want = board_bits(&uninterrupted);
+            prop_assert_eq!(board_bits(&original), want.clone(), "{}: original", name);
+            prop_assert_eq!(board_bits(&fresh), want.clone(), "{}: fresh fork", name);
+            prop_assert_eq!(board_bits(&busy), want, "{}: busy fork", name);
+        }
     }
 
     /// Synthesized pages are always structurally valid and their feature
