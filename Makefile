@@ -14,17 +14,17 @@ fmt:
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# The eight-pass diagnostics framework (DESIGN.md §8, §12–§13),
+# The seven-pass diagnostics framework (DESIGN.md §8, §12–§13),
 # configured by xtask/xtask.toml: units-escape (unit-suffixed pub
 # fields and typed-units boundary signatures), the partial_cmp ban,
-# crate layering (plus workspace lint inheritance), merge
-# associativity, stale-config validation, probe purity, paper-constant
-# provenance, API-surface snapshots. The crate headers are rustc's job
+# crate layering (plus workspace lint inheritance), stale-config
+# validation, probe purity, paper-constant provenance, API-surface
+# snapshots. The crate headers are rustc's job
 # (`[workspace.lints.rust]` in Cargo.toml); panic sanctions, the
 # HashMap/HashSet and wall-clock bans and unit dimensions are clippy's
 # (the panic-family lints with `#[expect(…, reason)]`,
-# `disallowed-types` and the `value()` disallowed method, see
-# clippy.toml); the DVFS tables check
+# `disallowed-types`, and the `value()` and `Frequency` raw-accessor
+# disallowed methods, see clippy.toml); the DVFS tables check
 # themselves at compile time, and snapshot/restore/merge completeness
 # is exhaustive destructuring.
 # `cargo run -p xtask -- lint --explain <lint-id>` prints any pass's

@@ -124,10 +124,10 @@ impl GovernorSheet {
         self.timed_out += timed_out;
         self.switches += switches;
         self.energy += *energy;
-        // merge: shards fold in fixed shard-index order (FleetReport::merge
+        // Shards fold in fixed shard-index order (FleetReport::merge
         // iterates sheets in governor order), so this addition sequence is
-        // identical across --jobs 1/N/auto; byte-stability is pinned by the
-        // golden fleet digest.
+        // identical across --jobs 1/N/auto; tests/fleet_determinism.rs pins
+        // the byte-identical fold.
         self.battery_hours_sum += battery_hours_sum;
         Ok(())
     }

@@ -315,6 +315,10 @@ impl GovernedLoop {
     /// frequency outside that cluster's DVFS table (a policy bug, not an
     /// environmental condition).
     #[expect(clippy::expect_used, reason = "documented governor-bug panic")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the mean-frequency statistic integrates the clock in raw GHz·s"
+    )]
     pub fn step(&mut self, board: &mut Board, governor: &mut dyn Governor) {
         let dt = board.config().quantum;
         // The integral tracks the governed (browser) cluster's clock; on

@@ -72,7 +72,7 @@ impl PredictorInputs {
     }
 
     /// [`PredictorInputs::to_vector`] on the stack.
-    #[allow(
+    #[expect(
         clippy::disallowed_methods,
         reason = "the regression feature vector is plain numbers"
     )]
@@ -131,6 +131,10 @@ impl FrequencyEncoding {
     }
 
     /// X7 and X8 for a core clock and its bus clock, encoded.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "X7 and X8 are regression features, which are plain numbers"
+    )]
     fn encode_frequencies(self, core: Frequency, bus: Frequency) -> [f64; 2] {
         let mut x = [0.0; INPUTS];
         x[6] = core.as_ghz();

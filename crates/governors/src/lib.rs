@@ -334,6 +334,10 @@ impl Governor for InteractiveGovernor {
         let current = observation.frequency;
 
         // Demanded frequency so that util·f_cur / f_new == target_load.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the kernel scales the clock by a load ratio and snaps the result back to a Frequency"
+        )]
         let demanded_mhz = current.as_mhz() * util / self.config.target_load;
         let mut target = self.table.ceil(Frequency::from_mhz(demanded_mhz));
 
@@ -418,6 +422,10 @@ impl Governor for OndemandGovernor {
         } else {
             // The kernel's proportional decay: next = fmax · util / threshold,
             // snapped to the next table frequency at or above the demand.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the kernel scales the clock by a load ratio and snaps the result back to a Frequency"
+            )]
             let demanded_mhz = self.table.max_frequency().as_mhz() * util / self.up_threshold;
             self.table.ceil(Frequency::from_mhz(demanded_mhz))
         }

@@ -110,7 +110,7 @@ impl LeakageFit {
 
 /// `model − measured` in watts as a raw number: the Levenberg–Marquardt
 /// solver's residuals and Jacobian entries.
-#[allow(
+#[expect(
     clippy::disallowed_methods,
     reason = "least-squares fitting works on raw residuals and their squares"
 )]

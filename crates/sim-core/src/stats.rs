@@ -177,7 +177,7 @@ impl Ema {
     }
 
     /// The current average; zero before any sample.
-    // units: the EMA is dimensionless machinery — it averages whatever
+    // The EMA is dimensionless machinery — it averages whatever
     // quantity its samples carry, so the scalar is the honest type here.
     pub fn value(&self) -> f64 {
         self.value.unwrap_or(0.0)

@@ -138,7 +138,7 @@ impl SimDuration {
 
     /// The ratio of two durations as `f64`. Returns zero when the divisor
     /// is zero (the simulator treats "fraction of nothing" as nothing).
-    // units: a duration divided by a duration is a pure number.
+    // A duration divided by a duration is a pure number.
     pub fn ratio(self, denom: SimDuration) -> f64 {
         if denom.is_zero() {
             0.0

@@ -521,6 +521,10 @@ impl Board {
                 profile.base_cpi *= cluster.cpi_scale;
                 self.scratch.active.push(i);
                 self.scratch.profiles.push(profile);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the contention solver multiplies seconds by Hz into cycle counts, which have no unit type"
+                )]
                 self.scratch.clocks.push(
                     cluster
                         .dvfs

@@ -240,7 +240,7 @@ impl ContentionSolver {
             }
             let latency = self.memory.miss_latency(params.tier, self.dram_demand);
             for (i, p) in profiles.iter().enumerate() {
-                #[allow(
+                #[expect(
                     clippy::disallowed_methods,
                     reason = "seconds × Hz is a cycle count, which has no unit type; the operand order is pinned"
                 )]

@@ -65,6 +65,10 @@ impl Frequency {
 }
 
 impl fmt::Display for Frequency {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "rendering a clock prints its raw number"
+    )]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 1_000_000 {
             write!(f, "{:.3}GHz", self.as_ghz())
@@ -370,6 +374,22 @@ impl Default for DvfsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clippy_bans_every_raw_frequency_accessor() {
+        let source = include_str!("dvfs.rs");
+        let clippy = include_str!("../../../clippy.toml");
+        let accessors: Vec<&str> = source
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("pub fn "))
+            .filter_map(|rest| rest.strip_suffix("(self) -> f64 {"))
+            .collect();
+        assert_eq!(accessors, ["as_mhz", "as_ghz", "as_hz"]);
+        for name in accessors {
+            let entry = format!("path = \"dora_soc::dvfs::Frequency::{name}\"");
+            assert!(clippy.contains(&entry), "clippy.toml lacks {entry}");
+        }
+    }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]

@@ -184,6 +184,10 @@ impl PowerBreakdown {
 /// The sums run in a fixed order: core dynamic power in core order, each
 /// cluster's busy share in core order, and uncore and leakage in cluster
 /// order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "Eq. 5's C·V²·f term takes the clock in raw Hz, and the uncore coefficient is per raw GHz"
+)]
 pub(crate) fn evaluate(
     config: &BoardConfig,
     freq_indices: &[usize],

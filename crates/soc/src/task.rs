@@ -297,8 +297,6 @@ impl PhasedTask {
     }
 
     /// Instructions still to retire before the task finishes.
-    // units: instruction counts are dimensionless; the `.0` below
-    // projects a (budget, profile) phase tuple, not a unit newtype.
     pub fn remaining_instructions(&self) -> f64 {
         if self.phase_index >= self.phases.len() {
             return 0.0;

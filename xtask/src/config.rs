@@ -3,9 +3,9 @@
 //! The config file owns everything a pass can be parameterized on:
 //! per-lint levels, per-lint file allowlists, the crate layer order, the
 //! designated paper-constants modules with their trivial-float
-//! exemptions, the probe-off hot paths, the typed-units boundary, and
-//! the shard-merge sinks. Panic sanctions and the hash-collection ban
-//! are the compiler's (`#[expect(clippy::…)]` and clippy.toml).
+//! exemptions, the probe-off hot paths, and the typed-units boundary.
+//! Panic sanctions, the hash-collection ban and the raw-unit accessor
+//! ban are the compiler's (`#[expect(clippy::…)]` and clippy.toml).
 
 use crate::toml::{self, Value};
 use std::collections::BTreeMap;
@@ -61,13 +61,6 @@ pub struct Config {
     /// declared here because the types are macro-generated and invisible
     /// to item extraction.
     pub unit_types: Vec<String>,
-    /// Qualified shard-merge sink functions (`[merge-associativity]
-    /// sink_fns`): raw `f64` accumulation reachable from these is
-    /// flagged unless it goes through a mergeable sketch type.
-    pub merge_sink_fns: Vec<String>,
-    /// Type names whose methods are trusted to merge associatively
-    /// (`[merge-associativity] mergeable_types`).
-    pub merge_mergeable_types: Vec<String>,
 }
 
 fn string_list(value: &Value, what: &str) -> Result<Vec<String>, String> {
@@ -171,25 +164,6 @@ impl Config {
                         }
                     }
                 }
-                "merge-associativity" => {
-                    for (key, v) in entries {
-                        match key.as_str() {
-                            "sink_fns" => {
-                                config.merge_sink_fns =
-                                    string_list(v, "[merge-associativity] sink_fns")?;
-                            }
-                            "mergeable_types" => {
-                                config.merge_mergeable_types =
-                                    string_list(v, "[merge-associativity] mergeable_types")?;
-                            }
-                            other => {
-                                return Err(format!(
-                                    "unknown key `{other}` in [merge-associativity]"
-                                ))
-                            }
-                        }
-                    }
-                }
                 other => return Err(format!("unknown table `[{other}]` in xtask.toml")),
             }
         }
@@ -239,10 +213,6 @@ trivial = [0.0, 1.0, 1024.0]
 [units-escape]
 boundary_paths = ["crates/soc/"]
 unit_types = ["Seconds", "Watts"]
-
-[merge-associativity]
-sink_fns = ["campaign::fleet::report::FleetReport::merge"]
-mergeable_types = ["FixedHistogram", "Running"]
 "#;
 
     #[test]
@@ -259,17 +229,12 @@ mergeable_types = ["FixedHistogram", "Running"]
         assert_eq!(c.unit_types, vec!["Seconds", "Watts"]);
         assert!(c.is_trivial_float(1024.0));
         assert!(!c.is_trivial_float(64.0));
-        assert_eq!(
-            c.merge_sink_fns,
-            vec!["campaign::fleet::report::FleetReport::merge"]
-        );
-        assert_eq!(c.merge_mergeable_types, vec!["FixedHistogram", "Running"]);
     }
 
     #[test]
-    fn unknown_merge_associativity_key_is_rejected() {
-        let err = Config::from_toml("[merge-associativity]\nsinks = []\n").expect_err("bad");
-        assert!(err.contains("unknown key `sinks`"), "{err}");
+    fn unknown_units_escape_key_is_rejected() {
+        let err = Config::from_toml("[units-escape]\nboundary = []\n").expect_err("bad");
+        assert!(err.contains("unknown key `boundary`"), "{err}");
     }
 
     #[test]
@@ -295,6 +260,7 @@ mergeable_types = ["FixedHistogram", "Running"]
             "panic-reachability",
             "determinism",
             "determinism-taint",
+            "merge-associativity",
         ] {
             let err = Config::from_toml(&format!("[{table}]\n\"a\" = 1\n")).expect_err("bad");
             assert!(err.contains("unknown table"), "{table}: {err}");

@@ -1,21 +1,20 @@
-//! An item tree over the token stream: `fn` / `impl` / `mod` / `use` /
-//! `const` / `struct` declarations with visibility, spans, and
-//! crate-qualified paths.
+//! An item tree over the token stream: `fn` / `impl` / `mod` / `const` /
+//! `struct` declarations with visibility, lines, and crate-qualified
+//! paths.
 //!
 //! This is deliberately *not* a full Rust parser: it walks the
 //! [`crate::lex`] token stream tracking the module/impl/trait scope
 //! stack, records the declarations the passes care about, and skips
 //! everything else with balanced-bracket scans. Macro *definitions* are
 //! skipped as token soup; macro *invocations* at item position are
-//! skipped balanced. Function bodies are recorded as token ranges so the
-//! call graph and the body-scanning passes can walk them later.
+//! skipped balanced, as are function bodies; `use` and `type` items are
+//! skipped to their `;`.
 //!
 //! Qualified names (`FnItem::qual`) use the crate *directory* key
 //! (`soc`, not `dora-soc`) followed by the `::`-joined module path
 //! derived from the file location plus any inline `mod` nesting, then
 //! the `impl`/`trait` self type, then the item name — e.g.
-//! `soc::thermal::ThermalModel::step`. These strings key the
-//! entry-point allowlists in `xtask.toml`.
+//! `soc::thermal::ThermalModel::step`. Diagnostics name items by them.
 
 use crate::lex::{Token, TokenKind};
 
@@ -45,14 +44,6 @@ pub struct FnItem {
     pub self_ty: Option<String>,
     /// Whether the item lives under `#[cfg(test)]` or `#[test]`.
     pub in_test: bool,
-    /// Token-index range `[lo, hi)` of the parameter list (inside the
-    /// parentheses).
-    pub params_span: (usize, usize),
-    /// Token-index range `[lo, hi)` of the return type (after `->`).
-    pub ret_span: (usize, usize),
-    /// Token-index range `[lo, hi)` of the body (inside the braces), or
-    /// `None` for bodyless trait methods.
-    pub body: Option<(usize, usize)>,
     /// Parsed `(name, type)` pairs for each parameter (`self` receivers
     /// appear as `("self", …)`).
     pub params: Vec<(String, String)>,
@@ -117,18 +108,6 @@ pub struct StructItem {
     pub fields: Vec<FieldItem>,
 }
 
-/// One leaf of a `use` declaration: `alias` names `path` in `module`.
-#[derive(Debug, Clone)]
-pub struct UseItem {
-    /// The name the import binds locally (the `as` alias or the final
-    /// path segment).
-    pub alias: String,
-    /// Full path segments as written (`["std", "collections", "HashMap"]`).
-    pub path: Vec<String>,
-    /// Module path (within the file's crate) the import appears in.
-    pub module: Vec<String>,
-}
-
 /// Everything extracted from one file.
 #[derive(Debug, Clone, Default)]
 pub struct ItemSet {
@@ -138,8 +117,6 @@ pub struct ItemSet {
     pub consts: Vec<ConstItem>,
     /// Struct declarations.
     pub structs: Vec<StructItem>,
-    /// `use` imports.
-    pub uses: Vec<UseItem>,
     /// Byte spans of `#[cfg(test)]`-gated regions (attribute through
     /// closing brace or semicolon), for stripping and scoping.
     pub cfg_test_spans: Vec<(usize, usize)>,
@@ -192,10 +169,6 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn tok(&self, code_pos: usize) -> Option<&Token> {
         self.code.get(code_pos).map(|&i| &self.tokens[i])
-    }
-
-    fn text(&self, code_pos: usize) -> &str {
-        self.tok(code_pos).map_or("", |t| t.text(self.src))
     }
 
     fn is_p(&self, code_pos: usize, s: &str) -> bool {
@@ -461,70 +434,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses the `use` tree at `pos` (after the `use` keyword) into
-    /// leaf imports; returns the pos past the closing `;`.
-    fn parse_use(&mut self, mut pos: usize, prefix: &mut Vec<String>, module: &[String]) -> usize {
-        loop {
-            match self.any_ident(pos) {
-                Some(seg) => {
-                    let seg = seg.to_string();
-                    if self.is_p(pos + 1, ":") && self.is_p(pos + 2, ":") {
-                        prefix.push(seg);
-                        pos += 3;
-                        if self.is_p(pos, "{") {
-                            // Group: recurse per element.
-                            pos += 1;
-                            loop {
-                                if self.is_p(pos, "}") {
-                                    pos += 1;
-                                    break;
-                                }
-                                if self.is_p(pos, ",") {
-                                    pos += 1;
-                                    continue;
-                                }
-                                if self.tok(pos).is_none() {
-                                    break;
-                                }
-                                pos = self.parse_use_leaf(pos, prefix, module);
-                            }
-                            prefix.pop();
-                            return pos;
-                        }
-                        if self.is_p(pos, "*") {
-                            prefix.pop();
-                            return pos + 1;
-                        }
-                        continue;
-                    }
-                    // Final segment, maybe `as` alias.
-                    let (alias, next) = if self.is_ident(pos + 1, "as") {
-                        (self.text(pos + 2).to_string(), pos + 3)
-                    } else {
-                        (seg.clone(), pos + 1)
-                    };
-                    let mut path = prefix.clone();
-                    if seg != "self" {
-                        path.push(seg);
-                    }
-                    self.out.uses.push(UseItem {
-                        alias,
-                        path,
-                        module: module.to_vec(),
-                    });
-                    return next;
-                }
-                None => return pos + 1,
-            }
-        }
-    }
-
-    fn parse_use_leaf(&mut self, pos: usize, prefix: &mut Vec<String>, module: &[String]) -> usize {
-        // Inside a `{…}` group an element is itself a use tree (without
-        // the trailing `;`).
-        self.parse_use(pos, prefix, module)
-    }
-
     fn parse_fn(&mut self, kw_pos: usize, vis: Vis, test: bool) {
         let name_pos = kw_pos + 1;
         let Some(name) = self.any_ident(name_pos).map(str::to_string) else {
@@ -577,14 +486,10 @@ impl<'a> Parser<'a> {
             }
             pos += 1;
         }
-        let body = if self.is_p(pos, "{") {
-            let end = self.skip_balanced(pos);
-            let span = (pos + 1, end.saturating_sub(1));
-            pos = end;
-            Some(span)
+        pos = if self.is_p(pos, "{") {
+            self.skip_balanced(pos)
         } else {
-            pos += 1; // the `;`
-            None
+            pos + 1 // the `;`
         };
         let params = self.parse_params(params_span);
         let ret = self.render(ret_span);
@@ -595,20 +500,6 @@ impl<'a> Parser<'a> {
             vis,
             self_ty: self.self_ty(),
             in_test: test || self.in_test_scope(),
-            params_span: (
-                self.code.get(params_span.0).copied().unwrap_or(0),
-                self.code.get(params_span.1).copied().unwrap_or(0),
-            ),
-            ret_span: (
-                self.code.get(ret_span.0).copied().unwrap_or(0),
-                self.code.get(ret_span.1).copied().unwrap_or(0),
-            ),
-            body: body.map(|(a, b)| {
-                (
-                    self.code.get(a).copied().unwrap_or(0),
-                    self.code.get(b).copied().unwrap_or(0),
-                )
-            }),
             params,
             ret,
         };
@@ -934,13 +825,6 @@ impl<'a> Parser<'a> {
                         self.pos = p + 1;
                     }
                 }
-                Some("use") if !qualified_fn => {
-                    let module = self.module_path();
-                    let mut prefix = Vec::new();
-                    let next = self.parse_use(p + 1, &mut prefix, &module);
-                    // Consume the trailing `;` if present.
-                    self.pos = if self.is_p(next, ";") { next + 1 } else { next };
-                }
                 Some("const") if !qualified_fn => {
                     self.parse_const(p, vis, test, false);
                 }
@@ -987,7 +871,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos = self.skip_balanced(q);
                 }
-                Some("type") if !qualified_fn => {
+                Some("type" | "use") if !qualified_fn => {
                     let mut q = p + 1;
                     while let Some(tok) = self.tok(q) {
                         if tok.kind == TokenKind::Punct && tok.text(self.src) == ";" {
@@ -1106,7 +990,6 @@ mod tests {
         assert_eq!(step.params.len(), 2);
         assert_eq!(step.params[0].0, "self");
         assert_eq!(step.params[1], ("dt".to_string(), "Seconds".to_string()));
-        assert!(step.body.is_some());
     }
 
     #[test]
@@ -1123,7 +1006,7 @@ mod tests {
     }
 
     #[test]
-    fn consts_structs_and_uses() {
+    fn consts_and_structs() {
         let set = items("crates/soc/src/board.rs", FIXTURE);
         assert_eq!(set.consts.len(), 1);
         assert_eq!(set.consts[0].qual, "soc::board::K1");
@@ -1138,20 +1021,6 @@ mod tests {
         assert_eq!(board.fields[0].vis, Vis::Pub);
         assert_eq!(board.fields[1].vis, Vis::Private);
         assert_eq!(board.fields[1].ty, "Vec<Core>");
-
-        let aliases: Vec<(&str, Vec<&str>)> = set
-            .uses
-            .iter()
-            .map(|u| {
-                (
-                    u.alias.as_str(),
-                    u.path.iter().map(String::as_str).collect(),
-                )
-            })
-            .collect();
-        assert!(aliases.contains(&("BTreeMap", vec!["std", "collections", "BTreeMap"])));
-        assert!(aliases.contains(&("Map", vec!["std", "collections", "HashMap"])));
-        assert!(aliases.contains(&("Seconds", vec!["crate", "units", "Seconds"])));
     }
 
     #[test]
@@ -1188,8 +1057,6 @@ mod tests {
         let names: Vec<&str> = set.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["decide", "name", "from_khz"]);
         assert_eq!(set.fns[0].self_ty.as_deref(), Some("Governor"));
-        assert!(set.fns[0].body.is_none());
-        assert!(set.fns[1].body.is_some());
         assert_eq!(set.fns[2].qual, "governors::from_khz");
         // `const fn` is a fn, not a const item.
         assert!(set.consts.is_empty());

@@ -1,10 +1,11 @@
-//! Shared justification-comment detection.
+//! Justification-comment detection.
 //!
-//! Every pass that honors an escape comment uses this one scanner: a
-//! `// <marker> <reason>` comment either trailing on the flagged line
-//! or anywhere in the contiguous comment/attribute block immediately
-//! above it. Markers are namespaced per lint (`units:`, `merge:`,
-//! `alloc:`) so a justification silences exactly one pass.
+//! A pass that honors an escape comment (today only `probe-purity`'s
+//! `// alloc:`) uses this scanner: a `// <marker> <reason>` comment
+//! either trailing on the flagged line or anywhere in the contiguous
+//! comment/attribute block immediately above it. The marker is a
+//! parameter, so a justification silences only the pass that asks for
+//! its marker.
 
 /// Whether the 1-based `line` of `text` carries a `// <marker>`
 /// justification — trailing on the line itself, or in the contiguous
@@ -40,28 +41,27 @@ mod tests {
 
     #[test]
     fn trailing_marker_on_the_line_counts() {
-        let text = "let a = 1;\nlet b = t.value() * p.value(); // units: intentional\n";
-        assert!(justified(text, 2, "units:"));
-        assert!(!justified(text, 1, "units:"));
+        let text = "let a = 1;\nlet v = vec![0; n]; // alloc: one-time construction\n";
+        assert!(justified(text, 2, "alloc:"));
+        assert!(!justified(text, 1, "alloc:"));
     }
 
     #[test]
     fn comment_block_above_counts_through_attributes() {
-        let text =
-            "// units: raw product feeds the CSV column\n#[allow(dead_code)]\nlet b = t * p;\n";
-        assert!(justified(text, 3, "units:"));
+        let text = "// alloc: built once per board\n#[allow(dead_code)]\nlet v = vec![0; n];\n";
+        assert!(justified(text, 3, "alloc:"));
     }
 
     #[test]
     fn non_contiguous_comment_does_not_count() {
-        let text = "// units: for the other line\n\nlet b = t * p;\n";
-        assert!(!justified(text, 3, "units:"));
+        let text = "// alloc: for the other line\n\nlet v = vec![0; n];\n";
+        assert!(!justified(text, 3, "alloc:"));
     }
 
     #[test]
     fn markers_are_namespaced() {
-        let text = "let b = t * p; // units: not a merge escape\n";
-        assert!(justified(text, 1, "units:"));
-        assert!(!justified(text, 1, "merge:"));
+        let text = "let v = vec![0; n]; // alloc: not a paper citation\n";
+        assert!(justified(text, 1, "alloc:"));
+        assert!(!justified(text, 1, "paper:"));
     }
 }

@@ -5,18 +5,17 @@
 //!
 //! * [`diag`] — the [`Diagnostic`] model: lint id, severity, file/line/
 //!   column [`Span`], message, help.
-//! * [`lex`] / [`items`] / [`callgraph`] — the dependency-free syntax
-//!   layer: a full Rust lexer with byte-exact spans, an item tree
-//!   (functions, consts, structs, uses) extracted from the token
-//!   stream, and a conservative intra-workspace call graph built on
-//!   top of both.
+//! * [`lex`] / [`items`] — the dependency-free syntax layer: a full
+//!   Rust lexer with byte-exact spans, and an item tree (functions,
+//!   consts, structs) extracted from the token stream.
 //! * [`source`] / [`workspace`] — source loading (each file carries its
 //!   tokens, items and a column-preserving stripped view) and the crate
 //!   dependency graph.
 //! * [`config`] — `xtask.toml`: per-lint levels, allowlists, the crate
 //!   layer order, constants modules, probe hot paths, units-boundary
-//!   paths, shard-merge sinks. Panic sanctions and the hash-collection
-//!   and clock bans are clippy's (`#[expect(…, reason)]`, `clippy.toml`).
+//!   paths. Panic sanctions, the raw-unit accessor ban and the
+//!   hash-collection and clock bans are clippy's (`#[expect(…, reason)]`,
+//!   `clippy.toml`).
 //! * [`passes`] — the [`Pass`] trait and registry. Each lint is a plugin
 //!   over a shared read-only [`Context`].
 //! * [`render`] — human, `--format json` and `--format sarif` emitters,
@@ -30,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod callgraph;
 pub mod config;
 pub mod diag;
 pub mod items;

@@ -11,7 +11,6 @@ use crate::Context;
 pub mod api_surface;
 pub mod constants;
 pub mod layering;
-pub mod merge_associativity;
 pub mod partial_cmp;
 pub mod probe_purity;
 pub mod stale_config;
@@ -42,7 +41,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(units_escape::UnitsEscape),
         Box::new(partial_cmp::PartialCmp),
         Box::new(layering::CrateLayering),
-        Box::new(merge_associativity::MergeAssociativity),
         Box::new(stale_config::StaleConfig),
         Box::new(probe_purity::ProbePurity),
         Box::new(constants::PaperConstants),

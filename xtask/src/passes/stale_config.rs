@@ -1,17 +1,15 @@
-//! `stale-config` — every path, function, and type named in
+//! `stale-config` — every path, package, and lint id named in
 //! `xtask.toml` must still resolve against the loaded tree.
 //!
 //! Allowlists and scan scopes rot silently: a file rename strips an
-//! `[allow]` prefix of its targets, a function rename orphans a
-//! `[merge-associativity]` sink, a type rename turns a
-//! `[merge-associativity]` mergeable type into a no-op — and every one
-//! of those *weakens* the gate without failing it. This pass generalizes
-//! the older per-pass stale-entry notes into one sweep: lint ids in
-//! `[levels]` / `[allow]` must be registered passes, path prefixes must
-//! match at least one loaded file, package names in `[layering]` must
-//! exist in a manifest, and qualified function paths and mergeable type
-//! names must resolve in the item tree. Findings are errors — a config that names ghosts fails
-//! the run, so the file can only describe the tree as it is.
+//! `[allow]` prefix of its targets, a crate rename orphans a
+//! `[layering]` entry, a retired pass leaves its `[levels]` override
+//! behind — and every one of those *weakens* the gate without failing
+//! it. This pass sweeps the whole file: lint ids in `[levels]` /
+//! `[allow]` must be registered passes, path prefixes must match at
+//! least one loaded file, and package names in `[layering]` must exist
+//! in a manifest. Findings are errors — a config that names ghosts
+//! fails the run, so the file can only describe the tree as it is.
 //!
 //! `[units-escape] unit_types` is exempt: the unit newtypes are
 //! macro-generated and invisible to item extraction by design.
@@ -33,14 +31,14 @@ impl super::Pass for StaleConfig {
     }
 
     fn description(&self) -> &'static str {
-        "every path, function, and type named in xtask.toml must resolve against the tree"
+        "every path, package, and lint id named in xtask.toml must resolve against the tree"
     }
 
     fn explain(&self) -> &'static str {
-        "The meta-lint: every path prefix, qualified function, type, and\n\
-         lint id named in `xtask.toml` must still resolve against the\n\
-         tree, so a rename or deletion cannot silently turn a contract\n\
-         into a no-op. Also checks the registry itself — every pass must\n\
+        "The meta-lint: every path prefix, package name, and lint id\n\
+         named in `xtask.toml` must still resolve against the tree, so\n\
+         a rename or deletion cannot silently turn a contract into a\n\
+         no-op. Also checks the registry itself — every pass must\n\
          ship non-empty `lint --explain` text.\n\
          \n\
          Config: it reads *all* of `xtask.toml`; it has no keys of its\n\
@@ -50,21 +48,6 @@ impl super::Pass for StaleConfig {
     fn run(&self, cx: &Context) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let lint_ids: BTreeSet<&'static str> = super::registry().iter().map(|p| p.id()).collect();
-        let fn_quals: BTreeSet<&str> = cx
-            .files
-            .iter()
-            .flat_map(|f| f.items.fns.iter())
-            .filter(|m| !m.in_test)
-            .map(|m| m.qual.as_str())
-            .collect();
-        let struct_names: BTreeSet<&str> = cx
-            .files
-            .iter()
-            .flat_map(|f| f.items.structs.iter())
-            .filter(|s| !s.in_test)
-            .map(|s| s.name.as_str())
-            .collect();
-        let have_files = !cx.files.is_empty();
         let mut err = |msg: String| {
             out.push(
                 Diagnostic::error(StaleConfig.id(), Span::file(TOML_SPAN), msg).with_help(
@@ -78,15 +61,13 @@ impl super::Pass for StaleConfig {
             cx.config.levels.keys().map(|k| ("levels", k)).collect();
         let allow_keys: Vec<(&str, &String)> =
             cx.config.allow.keys().map(|k| ("allow", k)).collect();
-        {
-            for (table, lint) in level_keys.into_iter().chain(allow_keys) {
-                if !lint_ids.contains(lint.as_str()) {
-                    err(format!("[{table}] names unknown lint `{lint}`"));
-                }
+        for (table, lint) in level_keys.into_iter().chain(allow_keys) {
+            if !lint_ids.contains(lint.as_str()) {
+                err(format!("[{table}] names unknown lint `{lint}`"));
             }
         }
         // Path prefixes must match at least one loaded file.
-        if have_files {
+        if !cx.files.is_empty() {
             let matches_some = |prefix: &str| cx.files.iter().any(|f| f.rel.starts_with(prefix));
             for (what, prefixes) in [
                 (
@@ -124,23 +105,6 @@ impl super::Pass for StaleConfig {
                 }
             }
         }
-        // Qualified function paths and mergeable type names.
-        if have_files {
-            for qual in &cx.config.merge_sink_fns {
-                if !fn_quals.contains(qual.as_str()) {
-                    err(format!(
-                        "[merge-associativity] sink_fns entry `{qual}` resolves to no function"
-                    ));
-                }
-            }
-            for ty in &cx.config.merge_mergeable_types {
-                if !struct_names.contains(ty.as_str()) {
-                    err(format!(
-                        "[merge-associativity] mergeable_types entry `{ty}` resolves to no struct"
-                    ));
-                }
-            }
-        }
         // The registry itself: a pass without --explain text is a
         // documentation contract silently dropped.
         for pass in super::registry() {
@@ -167,7 +131,7 @@ mod tests {
         Context {
             files: vec![SourceFile::new(
                 "crates/soc/src/agg.rs",
-                "pub struct Report {\n    pub total: f64,\n}\nimpl Report {\n    pub fn merge(&mut self, other: &Report) {\n        let _ = other.total;\n    }\n}\n",
+                "pub struct Report {\n    pub total: f64,\n}\n",
             )],
             config: Config::from_toml(config).expect("config"),
             ..Context::default()
@@ -177,29 +141,34 @@ mod tests {
     #[test]
     fn resolvable_entries_are_clean() {
         let diags = StaleConfig.run(&cx(
-            "[allow]\nunits-escape = [\"crates/soc/\"]\n\n[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\nmergeable_types = [\"Report\"]\n",
+            "[allow]\nunits-escape = [\"crates/soc/\"]\n\n[probe-purity]\nhot_paths = [\"crates/soc/src/agg.rs\"]\n",
         ));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn unknown_lint_id_is_flagged() {
-        // Retired passes: a leftover level for one must be reported like
-        // any typo.
+        // Retired passes: a leftover level or allowlist for one must be
+        // reported like any typo.
         for id in [
             "no-such-lint",
             "dimensional-flow",
             "panic-reachability",
             "determinism-taint",
+            "merge-associativity",
         ] {
-            let diags = StaleConfig.run(&cx(&format!("[levels]\n{id} = \"warn\"\n")));
-            assert_eq!(diags.len(), 1, "{diags:?}");
-            assert_eq!(diags[0].severity, Severity::Error);
-            assert_eq!(diags[0].span.file, "xtask/xtask.toml");
-            assert!(
-                diags[0].message.contains(&format!("unknown lint `{id}`")),
-                "{diags:?}"
-            );
+            for (table, value) in [("levels", "\"warn\""), ("allow", "[\"crates/soc/\"]")] {
+                let diags = StaleConfig.run(&cx(&format!("[{table}]\n{id} = {value}\n")));
+                assert_eq!(diags.len(), 1, "{diags:?}");
+                assert_eq!(diags[0].severity, Severity::Error);
+                assert_eq!(diags[0].span.file, "xtask/xtask.toml");
+                assert!(
+                    diags[0]
+                        .message
+                        .contains(&format!("[{table}] names unknown lint `{id}`")),
+                    "{diags:?}"
+                );
+            }
         }
     }
 
@@ -223,25 +192,10 @@ mod tests {
     }
 
     #[test]
-    fn orphaned_function_quals_and_type_names_are_flagged() {
-        let diags = StaleConfig.run(&cx(
-            "[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\", \"soc::agg::gone\"]\nmergeable_types = [\"Ghost\"]\n",
-        ));
-        let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert!(msgs
-            .iter()
-            .any(|m| m.contains("`soc::agg::gone` resolves to no function")));
-        assert!(msgs
-            .iter()
-            .any(|m| m.contains("mergeable_types entry `Ghost`")));
-    }
-
-    #[test]
     fn unit_types_are_exempt_and_empty_contexts_skip_tree_checks() {
         let cx = Context {
             config: Config::from_toml(
-                "[units-escape]\nboundary_paths = [\"crates/gone/\"]\nunit_types = [\"NotAStruct\"]\n\n[merge-associativity]\nsink_fns = [\"ghost::fn\"]\n",
+                "[units-escape]\nboundary_paths = [\"crates/gone/\"]\nunit_types = [\"NotAStruct\"]\n",
             )
             .expect("config"),
             ..Context::default()

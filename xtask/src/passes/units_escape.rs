@@ -2,38 +2,31 @@
 //! through public APIs; typed quantities from `dora_sim_core::units`
 //! carry the unit instead.
 //!
-//! Three rules over the item tree and call graph:
+//! Two name rules over the item tree:
 //!
 //! 1. **Fields** (every file): a `pub foo_mhz: f64`-style struct field
 //!    leaks a raw unit-suffixed scalar. Crates still mid-burn-down are
 //!    allowlisted under `[allow] units-escape` in `xtask.toml`; they
 //!    lie outside the boundary below, so the allowlist cannot loosen
-//!    rules 2 and 3.
+//!    rule 2.
 //! 2. **Signatures** (`[units-escape] boundary_paths`, the `soc` /
 //!    `governors` / `modeling` / `sim-core` sources): a `pub fn` taking
 //!    an `f64` parameter whose name carries a raw unit suffix
 //!    (`freq_mhz`, `dt_s`, …), or returning `f64` while itself being
 //!    unit-suffix-named, is leaking a dimensioned quantity untyped.
-//! 3. **Dataflow** (same boundary): a function projecting a raw value
-//!    out of a unit newtype (`.value()` / `.0` / `as_mhz()`-style
-//!    accessors) and returning `f64` is a *leak*; any `pub fn` returning
-//!    `f64` that reaches a leak through the call graph is flagged, with
-//!    the chain.
 //!
 //! `_per_` compound names (e.g. `resistance_k_per_w`) describe a ratio
 //! whose unit is the name and are exempt everywhere. The unit newtypes
 //! themselves (declared in `[units-escape] unit_types`, since the types
-//! are macro-generated and invisible to item extraction) are the
-//! sanctioned escape hatch for rules 2 and 3: their impls are exempt,
-//! and a `// units:` justification comment on the declaration (or the
-//! line above) exempts an individual function — e.g. an FFI-ish
-//! boundary that genuinely must speak scalar.
+//! are macro-generated and invisible to item extraction) may speak
+//! scalar: their impls are exempt from rule 2. Raw values leave a unit
+//! type only through `value()` and the `Frequency` accessors, which
+//! clippy bans outside `#[expect(clippy::disallowed_methods, reason)]`
+//! scopes (`clippy.toml`); the newtype fields are private, so a `.0`
+//! projection cannot happen outside the type's own module.
 
-use crate::callgraph::CallGraph;
 use crate::diag::{Diagnostic, Span};
 use crate::items::Vis;
-use crate::justify::justified;
-use crate::lex::TokenKind;
 use crate::source::SourceFile;
 use crate::Context;
 
@@ -82,22 +75,20 @@ impl super::Pass for UnitsEscape {
     fn explain(&self) -> &'static str {
         "Flags public `f64` struct fields whose names carry a raw unit\n\
          suffix (`_s`, `_ms`, `_mhz`, …) in every crate: the unit belongs\n\
-         in the type, not the name. Then audits declarations in the\n\
-         typed-units boundary crates: public\n\
-         functions there must not take or return raw `f64` where a\n\
-         `dora_sim_core::units` newtype exists, and unit-newtype methods\n\
-         must not hand the raw scalar back out except through the\n\
-         sanctioned accessors.\n\
+         in the type, not the name. Inside the typed-units boundary\n\
+         crates, public functions must not take a unit-suffixed `f64`\n\
+         parameter or return `f64` under a unit-suffixed name; impls on\n\
+         the unit newtypes themselves are exempt.\n\
          \n\
          Config (`xtask.toml`):\n\
            [units-escape]\n\
            boundary_paths = [\"crates/soc/\"]       # path prefixes audited\n\
            unit_types = [\"Seconds\", \"Watts\", …]  # the newtype vocabulary\n\
-         Justification (signatures): `// units: <reason>` on the\n\
-         declaration line or in the comment block directly above it. Use\n\
-         the `[allow] units-escape` path-prefix allowlist for crates\n\
-         outside the boundary (CLI args, exports) whose fields must speak\n\
-         raw scalars."
+         Escape: the `[allow] units-escape` path-prefix allowlist, for\n\
+         crates outside the boundary (CLI args, exports) whose fields\n\
+         must speak raw scalars. Raw projections out of a unit type\n\
+         (`value()`, `Frequency::as_ghz()`, …) are clippy's\n\
+         `disallowed_methods`, not this pass's."
     }
 
     fn run(&self, cx: &Context) -> Vec<Diagnostic> {
@@ -114,131 +105,50 @@ impl super::Pass for UnitsEscape {
                 );
             }
         }
-        let boundary = |rel: &str| {
-            cx.config
-                .units_boundary_paths
-                .iter()
-                .any(|p| rel.starts_with(p.as_str()))
-        };
-        if cx.config.units_boundary_paths.is_empty() {
-            return out;
-        }
-        let graph = CallGraph::build(cx);
         let is_unit_ty = |ty: &Option<String>| {
             ty.as_deref()
                 .is_some_and(|t| cx.config.unit_types.iter().any(|u| u == t))
         };
-
-        // Leak set: functions whose bodies project a raw scalar out of a
-        // unit type and return f64.
-        let leak_methods: Vec<String> = std::iter::once("value".to_string())
-            .chain(BANNED_SUFFIXES.iter().map(|s| format!("as{s}")))
-            .collect();
-        let mut leaks: Vec<usize> = Vec::new();
-        for (idx, node) in graph.nodes.iter().enumerate() {
-            if node.item.in_test || !is_f64(&node.item.ret) || is_unit_ty(&node.item.self_ty) {
-                continue;
-            }
-            let Some((body_lo, body_hi)) = node.item.body else {
-                continue;
-            };
-            let file = &cx.files[node.file];
-            let src = file.text.as_str();
-            let code: Vec<usize> = (body_lo..body_hi.min(file.tokens.len()))
-                .filter(|&i| !file.tokens[i].kind.is_trivia())
-                .collect();
-            let projects = code.iter().enumerate().any(|(pos, &i)| {
-                let tok = &file.tokens[i];
-                let prev_dot = pos > 0
-                    && code.get(pos - 1).is_some_and(|&j| {
-                        file.tokens[j].kind == TokenKind::Punct && file.tokens[j].text(src) == "."
-                    });
-                if !prev_dot {
-                    return false;
+        let in_boundary = |file: &&SourceFile| {
+            cx.config
+                .units_boundary_paths
+                .iter()
+                .any(|p| file.rel.starts_with(p.as_str()))
+        };
+        for file in cx.files.iter().filter(in_boundary) {
+            for item in &file.items.fns {
+                if item.in_test || item.vis != Vis::Pub || is_unit_ty(&item.self_ty) {
+                    continue;
                 }
-                match tok.kind {
-                    // `.0` tuple projection.
-                    TokenKind::Int => tok.text(src) == "0",
-                    TokenKind::Ident => leak_methods.iter().any(|m| m == tok.text(src)),
-                    _ => false,
+                let span = || Span::line(&file.rel, item.line);
+                let qual = item.qual.as_str();
+                // Rule 2a: unit-suffixed f64 parameters.
+                for (pname, pty) in &item.params {
+                    if is_f64(pty) && has_unit_suffix(pname) {
+                        out.push(
+                            Diagnostic::error(
+                                self.id(),
+                                span(),
+                                format!(
+                                    "`{qual}` takes raw `{pname}: f64` across the typed-units \
+                                     boundary"
+                                ),
+                            )
+                            .with_help("take a dora_sim_core::units newtype instead"),
+                        );
+                    }
                 }
-            });
-            if projects {
-                leaks.push(idx);
-            }
-        }
-        let leak_reach = graph.backward(&leaks);
-
-        for (idx, node) in graph.nodes.iter().enumerate() {
-            if node.item.in_test
-                || node.item.vis != Vis::Pub
-                || !boundary(&node.rel)
-                || is_unit_ty(&node.item.self_ty)
-            {
-                continue;
-            }
-            let file = &cx.files[node.file];
-            if justified(&file.text, node.item.line, "units:") {
-                continue;
-            }
-            let qual = node.item.qual.as_str();
-            // Rule 2a: unit-suffixed f64 parameters.
-            for (pname, pty) in &node.item.params {
-                if is_f64(pty) && has_unit_suffix(pname) {
+                // Rule 2b: unit-suffixed fn returning raw f64.
+                if is_f64(&item.ret) && has_unit_suffix(&item.name) {
                     out.push(
                         Diagnostic::error(
                             self.id(),
-                            Span::line(&node.rel, node.item.line),
-                            format!(
-                                "`{qual}` takes raw `{pname}: f64` across the typed-units \
-                                 boundary"
-                            ),
+                            span(),
+                            format!("`{qual}` returns a raw unit-suffixed `f64`"),
                         )
-                        .with_help(
-                            "take a dora_sim_core::units newtype instead, or justify with \
-                             a `// units:` comment",
-                        ),
+                        .with_help("return a dora_sim_core::units newtype instead"),
                     );
                 }
-            }
-            // Rule 2b: unit-suffixed fn returning raw f64.
-            if is_f64(&node.item.ret) && has_unit_suffix(&node.item.name) {
-                out.push(
-                    Diagnostic::error(
-                        self.id(),
-                        Span::line(&node.rel, node.item.line),
-                        format!("`{qual}` returns a raw unit-suffixed `f64`"),
-                    )
-                    .with_help(
-                        "return a dora_sim_core::units newtype instead, or justify with a \
-                         `// units:` comment",
-                    ),
-                );
-                continue;
-            }
-            // Rule 3: pub f64-returning fn reaching a projection leak.
-            if is_f64(&node.item.ret) && leak_reach.contains(idx) {
-                let chain = leak_reach
-                    .path_to(idx)
-                    .map(|mut p| {
-                        p.reverse();
-                        graph.render_path(&p)
-                    })
-                    .unwrap_or_else(|| qual.to_string());
-                out.push(
-                    Diagnostic::error(
-                        self.id(),
-                        Span::line(&node.rel, node.item.line),
-                        format!(
-                            "`{qual}` returns `f64` unwrapped from a unit newtype \
-                             (projection chain: `{chain}`)"
-                        ),
-                    )
-                    .with_help(
-                        "return the unit newtype itself, or justify the scalar boundary \
-                         with a `// units:` comment",
-                    ),
-                );
             }
         }
         out
@@ -326,23 +236,20 @@ pub struct Row {
     }
 
     #[test]
-    fn projection_leak_propagates_through_the_call_graph() {
-        let src = "pub fn report(dt: Seconds) -> f64 {\n    raw(dt)\n}\nfn raw(dt: Seconds) -> f64 {\n    dt.value()\n}\n";
-        let diags = run(src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("soc::power::report"), "{diags:?}");
-        assert!(
-            diags[0]
-                .message
-                .contains("soc::power::report -> soc::power::raw"),
-            "{diags:?}"
-        );
+    fn projections_are_left_to_clippy() {
+        // `value()` out of a unit type is clippy's `disallowed_methods`;
+        // the pass reads names only.
+        let src = "pub fn report(dt: Seconds) -> f64 {\n    dt.value()\n}\n";
+        assert!(run(src).is_empty(), "{:?}", run(src));
     }
 
     #[test]
-    fn unit_type_impls_and_justified_fns_are_exempt() {
-        let src = "impl Frequency {\n    pub fn as_mhz(&self) -> f64 {\n        self.0\n    }\n}\n\n/// For CSV export. units: scalar column by design.\npub fn column(dt: Seconds) -> f64 {\n    dt.value()\n}\n";
+    fn unit_type_impls_are_exempt_and_comments_are_not() {
+        let src = "impl Frequency {\n    pub fn as_mhz(&self) -> f64 {\n        self.0\n    }\n}\n";
         assert!(run(src).is_empty(), "{:?}", run(src));
+        let src =
+            "// units: scalar column by design.\npub fn width_ms(&self) -> f64 {\n    3.0\n}\n";
+        assert_eq!(run(src).len(), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ fn sample() -> Vec<Diagnostic> {
             ..Diagnostic::error(
                 "stale-config",
                 Span::file("xtask/xtask.toml"),
-                "[merge-associativity] sink_fns entry `soc::gone` resolves to no function",
+                "[probe-purity] hot_paths prefix `crates/soc/src/gone.rs` matches no loaded file",
             )
         },
     ]
@@ -33,7 +33,7 @@ fn json_shape_is_stable() {
   "version": 1,
   "diagnostics": [
     {"lint": "units-escape", "severity": "error", "file": "crates/soc/src/thermal.rs", "line": 12, "column": 5, "message": "pub fn `settle` takes raw `f64` quantity `dwell_ms` across the typed-units boundary", "help": "take `Seconds` instead of a unit-suffixed f64"},
-    {"lint": "stale-config", "severity": "warning", "file": "xtask/xtask.toml", "line": 0, "column": 0, "message": "[merge-associativity] sink_fns entry `soc::gone` resolves to no function", "help": null}
+    {"lint": "stale-config", "severity": "warning", "file": "xtask/xtask.toml", "line": 0, "column": 0, "message": "[probe-purity] hot_paths prefix `crates/soc/src/gone.rs` matches no loaded file", "help": null}
   ]
 }
 "#;
@@ -49,7 +49,7 @@ fn sarif_shape_is_stable() {
         ),
         (
             "stale-config",
-            "every path, function, and type named in xtask.toml must resolve against the tree",
+            "every path, package, and lint id named in xtask.toml must resolve against the tree",
         ),
     ];
     let text = render::sarif(&sample(), &rules);
@@ -91,25 +91,19 @@ fn both_formats_are_valid_when_empty() {
 /// pass so the rendering contract can't drift silently.
 #[test]
 fn explain_output_is_stable() {
-    let expected = "merge-associativity — no raw f64 accumulation in code reachable from shard-merge sinks\n\n\
-Walks the call graph from the configured shard-merge sinks and\n\
-flags raw `f64` accumulation (`+=`, `sum()`, fold-style updates)\n\
-reachable from them: float addition is not associative, so\n\
-accumulating in shard-arrival order makes fleet reports depend\n\
-on scheduling. Accumulation through a declared mergeable sketch\n\
-type is trusted.\n\
+    let expected = "probe-purity — probe-off hot-path files allocate/format only at `// alloc:`-justified sites\n\n\
+Scans the configured probe-off hot-path files for allocation and\n\
+formatting (`String::new`, `to_string`, `format!`, `Vec::new`,\n\
+collectors, …): the measurement loop must not allocate when\n\
+probes are off, or probe overhead leaks into the measured\n\
+energy. Each intentional site says why it is lazy or one-time.\n\
 \n\
 Config (`xtask.toml`):\n\
-[merge-associativity]\n\
-sink_fns = [\"campaign::fleet::report::FleetReport::merge\"]\n\
-mergeable_types = [\"FixedHistogram\", \"Running\"]\n\
-Justification: `// merge: <reason>` on the flagged line or in\n\
-the comment block directly above it (say why the fold order is\n\
-stable).\n";
-    assert_eq!(
-        render::explain("merge-associativity").expect("known id"),
-        expected
-    );
+[probe-purity]\n\
+hot_paths = [\"crates/soc/src/probe.rs\"]  # path prefixes\n\
+Justification: `// alloc: <reason>` on the flagged line or in\n\
+the comment block directly above it.\n";
+    assert_eq!(render::explain("probe-purity").expect("known id"), expected);
 }
 
 /// Every registered pass explains itself, and the text names its own
@@ -138,7 +132,7 @@ fn every_pass_has_substantive_explain_text() {
 fn explain_rejects_unknown_ids_listing_known_ones() {
     let err = render::explain("no-such-lint").expect_err("must reject");
     assert!(err.contains("unknown lint id `no-such-lint`"), "{err}");
-    for id in ["units-escape", "merge-associativity", "stale-config"] {
+    for id in ["units-escape", "probe-purity", "stale-config"] {
         assert!(err.contains(id), "known-id list missing {id}: {err}");
     }
 }

@@ -1,8 +1,8 @@
 //! End-to-end fixture tests: each semantic pass must turn a synthetic
 //! violating tree into a non-zero exit (error-severity diagnostics
 //! surviving `run_passes` policy), and the same tree repaired must come
-//! back clean. The call-graph passes (units-escape, merge-associativity)
-//! additionally pin the expected span and help text.
+//! back clean. The units-escape and stale-config fixtures additionally
+//! pin the expected span and help text.
 
 use xtask::source::SourceFile;
 use xtask::workspace::parse_manifest;
@@ -240,71 +240,13 @@ fn escaping_f64_fails_and_typed_signature_passes() {
 }
 
 #[test]
-fn raw_f64_fold_under_merge_sink_fails_and_sketch_type_passes() {
-    let config = Config::from_toml(
-        "[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\nmergeable_types = [\"Hist\"]\n",
-    )
-    .expect("config");
-    // The sink reaches a helper whose `.sum()` reassociates under resharding.
-    let src = "pub struct Report {\n    pub total: f64,\n}\nimpl Report {\n    pub fn merge(&mut self, other: &Report) {\n        self.total = combine(self.total, other.total);\n    }\n}\nfn combine(a: f64, b: f64) -> f64 {\n    [a, b].iter().sum()\n}\n";
-    let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/agg.rs", src)],
-        config: config.clone(),
-        ..Context::default()
-    };
-    assert_eq!(exit_code(&cx), 1);
-    let diags = run_passes(&cx);
-    let hit = diags
-        .iter()
-        .find(|d| d.lint == "merge-associativity")
-        .expect("merge-associativity must fire");
-    assert_eq!(hit.span.file, "crates/soc/src/agg.rs");
-    assert_eq!(hit.span.line, 10, "{hit:?}");
-    assert!(
-        hit.message.contains(
-            "raw f64 accumulation `.sum()` in `soc::agg::combine` \
-             (merge-reachable via `soc::agg::Report::merge -> soc::agg::combine`)"
-        ),
-        "{hit:?}"
-    );
-    assert!(
-        hit.help.as_deref().is_some_and(|h| {
-            h.contains("accumulate through a mergeable sketch type")
-                && h.contains("// merge: <reason>")
-        }),
-        "{hit:?}"
-    );
-
-    // A `// merge:` comment above an attribute line justifies the fold,
-    // as every marker does.
-    let justified = "pub struct Report {\n    pub total: f64,\n}\nimpl Report {\n    pub fn merge(&mut self, other: &Report) {\n        self.total = combine(self.total, other.total);\n    }\n}\nfn combine(a: f64, b: f64) -> f64 {\n    // merge: a two-element fold in fixed order\n    #[allow(clippy::let_and_return)]\n    let total = [a, b].iter().sum();\n    total\n}\n";
-    let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/agg.rs", justified)],
-        config: config.clone(),
-        ..Context::default()
-    };
-    assert!(!lint_fires(&cx, "merge-associativity"));
-
-    // Folding through a declared-mergeable sketch type passes.
-    let repaired = "pub struct Report {\n    pub total: Hist,\n}\npub struct Hist;\nimpl Hist {\n    pub fn merge(&mut self, _other: &Hist) {}\n}\nimpl Report {\n    pub fn merge(&mut self, other: &Report) {\n        self.total.merge(&other.total);\n    }\n}\n";
-    let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/agg.rs", repaired)],
-        config,
-        ..Context::default()
-    };
-    assert!(!lint_fires(&cx, "merge-associativity"));
-}
-
-#[test]
 fn stale_config_entry_fails_and_resolving_entry_passes() {
-    let src = "pub struct Report {\n    pub sessions: u64,\n}\nimpl Report {\n    pub fn merge(&mut self, other: &Report) {\n        self.sessions += other.sessions;\n    }\n}\n";
-    // The config points merge-associativity at a sink that no longer exists.
+    let src = "pub fn step(&mut self) {}\n";
+    // The config points probe-purity at a hot path that no longer exists.
     let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/agg.rs", src)],
-        config: Config::from_toml(
-            "[merge-associativity]\nsink_fns = [\"soc::agg::Gone::merge\"]\n",
-        )
-        .expect("config"),
+        files: vec![SourceFile::new("crates/soc/src/board.rs", src)],
+        config: Config::from_toml("[probe-purity]\nhot_paths = [\"crates/soc/src/gone.rs\"]\n")
+            .expect("config"),
         ..Context::default()
     };
     assert_eq!(exit_code(&cx), 1);
@@ -316,7 +258,7 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
     assert_eq!(hit.span.file, "xtask/xtask.toml");
     assert!(
         hit.message.contains(
-            "[merge-associativity] sink_fns entry `soc::agg::Gone::merge` resolves to no function"
+            "[probe-purity] hot_paths prefix `crates/soc/src/gone.rs` matches no loaded file"
         ),
         "{hit:?}"
     );
@@ -327,22 +269,19 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
         "{hit:?}"
     );
 
-    // The same entry pointed at the live function passes.
+    // The same entry pointed at the live file passes.
     let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/agg.rs", src)],
-        config: Config::from_toml(
-            "[merge-associativity]\nsink_fns = [\"soc::agg::Report::merge\"]\n",
-        )
-        .expect("config"),
+        files: vec![SourceFile::new("crates/soc/src/board.rs", src)],
+        config: Config::from_toml("[probe-purity]\nhot_paths = [\"crates/soc/src/board.rs\"]\n")
+            .expect("config"),
         ..Context::default()
     };
     assert!(!lint_fires(&cx, "stale-config"));
 
-    // A dangling path prefix is caught the same way.
+    // A lint id left behind by a retired pass is caught the same way.
     let cx = Context {
-        files: vec![SourceFile::new("crates/soc/src/agg.rs", src)],
-        config: Config::from_toml("[allow]\n\"partial-cmp\" = [\"crates/gone/src/\"]\n")
-            .expect("config"),
+        files: vec![SourceFile::new("crates/soc/src/board.rs", src)],
+        config: Config::from_toml("[levels]\nmerge-associativity = \"warn\"\n").expect("config"),
         ..Context::default()
     };
     assert!(lint_fires(&cx, "stale-config"));
@@ -350,7 +289,7 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
     assert!(
         diags.iter().any(|d| d.lint == "stale-config"
             && d.message
-                .contains("prefix `crates/gone/src/` matches no loaded file")),
+                .contains("[levels] names unknown lint `merge-associativity`")),
         "{diags:?}"
     );
 }
