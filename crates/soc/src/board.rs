@@ -10,8 +10,25 @@
 //! back into effective CPI — that makes a co-scheduled memory hog genuinely
 //! slow the browser down, the paper's central phenomenon. The solver owns
 //! the L2 and memory-system models and re-solves only when a quantum's
-//! inputs differ from the last one's; [`Board::solver_work`] counts quanta
-//! and solves.
+//! inputs differ from the last one's.
+//!
+//! The board memoises the rest of the quantum the same way, in a
+//! one-entry *quantum plan*. The plan holds the active cores with their
+//! cluster-scaled profiles and clocks, re-read from each task's
+//! `profile()` right after it retires. It also holds what the last
+//! derived quantum computed from those inputs: each core's busy
+//! fraction and counter increments, and the temperature-independent
+//! power terms. A quantum replays the plan when
+//! the solver hit, neither it nor the planned quantum had a DVFS or
+//! migration stall, `dt` is the same, and every core executes exactly
+//! what it was offered. Otherwise it computes afresh and records a new
+//! plan. `assign`, `clear_core`, `migrate`, a frequency change and
+//! `restore` invalidate the plan, so the next quantum re-collects the
+//! active cores. Only Eq. 5 leakage, which follows the die temperature,
+//! is evaluated every quantum, from a table built in [`Board::new`].
+//! Replayed values are the bits a fresh computation would produce, so
+//! replay changes no result. [`Board::step_work`] counts quanta, solves
+//! and plan derivations.
 //!
 //! Observation goes through the typed probe bus
 //! ([`Board::attach_probe`]): events are built lazily, so with no probe
@@ -20,12 +37,12 @@
 //! Boards can also be checkpointed and forked mid-run via
 //! [`Board::snapshot`] (see `snapshot`).
 
-use crate::contention::{ContentionParams, ContentionSolver, SolverWork};
+use crate::contention::{ContentionParams, ContentionSolver};
 use crate::counters::{CoreCounters, CounterSet};
 use crate::dvfs::{Frequency, Opp};
-use crate::power::{self, PowerBreakdown};
+use crate::power::{self, LeakageTable, PowerBreakdown};
 use crate::profile::ClusterId;
-use crate::task::Task;
+use crate::task::{PhaseProfile, Task};
 use crate::thermal::ThermalNode;
 use dora_sim_core::probe::{Probe, ProbeBus, ProbeEvent, ProbeId};
 use dora_sim_core::units::{Celsius, Joules, Seconds, Watts};
@@ -44,18 +61,146 @@ pub(crate) struct CoreSlot {
     pub(crate) finish_time: Option<SimTime>,
 }
 
-/// Reusable per-quantum working storage, excluded from snapshots.
-#[derive(Debug, Default)]
-pub(crate) struct StepScratch {
+/// A board's deterministic stepping work counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepWork {
+    /// Quanta stepped.
+    pub quanta: u64,
+    /// Quanta whose contention fixed point actually ran, rather than
+    /// reusing the previous quantum's answer.
+    pub solves: u64,
+    /// Quanta that derived their per-core work and activity power
+    /// afresh and recorded a new quantum plan, rather than replaying
+    /// the last one.
+    pub derivations: u64,
+}
+
+/// What one active core's quantum amounts to, as the plan records it.
+#[derive(Debug, Clone, Copy)]
+struct CoreWork {
+    /// Fraction of the quantum the core was busy.
+    busy_frac: f64,
+    /// Increments of the core's counters.
+    busy_time: Seconds,
+    l2_accesses: f64,
+    l2_misses: f64,
+}
+
+/// The one-entry quantum plan (see the module doc). Not simulation
+/// state: it is derived from the slots, bindings and DVFS indices, so
+/// snapshots leave it out and `restore` invalidates it.
+#[derive(Debug)]
+pub(crate) struct QuantumPlan {
+    /// Whether the active cores must be collected afresh before the
+    /// next quantum.
+    stale: bool,
+    /// Whether the recorded work and power may seed a replay.
+    replayable: bool,
+    /// The step length the plan was recorded at.
+    dt: SimDuration,
+    /// The solver's operating point: the bus tier voted by the cluster
+    /// clocks, and the board's constants.
+    params: ContentionParams,
     /// Indices of enabled cores holding unfinished tasks.
     active: Vec<usize>,
     /// Profiles of those tasks (base CPI pre-scaled by the owning
     /// cluster's `cpi_scale`), parallel to `active`.
-    profiles: Vec<crate::task::PhaseProfile>,
+    profiles: Vec<PhaseProfile>,
     /// Each active task's cluster clock in Hz, parallel to `active`.
     clocks: Vec<f64>,
+    /// Each active core's recorded work, parallel to `active`.
+    cores: Vec<CoreWork>,
     /// Per-core utilization handed to the power model.
     core_utils: Vec<f64>,
+    /// Every power term but leakage, as recorded.
+    activity: PowerBreakdown,
+    /// The board's work counters.
+    counts: StepWork,
+}
+
+impl QuantumPlan {
+    /// An empty plan that collects the active cores before the first
+    /// quantum.
+    fn new(params: ContentionParams) -> Self {
+        QuantumPlan {
+            stale: true,
+            replayable: false,
+            dt: SimDuration::ZERO,
+            params,
+            active: Vec::new(),     // alloc: one-time construction
+            profiles: Vec::new(),   // alloc: one-time construction
+            clocks: Vec::new(),     // alloc: one-time construction
+            cores: Vec::new(),      // alloc: one-time construction
+            core_utils: Vec::new(), // alloc: one-time construction
+            activity: PowerBreakdown::default(),
+            counts: StepWork {
+                quanta: 0,
+                solves: 0,
+                derivations: 0,
+            },
+        }
+    }
+
+    /// Forces the next quantum to collect the active cores afresh and
+    /// derive everything from them.
+    pub(crate) fn invalidate(&mut self) {
+        self.stale = true;
+        self.replayable = false;
+    }
+
+    /// Collects the enabled cores whose tasks report a profile, each
+    /// running at its own cluster's clock with its base CPI scaled by
+    /// the cluster's relative timing (×1.0 exactly on the reference
+    /// cluster), and the bus tier the cluster clocks vote.
+    fn gather(
+        &mut self,
+        config: &BoardConfig,
+        slots: &[CoreSlot],
+        cluster_of: &[usize],
+        freq_indices: &[usize],
+    ) {
+        self.active.clear();
+        self.profiles.clear();
+        self.clocks.clear();
+        for (i, slot) in slots.iter().enumerate() {
+            if !slot.enabled {
+                continue;
+            }
+            if let Some(mut profile) = slot.task.as_deref().and_then(|t| t.profile()) {
+                let cluster = &config.clusters[cluster_of[i]];
+                profile.base_cpi *= cluster.cpi_scale;
+                self.active.push(i);
+                self.profiles.push(profile);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the contention solver multiplies seconds by Hz into cycle counts, which have no unit type"
+                )]
+                self.clocks.push(
+                    cluster
+                        .dvfs
+                        .opp(freq_indices[cluster_of[i]])
+                        .frequency
+                        .as_hz(),
+                );
+            }
+        }
+        self.params.tier = bus_tier(config, freq_indices);
+        self.stale = false;
+        self.replayable = false;
+    }
+}
+
+/// The memory-bus tier: the bus serves every cluster, so the fastest
+/// cluster clock votes it.
+fn bus_tier(config: &BoardConfig, freq_indices: &[usize]) -> crate::dvfs::BusTier {
+    let mut bus_vote = config.clusters[0].dvfs.opp(freq_indices[0]).frequency;
+    for (cluster, &index) in config.clusters.iter().zip(freq_indices).skip(1) {
+        let fc = cluster.dvfs.opp(index).frequency;
+        if fc > bus_vote {
+            bus_vote = fc;
+        }
+    }
+    config.clusters[0].dvfs.bus_tier(bus_vote)
 }
 
 /// The assembled, steppable platform.
@@ -110,8 +255,10 @@ pub struct Board {
     /// Fixed-point solver: owns the L2 and memory system, reusable
     /// buffers and the last-input memo. Not simulation state.
     pub(crate) solver: ContentionSolver,
-    /// Per-quantum working storage.
-    pub(crate) scratch: StepScratch,
+    /// Eq. 5 tabled per cluster and OPP. Configuration.
+    pub(crate) leakage: LeakageTable,
+    /// The one-entry quantum plan. Not simulation state.
+    pub(crate) plan: QuantumPlan,
 }
 
 impl Board {
@@ -144,12 +291,18 @@ impl Board {
             // alloc: one-time construction, not the stepping hot path.
             .collect();
         let counters = CounterSet::new(config.num_cores);
+        // alloc: one-time construction, not the stepping hot path.
+        let freq_indices = vec![0; config.clusters.len()];
+        let plan = QuantumPlan::new(ContentionParams {
+            tier: bus_tier(&config, &freq_indices),
+            mem_overlap: config.mem_overlap,
+            dirty_fraction: config.dirty_fraction,
+        });
         Board {
             thermal,
             slots,
             counters,
-            // alloc: one-time construction, not the stepping hot path.
-            freq_indices: vec![0; config.clusters.len()],
+            freq_indices,
             // alloc: one-time construction, not the stepping hot path.
             cluster_of: config.affinity.clone(),
             now: SimTime::ZERO,
@@ -162,7 +315,8 @@ impl Board {
             seed,
             probes: ProbeBus::new(),
             solver,
-            scratch: StepScratch::default(),
+            leakage: LeakageTable::new(&config),
+            plan,
             config,
         }
     }
@@ -307,12 +461,12 @@ impl Board {
         &self.counters
     }
 
-    /// The contention solver's work counters: quanta stepped by this
-    /// board, and how many of them actually ran the fixed point rather
-    /// than reusing the previous quantum's answer. Not simulation state:
-    /// snapshots leave them out and a restore does not reset them.
-    pub fn solver_work(&self) -> SolverWork {
-        self.solver.work()
+    /// The stepping work counters: quanta stepped by this board, how
+    /// many of them ran the contention fixed point, and how many derived
+    /// the quantum plan afresh. Not simulation state: snapshots leave
+    /// them out and a restore does not reset them.
+    pub fn step_work(&self) -> StepWork {
+        self.plan.counts
     }
 
     /// Assigns a task to a core.
@@ -334,6 +488,7 @@ impl Board {
         }
         slot.task = Some(task);
         slot.finish_time = None;
+        self.plan.invalidate();
         let slots = &self.slots;
         self.probes
             .emit_with(self.now, || ProbeEvent::TaskAssigned {
@@ -360,6 +515,7 @@ impl Board {
             .get_mut(core)
             .ok_or(BoardError::CoreOutOfRange(core))?;
         slot.finish_time = None;
+        self.plan.invalidate();
         Ok(slot.task.take())
     }
 
@@ -418,6 +574,7 @@ impl Board {
         if index != self.freq_indices[c] {
             let from_khz = table.opp(self.freq_indices[c]).frequency.as_khz();
             self.freq_indices[c] = index;
+            self.plan.invalidate();
             self.switch_count += 1;
             self.pending_stall += self.config.dvfs_switch_stall;
             self.probes.emit_with(self.now, || ProbeEvent::DvfsSwitch {
@@ -451,6 +608,7 @@ impl Board {
         let from_cluster = self.cluster_of[core];
         if from_cluster != to_cluster {
             self.cluster_of[core] = to_cluster;
+            self.plan.invalidate();
             self.pending_stall += self.config.migration.latency;
             self.energy += self.config.migration.energy;
             self.energy_breakdown.core_dynamic += self.config.migration.energy;
@@ -478,7 +636,9 @@ impl Board {
         }
     }
 
-    /// One quantum of execution.
+    /// One quantum of execution: replays the quantum plan when its
+    /// inputs still hold, and otherwise derives the quantum afresh and
+    /// records it as the new plan (see the module doc).
     fn step_quantum(&mut self, dt: SimDuration) {
         let dt_s = dt.as_secs_f64();
         // Consume pending DVFS stall: it eats into the available run time
@@ -491,109 +651,108 @@ impl Board {
         self.pending_stall = self.pending_stall.saturating_sub(stall);
         let avail_s = (dt.saturating_sub(stall)).as_secs_f64();
 
-        // The memory bus serves every cluster: its tier is voted by the
-        // fastest cluster clock.
-        let mut bus_vote = self.frequency();
-        for c in 1..self.config.clusters.len() {
-            let fc = self.config.clusters[c]
-                .dvfs
-                .opp(self.freq_indices[c])
-                .frequency;
-            if fc > bus_vote {
-                bus_vote = fc;
-            }
+        let plan = &mut self.plan;
+        if plan.stale {
+            plan.gather(
+                &self.config,
+                &self.slots,
+                &self.cluster_of,
+                &self.freq_indices,
+            );
         }
-        let tier = self.config.clusters[0].dvfs.bus_tier(bus_vote);
-
-        // Collect active (enabled, unfinished) tasks. A task with a
-        // profile is by definition unfinished. Each runs at its own
-        // cluster's clock with its base CPI scaled by the cluster's
-        // relative timing (×1.0 exactly on the reference cluster).
-        self.scratch.active.clear();
-        self.scratch.profiles.clear();
-        self.scratch.clocks.clear();
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !slot.enabled {
-                continue;
-            }
-            if let Some(mut profile) = slot.task.as_deref().and_then(|t| t.profile()) {
-                let cluster = &self.config.clusters[self.cluster_of[i]];
-                profile.base_cpi *= cluster.cpi_scale;
-                self.scratch.active.push(i);
-                self.scratch.profiles.push(profile);
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "the contention solver multiplies seconds by Hz into cycle counts, which have no unit type"
-                )]
-                self.scratch.clocks.push(
-                    cluster
-                        .dvfs
-                        .opp(self.freq_indices[self.cluster_of[i]])
-                        .frequency
-                        .as_hz(),
-                );
-            }
-        }
-
         // Fixed point: instruction rates <-> cache shares <-> DRAM latency.
-        let params = ContentionParams {
-            tier,
-            mem_overlap: self.config.mem_overlap,
-            dirty_fraction: self.config.dirty_fraction,
-        };
-        self.solver
-            .solve(&params, &self.scratch.profiles, &self.scratch.clocks);
+        let hit = self
+            .solver
+            .solve(&plan.params, &plan.profiles, &plan.clocks);
+        plan.counts.quanta += 1;
+        plan.counts.solves += u64::from(!hit);
+        let replay = hit && plan.replayable && plan.dt == dt && stall.is_zero();
+        let active = plan.active.len();
+        if !replay {
+            plan.cores.clear();
+            plan.core_utils.clear();
+            plan.core_utils.resize(self.config.num_cores, 0.0);
+        }
 
-        // Retire work and update counters; interpolate finish times.
-        self.scratch.core_utils.clear();
-        self.scratch.core_utils.resize(self.config.num_cores, 0.0);
-        for k in 0..self.scratch.active.len() {
-            let core = self.scratch.active[k];
-            let p = self.scratch.profiles[k];
+        // Retire work and update counters; interpolate finish times; read
+        // each task's next profile into the plan, dropping finished tasks.
+        let mut all_full = true;
+        let mut kept = 0;
+        for k in 0..active {
+            let core = plan.active[k];
             let miss_ratio = self.solver.miss_ratios()[k];
             let offered = self.solver.instr_rates()[k] * avail_s;
             let Some(task) = self.slots[core].task.as_mut() else {
+                all_full = false;
                 continue;
             };
-            let remaining = task.remaining_instructions();
-            let executed = match remaining {
-                Some(rem) if rem < offered => rem,
-                _ => offered,
+            // `full`: the core executes its whole offer.
+            let (executed, full) = match task.remaining_instructions() {
+                Some(rem) if rem < offered => (rem, false),
+                _ => (offered, true),
             };
             task.retire(executed);
-            let finished = task.is_finished();
-            let busy_frac = if offered > 0.0 {
-                p.duty_cycle * (executed / offered) * (avail_s / dt_s)
+            let next = task.profile();
+            let work = if replay && full {
+                plan.cores[k]
             } else {
-                0.0
+                let p = plan.profiles[k];
+                let busy_frac = if offered > 0.0 {
+                    p.duty_cycle * (executed / offered) * (avail_s / dt_s)
+                } else {
+                    0.0
+                };
+                let l2_accesses = executed * p.l2_apki / 1000.0;
+                CoreWork {
+                    busy_frac,
+                    busy_time: Seconds::new(busy_frac * dt_s),
+                    l2_accesses,
+                    l2_misses: l2_accesses * miss_ratio,
+                }
             };
-            self.scratch.core_utils[core] = busy_frac;
+            if !replay {
+                plan.cores.push(work);
+            }
+            all_full &= full;
+            plan.core_utils[core] = work.busy_frac;
             let c = self.counters.core_mut(core);
             c.instructions += executed;
-            c.busy_time += Seconds::new(busy_frac * dt_s);
-            let accesses = executed * p.l2_apki / 1000.0;
-            c.l2_accesses += accesses;
-            c.l2_misses += accesses * miss_ratio;
+            c.busy_time += work.busy_time;
+            c.l2_accesses += work.l2_accesses;
+            c.l2_misses += work.l2_misses;
             self.probes
                 .emit_with(self.now, || ProbeEvent::QuantumRetired {
                     core,
                     instructions: executed,
                     miss_ratio,
                 });
-            if finished && self.slots[core].finish_time.is_none() {
-                // Fraction of the quantum actually needed.
-                let frac = if offered > 0.0 {
-                    (executed / offered).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                };
-                let used = SimDuration::from_secs_f64(stall.as_secs_f64() + avail_s * frac);
-                let at = self.now + used;
-                self.slots[core].finish_time = Some(at);
-                self.probes
-                    .emit_with(self.now, || ProbeEvent::TaskFinished { core, at });
+            match next {
+                Some(mut profile) => {
+                    profile.base_cpi *= self.config.clusters[self.cluster_of[core]].cpi_scale;
+                    plan.active[kept] = core;
+                    plan.profiles[kept] = profile;
+                    plan.clocks[kept] = plan.clocks[k];
+                    kept += 1;
+                }
+                None if self.slots[core].finish_time.is_none() => {
+                    // Fraction of the quantum actually needed.
+                    let frac = if offered > 0.0 {
+                        (executed / offered).clamp(0.0, 1.0)
+                    } else {
+                        1.0
+                    };
+                    let used = SimDuration::from_secs_f64(stall.as_secs_f64() + avail_s * frac);
+                    let at = self.now + used;
+                    self.slots[core].finish_time = Some(at);
+                    self.probes
+                        .emit_with(self.now, || ProbeEvent::TaskFinished { core, at });
+                }
+                None => {}
             }
         }
+        plan.active.truncate(kept);
+        plan.profiles.truncate(kept);
+        plan.clocks.truncate(kept);
         // Wall time advances for every enabled core.
         for (i, slot) in self.slots.iter().enumerate() {
             if slot.enabled {
@@ -603,15 +762,26 @@ impl Board {
 
         // Power and heat. The DRAM demand actually served is pro-rated by
         // the time the cores were running.
-        let served_dram = self.solver.dram_demand() * (avail_s / dt_s.max(1e-12));
-        let breakdown = power::evaluate(
-            &self.config,
-            &self.freq_indices,
-            &self.cluster_of,
-            &self.scratch.core_utils,
-            served_dram,
-            self.thermal.temperature(),
-        );
+        let replayed = replay && all_full;
+        if !replayed {
+            let served_dram = self.solver.dram_demand() * (avail_s / dt_s.max(1e-12));
+            plan.activity = power::activity(
+                &self.config,
+                &self.freq_indices,
+                &self.cluster_of,
+                &plan.core_utils,
+                served_dram,
+            );
+            plan.counts.derivations += 1;
+        }
+        plan.dt = dt;
+        plan.replayable = stall.is_zero() && all_full && kept == active;
+        let breakdown = PowerBreakdown {
+            leakage: self
+                .leakage
+                .power(&self.freq_indices, self.thermal.temperature()),
+            ..plan.activity
+        };
         let dt_span = Seconds::new(dt_s);
         self.energy += breakdown.total() * dt_span;
         self.energy_breakdown.accumulate(&breakdown, dt_span);

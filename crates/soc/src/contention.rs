@@ -34,7 +34,8 @@
 //! `==`, because `-0.0 == 0.0` and `NaN != NaN`; the fixed point is a
 //! deterministic function of those bits, so a hit is exact by
 //! construction. The memo is that one entry, with no history.
-//! [`ContentionSolver::work`] counts calls and actual solves.
+//! [`ContentionSolver::solve`] returns whether the memo answered, which
+//! the board counts (`Board::step_work`).
 //!
 //! The solver has no board state and no observers, and reuses its
 //! buffers across calls, so the steady-state hot path allocates nothing.
@@ -98,16 +99,6 @@ fn same_profile_bits(a: &PhaseProfile, b: &PhaseProfile) -> bool {
         && duty_cycle.to_bits() == b.duty_cycle.to_bits()
 }
 
-/// A solver's deterministic work counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverWork {
-    /// Calls to [`ContentionSolver::solve`]: one per board quantum.
-    pub quanta: u64,
-    /// Calls whose inputs differed from the previous call's, so the
-    /// fixed point actually ran.
-    pub solves: u64,
-}
-
 /// Reusable solver for the CPI ↔ cache-share ↔ DRAM-latency fixed point.
 ///
 /// Call [`ContentionSolver::solve`] once per quantum; read the results
@@ -129,7 +120,6 @@ pub struct ContentionSolver {
     last_params: Option<ContentionParams>,
     /// Each profile of the memoized call, with its clock.
     last_inputs: Vec<(PhaseProfile, f64)>,
-    work: SolverWork,
 }
 
 impl ContentionSolver {
@@ -147,10 +137,6 @@ impl ContentionSolver {
             dram_demand: 0.0,
             last_params: None,
             last_inputs: Vec::new(), // alloc: one-time construction
-            work: SolverWork {
-                quanta: 0,
-                solves: 0,
-            },
         }
     }
 
@@ -158,23 +144,29 @@ impl ContentionSolver {
     /// standard [`FIXED_POINT_ITERATIONS`] budget. `clocks[i]` is the
     /// core clock (Hz) profile `i` retires at. When every input is
     /// bit-identical to the previous call's, the outputs are already
-    /// the answer and the fixed point is skipped.
+    /// the answer and the fixed point is skipped. Returns whether it was
+    /// skipped: a hit means every output is bit-identical to the
+    /// previous call's.
     ///
     /// # Panics
     ///
     /// Panics if `clocks.len() != profiles.len()`.
-    pub fn solve(&mut self, params: &ContentionParams, profiles: &[PhaseProfile], clocks: &[f64]) {
+    pub fn solve(
+        &mut self,
+        params: &ContentionParams,
+        profiles: &[PhaseProfile],
+        clocks: &[f64],
+    ) -> bool {
         assert_eq!(clocks.len(), profiles.len(), "one clock per profile");
-        self.work.quanta += 1;
         if self.repeats_last(params, profiles, clocks) {
-            return;
+            return true;
         }
-        self.work.solves += 1;
         self.solve_inner(params, profiles, |i| clocks[i], FIXED_POINT_ITERATIONS);
         self.last_params = Some(*params);
         self.last_inputs.clear();
         self.last_inputs
             .extend(profiles.iter().copied().zip(clocks.iter().copied()));
+        false
     }
 
     /// Whether these inputs are bit-identical to the memoized ones.
@@ -269,11 +261,6 @@ impl ContentionSolver {
     /// miss traffic.
     pub fn dram_demand(&self) -> f64 {
         self.dram_demand
-    }
-
-    /// Calls so far, and how many of them ran the fixed point.
-    pub fn work(&self) -> SolverWork {
-        self.work
     }
 }
 
@@ -423,8 +410,8 @@ mod tests {
             fields.swap_remove(k % n)
         }
 
-        fn solve_on(&self, solver: &mut ContentionSolver) {
-            solver.solve(&self.params, &self.profiles, &self.clocks);
+        fn solve_on(&self, solver: &mut ContentionSolver) -> bool {
+            solver.solve(&self.params, &self.profiles, &self.clocks)
         }
     }
 
@@ -558,9 +545,7 @@ mod tests {
             let mut reused = ContentionSolver::new(cache, memory.clone());
             for step in &sequence {
                 step.solve_on(&mut reused);
-                let solves = reused.work().solves;
-                step.solve_on(&mut reused);
-                prop_assert_eq!(reused.work().solves, solves);
+                prop_assert!(step.solve_on(&mut reused), "an exact repeat is a hit");
                 let mut fresh = ContentionSolver::new(cache, memory.clone());
                 step.solve_on(&mut fresh);
                 prop_assert_eq!(bits(reused.instr_rates()), bits(fresh.instr_rates()));
@@ -570,7 +555,6 @@ mod tests {
                     fresh.dram_demand().to_bits()
                 );
             }
-            prop_assert_eq!(reused.work().quanta, 2 * sequence.len() as u64);
         }
 
         /// The fixed point settles within the 4-iteration budget: one
@@ -587,7 +571,7 @@ mod tests {
             // one more round: that must drop the memo, or the next `solve`
             // would hand back the five-round answer.
             let mut one_more = ContentionSolver::new(cache, memory);
-            one_more.solve(&params, &profiles, &clocks);
+            prop_assert!(!one_more.solve(&params, &profiles, &clocks), "a fresh solver misses");
             one_more.solve_inner(&params, &profiles, |i| clocks[i], FIXED_POINT_ITERATIONS + 1);
             for (a, b) in at_budget.instr_rates().iter().zip(one_more.instr_rates()) {
                 let residual = (a - b).abs() / a.max(1.0);
@@ -596,8 +580,10 @@ mod tests {
                     "rate moved {residual:.4} past the budget ({a} -> {b})",
                 );
             }
-            one_more.solve(&params, &profiles, &clocks);
-            prop_assert_eq!(one_more.work(), SolverWork { quanta: 2, solves: 2 });
+            prop_assert!(
+                !one_more.solve(&params, &profiles, &clocks),
+                "outputs of another budget are never a hit"
+            );
             prop_assert_eq!(bits(one_more.instr_rates()), bits(at_budget.instr_rates()));
             prop_assert_eq!(bits(one_more.miss_ratios()), bits(at_budget.miss_ratios()));
             prop_assert_eq!(

@@ -26,8 +26,15 @@
 //!   its own voltage, summed:
 //!   `P_lkg = k1·v·T²·e^((α·v+β)/T) + k2·e^(γ·v+δ)` with `T` in kelvin.
 //!
-//! `evaluate` is the one evaluation every board steps through; like the
-//! rest of the stepping path it allocates nothing.
+//! The model is split by what its terms depend on. `activity` charges
+//! everything but leakage: those terms depend on the operating points,
+//! the core bindings, the utilizations and the DRAM traffic, all of
+//! which a board holds steady for many quanta. `LeakageTable` charges
+//! Eq. 5, the one term that follows the die temperature every quantum.
+//! It tables each cluster's voltage-only factors per OPP at board
+//! construction, so a quantum takes one `exp` per cluster. A board sums
+//! the two into its [`PowerBreakdown`]; like the rest of the stepping
+//! path, neither allocates.
 
 use crate::config::BoardConfig;
 use dora_sim_core::units::{Celsius, Watts};
@@ -91,13 +98,82 @@ impl LeakageParams {
     /// Evaluates the leakage power at supply `voltage` (volts) and die
     /// temperature `temp`.
     pub fn power(&self, voltage: f64, temp: Celsius) -> Watts {
+        self.at(voltage).power(temp)
+    }
+
+    /// The factors of Eq. 5 that depend on the voltage alone.
+    pub(crate) fn at(&self, voltage: f64) -> LeakageTerms {
+        LeakageTerms {
+            k1_v: self.k1 * voltage,
+            exponent: self.alpha * voltage + self.beta,
+            gate: self.k2 * (self.gamma * voltage + self.delta).exp(),
+            live: voltage.is_finite() && voltage > 0.0,
+        }
+    }
+}
+
+/// Eq. 5 at one supply voltage: `k1·v`, `α·v + β` and the whole gate
+/// term `k2·e^(γ·v + δ)`, so that only the temperature-dependent
+/// exponential is left to evaluate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LeakageTerms {
+    k1_v: f64,
+    exponent: f64,
+    gate: f64,
+    /// Whether the voltage was finite and positive; leakage is zero
+    /// otherwise.
+    live: bool,
+}
+
+impl LeakageTerms {
+    /// The leakage power at die temperature `temp`. The operations are
+    /// those of the one-shot formula in the same order, so the result
+    /// is bit-identical to it.
+    fn power(&self, temp: Celsius) -> Watts {
         let t = temp.to_kelvin();
-        if t <= 0.0 || !voltage.is_finite() || voltage <= 0.0 {
+        if t <= 0.0 || !self.live {
             return Watts::ZERO;
         }
-        let sub = self.k1 * voltage * t * t * ((self.alpha * voltage + self.beta) / t).exp();
-        let gate = self.k2 * (self.gamma * voltage + self.delta).exp();
-        Watts::new((sub + gate).max(0.0))
+        let sub = self.k1_v * t * t * (self.exponent / t).exp();
+        Watts::new((sub + self.gate).max(0.0))
+    }
+}
+
+/// Each cluster's [`LeakageTerms`] at every entry of its DVFS table,
+/// built once per board.
+#[derive(Debug, Clone)]
+pub(crate) struct LeakageTable {
+    /// Indexed by cluster, then by DVFS index.
+    clusters: Vec<Vec<LeakageTerms>>,
+}
+
+impl LeakageTable {
+    /// Tables every cluster of `config` at every one of its OPPs.
+    pub(crate) fn new(config: &BoardConfig) -> Self {
+        LeakageTable {
+            clusters: config
+                .clusters
+                .iter()
+                .map(|cluster| {
+                    (0..cluster.dvfs.len())
+                        .map(|i| cluster.leakage.at(cluster.dvfs.opp(i).voltage))
+                        // alloc: one-time construction, not the stepping hot path.
+                        .collect()
+                })
+                // alloc: one-time construction, not the stepping hot path.
+                .collect(),
+        }
+    }
+
+    /// Eq. 5 leakage summed over the clusters in cluster order, each at
+    /// its current DVFS index in `freq_indices`, at die temperature
+    /// `temp`.
+    pub(crate) fn power(&self, freq_indices: &[usize], temp: Celsius) -> Watts {
+        let mut leakage = Watts::ZERO;
+        for (terms, &index) in self.clusters.iter().zip(freq_indices) {
+            leakage += terms[index].power(temp);
+        }
+        leakage
     }
 }
 
@@ -172,29 +248,27 @@ impl PowerBreakdown {
     }
 }
 
-/// Evaluates instantaneous device power on a board.
+/// Evaluates every term of the device power but leakage, which is left
+/// at zero for `LeakageTable::power` to fill in.
 ///
 /// * `freq_indices` — each cluster's current DVFS index.
 /// * `cluster_of` — the cluster each core is bound to.
 /// * `core_utilizations` — busy fraction per core, clamped to `[0, 1]`;
 ///   powered-off cores should be 0.
 /// * `dram_bytes_per_sec` — aggregate DRAM traffic.
-/// * `temp` — die temperature for the leakage term.
 ///
 /// The sums run in a fixed order: core dynamic power in core order, each
-/// cluster's busy share in core order, and uncore and leakage in cluster
-/// order.
+/// cluster's busy share in core order, and uncore in cluster order.
 #[expect(
     clippy::disallowed_methods,
-    reason = "Eq. 5's C·V²·f term takes the clock in raw Hz, and the uncore coefficient is per raw GHz"
+    reason = "the C·V²·f term takes the clock in raw Hz, and the uncore coefficient is per raw GHz"
 )]
-pub(crate) fn evaluate(
+pub(crate) fn activity(
     config: &BoardConfig,
     freq_indices: &[usize],
     cluster_of: &[usize],
     core_utilizations: &[f64],
     dram_bytes_per_sec: f64,
-    temp: Celsius,
 ) -> PowerBreakdown {
     let mut core_dynamic = 0.0;
     for (u, &c) in core_utilizations.iter().zip(cluster_of) {
@@ -204,9 +278,7 @@ pub(crate) fn evaluate(
             u.clamp(0.0, 1.0) * cluster.ceff_core_f * o.voltage * o.voltage * o.frequency.as_hz();
     }
     let mut uncore = 0.0;
-    let mut leakage = Watts::ZERO;
     for (c, (cluster, &index)) in config.clusters.iter().zip(freq_indices).enumerate() {
-        let o = cluster.dvfs.opp(index);
         let mut busy = 0.0;
         let mut cores = 0usize;
         for (u, &bound) in core_utilizations.iter().zip(cluster_of) {
@@ -216,9 +288,9 @@ pub(crate) fn evaluate(
             }
         }
         if cores > 0 {
+            let o = cluster.dvfs.opp(index);
             uncore += cluster.uncore_w_per_ghz * o.frequency.as_ghz() * (busy / cores as f64);
         }
-        leakage += cluster.leakage.power(o.voltage, temp);
     }
     let p = &config.power;
     PowerBreakdown {
@@ -226,7 +298,7 @@ pub(crate) fn evaluate(
         core_dynamic: Watts::new(core_dynamic),
         uncore: Watts::new(uncore),
         dram: Watts::new(p.dram_j_per_byte * dram_bytes_per_sec.max(0.0)),
-        leakage,
+        leakage: Watts::ZERO,
     }
 }
 
@@ -243,6 +315,41 @@ mod tests {
 
     fn msm8974() -> BoardConfig {
         SocProfile::msm8974().board_config()
+    }
+
+    /// The whole breakdown as a board charges it: [`activity`] plus the
+    /// tabled leakage.
+    fn evaluate(
+        config: &BoardConfig,
+        freq_indices: &[usize],
+        cluster_of: &[usize],
+        core_utilizations: &[f64],
+        dram_bytes_per_sec: f64,
+        temp: Celsius,
+    ) -> PowerBreakdown {
+        PowerBreakdown {
+            leakage: LeakageTable::new(config).power(freq_indices, temp),
+            ..activity(
+                config,
+                freq_indices,
+                cluster_of,
+                core_utilizations,
+                dram_bytes_per_sec,
+            )
+        }
+    }
+
+    /// The one-shot Eq. 5 evaluation `LeakageParams::power` used to
+    /// carry, two `exp`s per call, transcribed verbatim. The tabled
+    /// split must match it bit for bit.
+    fn one_shot_leakage(lk: &LeakageParams, voltage: f64, temp: Celsius) -> Watts {
+        let t = temp.to_kelvin();
+        if t <= 0.0 || !voltage.is_finite() || voltage <= 0.0 {
+            return Watts::ZERO;
+        }
+        let sub = lk.k1 * voltage * t * t * ((lk.alpha * voltage + lk.beta) / t).exp();
+        let gate = lk.k2 * (lk.gamma * voltage + lk.delta).exp();
+        Watts::new((sub + gate).max(0.0))
     }
 
     /// The msm8974 board at OPP `index`, every listed core on cluster 0.
@@ -476,6 +583,47 @@ mod tests {
             let got = evaluate(&config, &[index], &vec![0; utils.len()], &utils, dram, c(temp));
             let want = one_cluster_reference(&config, config.dvfs.opp(index), &utils, dram, c(temp));
             prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        /// The tabled leakage of every cluster of every registered
+        /// profile, at every OPP, is the one-shot Eq. 5 formula bit for
+        /// bit, including the degenerate temperatures that return zero.
+        #[test]
+        fn tabled_leakage_matches_the_one_shot_formula_bitwise(
+            temp in -300.0f64..150.0,
+        ) {
+            for name in SocProfile::names() {
+                let config = SocProfile::by_name(name).expect("registered").board_config();
+                let table = LeakageTable::new(&config);
+                for (target, cluster) in config.clusters.iter().enumerate() {
+                    for index in 0..cluster.dvfs.len() {
+                        let mut indices = vec![0; config.clusters.len()];
+                        indices[target] = index;
+                        let want: Watts = config
+                            .clusters
+                            .iter()
+                            .zip(&indices)
+                            .map(|(k, &i)| one_shot_leakage(&k.leakage, k.dvfs.opp(i).voltage, c(temp)))
+                            .fold(Watts::ZERO, |sum, w| sum + w);
+                        let got = table.power(&indices, c(temp));
+                        prop_assert_eq!(got.value().to_bits(), want.value().to_bits());
+                    }
+                }
+            }
+        }
+
+        /// `LeakageParams::power` goes through the same terms, so it is
+        /// the one-shot formula too, for any voltage.
+        #[test]
+        fn leakage_params_power_matches_the_one_shot_formula_bitwise(
+            voltage in -0.5f64..1.6,
+            temp in -300.0f64..150.0,
+        ) {
+            let lk = LeakageParams::nexus5();
+            prop_assert_eq!(
+                lk.power(voltage, c(temp)).value().to_bits(),
+                one_shot_leakage(&lk, voltage, c(temp)).value().to_bits()
+            );
         }
     }
 }

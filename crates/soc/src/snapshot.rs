@@ -3,11 +3,14 @@
 //! A [`BoardSnapshot`] is a pure value holding everything that determines
 //! a board's future behaviour: task progress, counters, thermal and
 //! energy state, DVFS position, pending stall, and the seed. It
-//! deliberately excludes observers (probes) and the contention solver
-//! (its buffers, its last-input memo and its work counters) — those
-//! never influence the simulation, so restoring onto a board with
-//! different probes attached, or whose memo holds other inputs, still
-//! replays bit-identically.
+//! deliberately excludes observers (probes), the contention solver (its
+//! buffers and its last-input memo) and the board's quantum plan (with
+//! the step work counters) — those never influence the simulation, so restoring
+//! onto a board with different probes attached, or whose memo holds
+//! other inputs, still replays bit-identically. The solver's memo can
+//! only hit on bit-identical inputs, so it survives a restore; the plan
+//! is keyed on the absence of board mutations instead, so `restore`
+//! invalidates it like any other mutation.
 //! [`Board::snapshot`] and [`Board::restore`] destructure both structs
 //! without `..`, so a field added to either fails to compile until it
 //! is transferred or named as not simulation state.
@@ -95,7 +98,11 @@ impl Board {
             // Configuration, reusable buffers and a memo that can only
             // hit on bit-identical inputs, so it never needs clearing.
             solver: _,
-            scratch: _,
+            // Configuration.
+            leakage: _,
+            // Derived from the slots, bindings and DVFS indices; `restore`
+            // invalidates it.
+            plan: _,
             thermal,
             slots,
             counters,
@@ -192,7 +199,8 @@ impl Board {
             config: _,
             probes: _,
             solver: _,
-            scratch: _,
+            leakage: _,
+            plan,
             thermal,
             slots,
             counters,
@@ -231,6 +239,7 @@ impl Board {
         *energy_breakdown = *saved_energy_breakdown;
         *thermal = saved_thermal.clone();
         *seed = *saved_seed;
+        plan.invalidate();
         Ok(())
     }
 }

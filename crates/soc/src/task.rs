@@ -116,7 +116,9 @@ pub trait Task: fmt::Debug + Send + Sync {
     fn name(&self) -> &str;
 
     /// The profile of the current phase, or `None` once the task has
-    /// finished all its work.
+    /// finished all its work. A finished task stays finished. The board
+    /// reads this right after each `retire` and holds the answer until
+    /// the task retires again, so it must change only through `retire`.
     fn profile(&self) -> Option<PhaseProfile>;
 
     /// Consumes `instructions` retired instructions (fractional — quanta
@@ -255,6 +257,9 @@ pub struct PhasedTask {
     phases: Vec<(f64, PhaseProfile)>,
     phase_index: usize,
     consumed_in_phase: f64,
+    /// The budgets of the phases after `phase_index`, summed left to
+    /// right; recomputed whenever `phase_index` advances.
+    later_budget: f64,
     retired: f64,
 }
 
@@ -277,13 +282,24 @@ impl PhasedTask {
             );
             profile.validate().expect("invalid phase profile");
         }
-        PhasedTask {
+        let mut task = PhasedTask {
             name: name.into(),
             phases,
             phase_index: 0,
             consumed_in_phase: 0.0,
+            later_budget: 0.0,
             retired: 0.0,
-        }
+        };
+        task.later_budget = task.budget_after_current();
+        task
+    }
+
+    /// The budgets of the phases after the current one, summed left to
+    /// right; zero once the task has finished.
+    fn budget_after_current(&self) -> f64 {
+        self.phases
+            .get(self.phase_index + 1..)
+            .map_or(0.0, |later| later.iter().map(|(b, _)| b).sum())
     }
 
     /// Index of the currently executing phase, or `None` when finished.
@@ -296,17 +312,21 @@ impl PhasedTask {
         self.phases.iter().map(|(b, _)| b).sum()
     }
 
-    /// Instructions still to retire before the task finishes.
+    /// Instructions retired in the current phase so far; zero once the
+    /// task has finished.
+    pub fn consumed_in_phase(&self) -> f64 {
+        self.consumed_in_phase
+    }
+
+    /// Instructions still to retire before the task finishes: what is
+    /// left of the current phase plus the later phases' budgets. O(1):
+    /// the later budgets are summed when the phase advances.
     pub fn remaining_instructions(&self) -> f64 {
         if self.phase_index >= self.phases.len() {
             return 0.0;
         }
         let current_left = self.phases[self.phase_index].0 - self.consumed_in_phase;
-        let later: f64 = self.phases[self.phase_index + 1..]
-            .iter()
-            .map(|(b, _)| b)
-            .sum();
-        current_left + later
+        current_left + self.later_budget
     }
 }
 
@@ -336,6 +356,7 @@ impl Task for PhasedTask {
             if self.consumed_in_phase >= budget - (budget * 1e-12).max(1e-9) {
                 self.phase_index += 1;
                 self.consumed_in_phase = 0.0;
+                self.later_budget = self.budget_after_current();
             }
         }
     }

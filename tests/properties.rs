@@ -79,6 +79,94 @@ fn board_bits(board: &Board) -> Vec<u64> {
     bits
 }
 
+/// One step of a random board script.
+#[derive(Debug, Clone)]
+enum Action {
+    /// Step this long. Most lengths leave a partial last quantum.
+    Step(SimDuration),
+    /// Set a cluster (wrapping) to an entry (wrapping) of its table.
+    Frequency { cluster: usize, entry: usize },
+    /// Rebind a core to a cluster (wrapping).
+    Migrate { core: usize, cluster: usize },
+    /// Assign a task if the core is enabled and free: a one-phase task
+    /// whose budget can end mid-quantum, or an endless co-runner.
+    Assign {
+        core: usize,
+        budget: f64,
+        profile: PhaseProfile,
+        endless: bool,
+    },
+    /// Clear a core.
+    Clear(usize),
+}
+
+fn arb_action() -> impl Strategy<Value = Action> {
+    (
+        0u8..10,
+        0usize..4,
+        0usize..16,
+        50u64..12_000,
+        1.0e4f64..3.0e7,
+        arb_profile(),
+    )
+        .prop_map(|(kind, core, entry, micros, budget, profile)| match kind {
+            0..=3 => Action::Step(SimDuration::from_micros(micros)),
+            4 => Action::Frequency {
+                cluster: core,
+                entry,
+            },
+            5 => Action::Migrate {
+                core,
+                cluster: entry,
+            },
+            6 | 7 => Action::Assign {
+                core,
+                budget,
+                profile,
+                endless: kind == 7,
+            },
+            _ => Action::Clear(core),
+        })
+}
+
+/// Applies a non-step action to a board.
+#[expect(clippy::expect_used, reason = "test code asserts invariants directly")]
+fn apply(board: &mut Board, action: &Action) {
+    match *action {
+        Action::Step(_) => {}
+        Action::Frequency { cluster, entry } => {
+            let cluster = cluster % board.num_clusters();
+            let table = &board.config().clusters[cluster].dvfs;
+            let f = table.opp(entry % table.len()).frequency;
+            board
+                .set_cluster_frequency(ClusterId::new(cluster), f)
+                .expect("own table entry");
+        }
+        Action::Migrate { core, cluster } => {
+            let to = ClusterId::new(cluster % board.num_clusters());
+            board.migrate(core, to).expect("valid core and cluster");
+        }
+        Action::Assign {
+            core,
+            budget,
+            profile,
+            endless,
+        } => {
+            if board.config().cores_enabled[core] && board.task(core).is_none() {
+                let task: Box<dyn Task> = if endless {
+                    Box::new(LoopTask::new("co-runner", profile))
+                } else {
+                    Box::new(PhasedTask::new("job", vec![(budget, profile)]))
+                };
+                board.assign(core, task).expect("free enabled core");
+            }
+        }
+        Action::Clear(core) => {
+            board.clear_core(core).expect("core in range");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -97,6 +185,12 @@ proptest! {
         let mut task = PhasedTask::new("p", phases);
         for c in chunks {
             task.retire(c);
+            // The O(1) remaining count is the O(n) formula, bit for bit.
+            let by_formula = task.current_phase().map_or(0.0, |i| {
+                let later: f64 = budgets[i + 1..].iter().sum();
+                (budgets[i] - task.consumed_in_phase()) + later
+            });
+            prop_assert_eq!(task.remaining_instructions().to_bits(), by_formula.to_bits());
         }
         prop_assert!(task.retired() <= total + 1e-6);
         let invariant = task.retired() + task.remaining_instructions();
@@ -308,6 +402,76 @@ proptest! {
             prop_assert_eq!(board_bits(&original), want.clone(), "{}: original", name);
             prop_assert_eq!(board_bits(&fresh), want.clone(), "{}: fresh fork", name);
             prop_assert_eq!(board_bits(&busy), want, "{}: busy fork", name);
+        }
+    }
+
+    /// Replaying the quantum plan is exact. Each random script runs on
+    /// a board that steps normally, replaying its plan whenever it can,
+    /// and on a reference that is restored from its own snapshot before
+    /// every quantum, which invalidates the plan and so forces a full
+    /// derivation each time. They must agree bit for bit after every
+    /// quantum, on every registered profile. A third board steps each
+    /// duration in one `step` call and must agree at the end of it. The
+    /// scripts mix partial last quanta, DVFS switches (stall quanta),
+    /// migrations, `assign` and `clear_core`, and tasks that finish
+    /// mid-quantum. The clusters start at different clocks, so a core
+    /// whose binding changed without an invalidation would show.
+    #[test]
+    fn quantum_plan_replay_matches_a_full_derivation_bitwise(
+        browser in arb_profile(),
+        corunner in arb_profile(),
+        work in 1e5f64..3e7,
+        opp in 0usize..16,
+        script in prop::collection::vec(arb_action(), 1..40),
+    ) {
+        for name in SocProfile::names() {
+            let config = SocProfile::by_name(name).expect("registered").board_config();
+            let quantum = config.quantum;
+            let loaded = || {
+                let mut board = Board::new(config.clone(), 3);
+                for c in 0..board.num_clusters() {
+                    let table = &board.config().clusters[c].dvfs;
+                    let f = table.opp((opp + 3 * c) % table.len()).frequency;
+                    board.set_cluster_frequency(ClusterId::new(c), f).expect("own table entry");
+                }
+                board
+                    .assign(0, Box::new(PhasedTask::new("main", vec![(work, browser)])))
+                    .expect("free core");
+                board.assign(2, Box::new(LoopTask::new("hog", corunner))).expect("free core");
+                board
+            };
+            let mut replaying = loaded();
+            let mut reference = loaded();
+            let mut whole = loaded();
+            for action in &script {
+                let Action::Step(duration) = *action else {
+                    apply(&mut replaying, action);
+                    apply(&mut reference, action);
+                    apply(&mut whole, action);
+                    continue;
+                };
+                let mut left = duration;
+                while !left.is_zero() {
+                    let dt = if left < quantum { left } else { quantum };
+                    replaying.step(dt);
+                    let snapshot = reference.snapshot();
+                    reference.restore(&snapshot).expect("its own snapshot");
+                    reference.step(dt);
+                    prop_assert_eq!(
+                        board_bits(&replaying),
+                        board_bits(&reference),
+                        "{}: after the quantum ending at {:?}",
+                        name,
+                        replaying.time()
+                    );
+                    left = left.saturating_sub(dt);
+                }
+                whole.step(duration);
+                prop_assert_eq!(board_bits(&whole), board_bits(&reference), "{}: whole step", name);
+            }
+            let work = reference.step_work();
+            prop_assert_eq!(work.derivations, work.quanta, "{}: the reference always derives", name);
+            prop_assert_eq!(replaying.step_work().quanta, work.quanta);
         }
     }
 

@@ -1,17 +1,21 @@
-//! The contention solver's work counters, pinned exactly.
+//! The board's stepping work counters, pinned exactly.
 //!
 //! `Board::step_quantum` calls `ContentionSolver::solve` once per
 //! quantum, and the solver runs the fixed point only when the inputs
-//! differ from the previous quantum's. These tests drive one scripted
-//! board per SoC profile and assert the exact `(quanta, solves)` pair.
-//! The counters are deterministic, so a drop in the memo's hit rate
-//! fails here rather than showing up later as a slower benchmark. A
-//! change to the memo key or to the stepping cadence must re-pin these
-//! numbers on purpose.
+//! differ from the previous quantum's. The rest of the quantum is
+//! memoised in the board's quantum plan, which a quantum replays unless
+//! the solver missed, a stall or a new step length shows up, a task
+//! executes less than it was offered, or `assign`, `clear_core`,
+//! `migrate`, a frequency change or `restore` came in between. Every
+//! other quantum *derives* the plan afresh. These tests drive one
+//! scripted board per SoC profile and assert the exact `(quanta, solves,
+//! derivations)` triple. The counters are deterministic, so a drop in
+//! either memo's hit rate fails here rather than showing up later as a
+//! slower benchmark. A change to a memo key or to the stepping cadence
+//! must re-pin these numbers on purpose.
 
 use dora_repro::sim::SimDuration;
-use dora_repro::soc::board::Board;
-use dora_repro::soc::contention::SolverWork;
+use dora_repro::soc::board::{Board, StepWork};
 use dora_repro::soc::task::{LoopTask, PhaseProfile, PhasedTask};
 use dora_repro::soc::{ClusterId, SocProfile};
 
@@ -26,7 +30,7 @@ use dora_repro::soc::{ClusterId, SocProfile};
 /// runs to completion, the co-runner is cleared, and the board soaks
 /// idle for two seconds.
 #[expect(clippy::expect_used, reason = "test code asserts invariants directly")]
-fn run_script(name: &str) -> SolverWork {
+fn run_script(name: &str) -> StepWork {
     let config = SocProfile::by_name(name)
         .expect("registered profile")
         .board_config();
@@ -80,7 +84,7 @@ fn run_script(name: &str) -> SolverWork {
     }
     board.clear_core(2).expect("in range");
     board.step(SimDuration::from_secs(2));
-    board.solver_work()
+    board.step_work()
 }
 
 /// msm8974: 2,258 quanta and 11 solves, a 99.51 % hit rate. The solves
@@ -88,13 +92,25 @@ fn run_script(name: &str) -> SolverWork {
 /// two phase changes, and the first idle quantum. The browser's last
 /// quantum and the co-runner's clearing fall together, so they cost one
 /// solve, not two. DVFS switch stalls change no solver input.
+///
+/// 19 derivations, so 99.16 % of quanta replay the plan:
+/// - the first quantum (1);
+/// - each of the seven frequency steps: its stall quantum, and the one
+///   after it, since a stall quantum's plan cannot seed a replay (14);
+/// - the quantum after each of the browser's two phase changes, whose
+///   solver input changed (2). The quantum a phase ends in still
+///   executes what it was offered, so it replays;
+/// - the browser's last quantum, which executes less than it was
+///   offered (1);
+/// - the first idle quantum, after `clear_core` (1).
 #[test]
 fn msm8974_script_solves_only_on_input_changes() {
     assert_eq!(
         run_script("msm8974"),
-        SolverWork {
+        StepWork {
             quanta: 2258,
             solves: 11,
+            derivations: 19,
         }
     );
 }
@@ -102,13 +118,19 @@ fn msm8974_script_solves_only_on_input_changes() {
 /// biglittle-a15a7: 2,352 quanta and 15 solves, a 99.36 % hit rate: the
 /// eleven of the homogeneous script plus one per migration, since a
 /// migration changes the co-runner's clock and its scaled base CPI.
+///
+/// 31 derivations, so 98.68 % of quanta replay the plan: the 19 of the
+/// homogeneous script, plus three per migration (12). A migration's
+/// latency is two quanta of stall, and the quantum after the stall
+/// derives again, as after a frequency step.
 #[test]
 fn biglittle_script_solves_only_on_input_changes() {
     assert_eq!(
         run_script("biglittle-a15a7"),
-        SolverWork {
+        StepWork {
             quanta: 2352,
             solves: 15,
+            derivations: 31,
         }
     );
 }

@@ -56,16 +56,10 @@ pub struct FnItem {
 pub struct ConstItem {
     /// Item name (`_` for anonymous const assertions).
     pub name: String,
-    /// Crate-qualified path.
-    pub qual: String,
     /// 1-based declaration line.
     pub line: usize,
     /// 1-based line of the item's final token.
     pub end_line: usize,
-    /// Declared visibility.
-    pub vis: Vis,
-    /// Whether this is a `static` rather than a `const`.
-    pub is_static: bool,
     /// Whether the item lives under `#[cfg(test)]`.
     pub in_test: bool,
     /// Token-index range `[lo, hi)` of the initializer (after `=`).
@@ -85,25 +79,13 @@ pub struct FieldItem {
     pub ty: String,
 }
 
-/// One struct declaration (named-field structs carry their fields;
-/// tuple structs carry positional fields named `0`, `1`, …).
+/// One struct declaration. Named-field structs carry their fields;
+/// tuple and unit structs carry none, since a positional field has no
+/// name for a pass to check.
 #[derive(Debug, Clone)]
 pub struct StructItem {
-    /// Struct name.
-    pub name: String,
-    /// Crate-qualified path (`soc::snapshot::BoardSnapshot`).
-    pub qual: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Declared visibility.
-    pub vis: Vis,
     /// Whether the item lives under `#[cfg(test)]`.
     pub in_test: bool,
-    /// Whether this is a tuple struct (`struct Pair(f64, f64);`).
-    pub tuple: bool,
-    /// Rendered generic-parameter text (without the angle brackets),
-    /// empty for non-generic structs.
-    pub generics: String,
     /// Fields, in declaration order.
     pub fields: Vec<FieldItem>,
 }
@@ -507,7 +489,7 @@ impl<'a> Parser<'a> {
         self.pos = pos;
     }
 
-    fn parse_const(&mut self, kw_pos: usize, vis: Vis, test: bool, is_static: bool) {
+    fn parse_const(&mut self, kw_pos: usize, test: bool) {
         // `const NAME: Ty = init;` / `static [mut] NAME: Ty = init;`
         let mut pos = kw_pos + 1;
         if self.is_ident(pos, "mut") {
@@ -572,12 +554,9 @@ impl<'a> Parser<'a> {
         }
         let init = (init_start.unwrap_or(end), end);
         let item = ConstItem {
-            qual: self.qual(&name),
             name,
             line,
             end_line: self.line_at(end),
-            vis,
-            is_static,
             in_test: test || self.in_test_scope(),
             init: (
                 self.code.get(init.0).copied().unwrap_or(0),
@@ -588,24 +567,12 @@ impl<'a> Parser<'a> {
         self.pos = end + 1;
     }
 
-    /// Renders the generics group at `pos` (without the angle brackets)
-    /// and returns `(text, pos past the closing >)`.
-    fn capture_generics(&self, pos: usize) -> (String, usize) {
-        if self.is_p(pos, "<") {
-            let end = self.skip_balanced(pos);
-            (self.render((pos + 1, end.saturating_sub(1))), end)
-        } else {
-            (String::new(), pos)
-        }
-    }
-
-    fn parse_struct(&mut self, kw_pos: usize, vis: Vis, test: bool) {
-        let Some(name) = self.any_ident(kw_pos + 1).map(str::to_string) else {
+    fn parse_struct(&mut self, kw_pos: usize, test: bool) {
+        if self.any_ident(kw_pos + 1).is_none() {
             self.pos = kw_pos + 1;
             return;
-        };
-        let line = self.line_at(kw_pos);
-        let (generics, mut pos) = self.capture_generics(kw_pos + 2);
+        }
+        let mut pos = self.skip_generics(kw_pos + 2);
         // Skip a `where` clause.
         while let Some(tok) = self.tok(pos) {
             let text = tok.text(self.src);
@@ -615,7 +582,6 @@ impl<'a> Parser<'a> {
             pos += 1;
         }
         let mut fields = Vec::new();
-        let mut tuple = false;
         if self.is_p(pos, "{") {
             let end = self.skip_balanced(pos);
             let mut p = pos + 1;
@@ -660,42 +626,8 @@ impl<'a> Parser<'a> {
             }
             pos = end;
         } else if self.is_p(pos, "(") {
-            // Tuple struct: positional fields named `0`, `1`, …
-            tuple = true;
-            let end = self.skip_balanced(pos);
-            let inner = (pos + 1, end.saturating_sub(1));
-            let mut part_start = inner.0;
-            let mut depth = 0i64;
-            let mut cuts = Vec::new();
-            for p in inner.0..inner.1 {
-                let Some(tok) = self.tok(p) else { break };
-                let text = tok.text(self.src);
-                if tok.kind == TokenKind::Punct {
-                    match text {
-                        "(" | "[" | "{" | "<" => depth += 1,
-                        ")" | "]" | "}" | ">" => depth -= 1,
-                        "," if depth == 0 => cuts.push(p),
-                        _ => {}
-                    }
-                }
-            }
-            cuts.push(inner.1);
-            for cut in cuts {
-                let piece = (part_start, cut);
-                part_start = cut + 1;
-                if piece.1 <= piece.0 {
-                    continue;
-                }
-                let (after_attrs, _, _) = self.skip_attrs(piece.0);
-                let (after_vis, fvis) = self.skip_vis(after_attrs);
-                fields.push(FieldItem {
-                    name: fields.len().to_string(),
-                    line: self.line_at(after_vis),
-                    vis: fvis,
-                    ty: self.render((after_vis, piece.1)),
-                });
-            }
-            pos = end;
+            // Tuple struct: its fields are positional, so none is kept.
+            pos = self.skip_balanced(pos);
             // Skip any trailing `where` clause up to the `;`.
             while let Some(tok) = self.tok(pos) {
                 if tok.kind == TokenKind::Punct && tok.text(self.src) == ";" {
@@ -708,13 +640,7 @@ impl<'a> Parser<'a> {
             pos += 1;
         }
         self.out.structs.push(StructItem {
-            qual: self.qual(&name),
-            name,
-            line,
-            vis,
             in_test: test || self.in_test_scope(),
-            tuple,
-            generics,
             fields,
         });
         self.pos = pos;
@@ -825,14 +751,11 @@ impl<'a> Parser<'a> {
                         self.pos = p + 1;
                     }
                 }
-                Some("const") if !qualified_fn => {
-                    self.parse_const(p, vis, test, false);
-                }
-                Some("static") if !qualified_fn => {
-                    self.parse_const(p, vis, test, true);
+                Some("const" | "static") if !qualified_fn => {
+                    self.parse_const(p, test);
                 }
                 Some("struct") if !qualified_fn => {
-                    self.parse_struct(p, vis, test);
+                    self.parse_struct(p, test);
                 }
                 Some("enum" | "union") if !qualified_fn => {
                     // No pass reads these: record nothing, skip the body.
@@ -1009,12 +932,10 @@ mod tests {
     fn consts_and_structs() {
         let set = items("crates/soc/src/board.rs", FIXTURE);
         assert_eq!(set.consts.len(), 1);
-        assert_eq!(set.consts[0].qual, "soc::board::K1");
-        assert_eq!(set.consts[0].vis, Vis::Pub);
+        assert_eq!(set.consts[0].name, "K1");
 
         assert_eq!(set.structs.len(), 1);
         let board = &set.structs[0];
-        assert_eq!(board.name, "Board");
         assert_eq!(board.fields.len(), 2);
         assert_eq!(board.fields[0].name, "freq_mhz");
         assert_eq!(board.fields[0].ty, "f64");
@@ -1086,34 +1007,27 @@ mod tests {
     }
 
     #[test]
-    fn struct_items_carry_quals_generics_and_tuple_flags() {
-        let src = "pub struct Plain {\n    pub a: f64,\n}\n\npub struct Sketch<T: Clone, const N: usize> {\n    bins: [T; N],\n}\n\npub struct Pair(pub f64, u64);\n\npub struct Marker;\n";
+    fn struct_items_keep_named_fields_only() {
+        let src = "pub struct Plain {\n    pub a: f64,\n}\n\npub struct Sketch<T: Clone, const N: usize> {\n    bins: [T; N],\n}\n\npub struct Pair(pub f64, u64);\n\npub struct Marker;\n\nfn after() {}\n";
         let set = items("crates/sim-core/src/sketch.rs", src);
-        let names: Vec<&str> = set.structs.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["Plain", "Sketch", "Pair", "Marker"]);
+        assert_eq!(set.structs.len(), 4);
 
         let plain = &set.structs[0];
-        assert_eq!(plain.qual, "sim-core::sketch::Plain");
-        assert!(plain.generics.is_empty());
-        assert!(!plain.tuple);
+        assert_eq!(plain.fields.len(), 1);
+        assert_eq!(plain.fields[0].name, "a");
+        assert_eq!(plain.fields[0].vis, Vis::Pub);
 
         let sketch = &set.structs[1];
-        assert_eq!(sketch.generics, "T:Clone,const N:usize");
         assert_eq!(sketch.fields.len(), 1);
         assert_eq!(sketch.fields[0].name, "bins");
         assert_eq!(sketch.fields[0].ty, "[T;N]");
 
-        let pair = &set.structs[2];
-        assert!(pair.tuple);
-        assert_eq!(pair.fields.len(), 2);
-        assert_eq!(pair.fields[0].name, "0");
-        assert_eq!(pair.fields[0].ty, "f64");
-        assert_eq!(pair.fields[0].vis, Vis::Pub);
-        assert_eq!(pair.fields[1].name, "1");
-        assert_eq!(pair.fields[1].ty, "u64");
-        assert_eq!(pair.fields[1].vis, Vis::Private);
-
+        // Tuple and unit structs have no named fields.
+        assert!(set.structs[2].fields.is_empty());
         assert!(set.structs[3].fields.is_empty());
+        // The parser resynchronizes after them.
+        assert_eq!(set.fns.len(), 1);
+        assert_eq!(set.fns[0].name, "after");
     }
 
     #[test]
@@ -1122,11 +1036,10 @@ mod tests {
         let set = items("crates/soc/src/hold.rs", src);
         assert_eq!(set.structs.len(), 2);
         let held = &set.structs[0];
-        assert_eq!(held.generics, "T");
         let fields: Vec<&str> = held.fields.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(fields, vec!["inner", "count"]);
         assert_eq!(held.fields[0].ty, "Vec<T>");
-        assert!(set.structs[1].tuple);
+        assert!(set.structs[1].fields.is_empty());
         // The parser resynchronizes after the trailing where clause.
         assert_eq!(set.fns.len(), 1);
         assert_eq!(set.fns[0].name, "after");
