@@ -1,12 +1,13 @@
 # Developer entry points. `make verify` is the full pre-merge gate:
 # formatting, lints as errors, the repository's own static-analysis
-# gate (xtask), then the tier-1 build + test pass
-# (ROADMAP.md: `cargo build --release && cargo test -q`).
+# gate (xtask), rustdoc with warnings as errors, the tier-1 build + test
+# pass (ROADMAP.md: `cargo build --release && cargo test -q`), and the
+# experiments transcript.
 
-.PHONY: verify fmt lint xtask-lint sarif bless-api lint-fix build test \
-        bench miri
+.PHONY: verify fmt lint xtask-lint doc sarif bless-api lint-fix build test \
+        transcript bench miri
 
-verify: fmt lint xtask-lint build test
+verify: fmt lint xtask-lint doc build test transcript
 
 fmt:
 	cargo fmt --check
@@ -46,11 +47,22 @@ lint-fix:
 	cargo clippy --workspace --all-targets --fix --allow-dirty --allow-staged
 	cargo fmt
 
+# Broken or private intra-doc links and doc filename collisions fail.
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 build:
 	cargo build --release
 
 test:
 	cargo test -q
+
+# Every exhibit, rendered as `--bin all` renders it, must reproduce
+# experiments_output.txt byte for byte. The banner's clock lines go to
+# stderr, so stdout is deterministic.
+transcript:
+	cargo build -q --release -p dora-experiments --bin all
+	./target/release/all | cmp - experiments_output.txt
 
 bench:
 	cargo bench -p dora-bench --bench parallel

@@ -7,14 +7,10 @@
 //! workload (Fig. 8), and per page × intensity (Fig. 9).
 
 use crate::executor::Executor;
-use crate::runner::{
-    oracle_from_sweep, run_scenario, sweep_frequencies_with, OracleFrequencies, RunResult,
-    ScenarioConfig, SweepPoint,
-};
+use crate::runner::{oracle_grid, run_scenario, OracleFrequencies, RunResult, ScenarioConfig};
 use crate::workload::{Workload, WorkloadSet};
 use dora::DoraModels;
 use dora_sim_core::units::{Ppw, Seconds};
-use dora_soc::Frequency;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -79,9 +75,11 @@ pub struct Evaluation {
 
 /// The evaluation grid behind [`crate::driver::CampaignDriver::evaluate`].
 ///
-/// Two flat fan-outs: first the oracle sweeps (one task per unique
-/// workload × table frequency, computed only when an oracle policy is
-/// requested), then the evaluation grid (one task per workload × policy).
+/// Two flat fan-outs: first the oracle sweeps (one
+/// [`crate::runner::pinned_grid`] over every unique workload × table
+/// frequency, so each distinct warm-up is simulated once; computed only
+/// when an oracle policy is requested), then the evaluation grid (one
+/// task per workload × policy).
 /// Every task is an independent seeded simulation, so the returned
 /// [`Evaluation`] is **bit-identical** to the sequential one — results in
 /// workload-major, policy-minor order, exactly as the classic loop
@@ -99,7 +97,7 @@ pub(crate) fn evaluate_impl(
         }
     }
 
-    // Phase 1: oracle sweeps, one task per (unique workload, frequency).
+    // Phase 1: oracle sweeps, one grid point per (unique workload, frequency).
     let need_oracle = policies.iter().any(|p| p.needs_oracle());
     let mut oracles: BTreeMap<String, OracleFrequencies> = BTreeMap::new();
     if need_oracle {
@@ -111,21 +109,8 @@ pub(crate) fn evaluate_impl(
                 unique.push(workload);
             }
         }
-        let freqs: Vec<Frequency> = config.board.dvfs.frequencies().collect();
-        let tasks: Vec<(usize, Frequency)> = unique
-            .iter()
-            .enumerate()
-            .flat_map(|(i, _)| freqs.iter().map(move |&f| (i, f)))
-            .collect();
-        let points: Vec<SweepPoint> = executor
-            .map(&tasks, |&(i, f)| {
-                sweep_frequencies_with(unique[i], config, &[f], &Executor::sequential())
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        for (workload, sweep) in unique.iter().zip(points.chunks(freqs.len())) {
-            oracles.insert(workload.id(), oracle_from_sweep(sweep.to_vec(), config));
+        for (workload, oracle) in unique.iter().zip(oracle_grid(&unique, config, executor)) {
+            oracles.insert(workload.id(), oracle);
         }
     }
 

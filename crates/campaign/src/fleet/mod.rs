@@ -40,9 +40,10 @@ use crate::evaluate::EvaluateError;
 use crate::executor::Executor;
 use crate::policy::Policy;
 use crate::runner::{
-    measured_load, oracle_impl, warmed_board, OracleFrequencies, ScenarioConfig, WarmupPolicy,
+    measured_load, oracle_grid, warmed_board, OracleFrequencies, ScenarioConfig, WarmupPolicy,
     CORUN_CORE,
 };
+use crate::workload::Workload;
 use dora::DoraModels;
 use dora_governors::PinnedGovernor;
 use dora_sim_core::sketch::SketchError;
@@ -168,40 +169,48 @@ fn archetype_scenario(
 /// The oracle table: `fopt`/`fd`/`fe` per (archetype index, workload id),
 /// computed at the fleet seed. Sessions jitter around that seed, so the
 /// table plays the role it would in deployment — an offline lookup, not a
-/// per-session re-enumeration. Sweeps are dropped after the verdicts are
-/// extracted to keep the table O(combinations).
+/// per-session re-enumeration. Each archetype's sweeps run as one
+/// [`crate::runner::pinned_grid`] under its pinned warm-up, so the
+/// warm-up is simulated once per (archetype, kernel), not per workload.
+/// Sweeps are dropped after the verdicts are extracted to keep the table
+/// O(combinations).
 fn oracle_table(
     config: &FleetConfig,
     sampler: &SessionSampler,
     scenarios: &[ScenarioConfig],
     executor: &Executor,
 ) -> Vec<BTreeMap<String, OracleFrequencies>> {
-    // Distinct (archetype, workload) combinations actually sampled. The
-    // scan is O(sessions) time but O(combinations) memory, and stops
-    // early once the pool is saturated.
+    // Distinct workloads actually sampled per archetype. The scan is
+    // O(sessions) time but O(combinations) memory, and stops early once
+    // the pool is saturated.
     let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
-    let mut combos: Vec<(usize, crate::workload::Workload)> = Vec::new();
+    let mut sampled: Vec<Vec<Workload>> = vec![Vec::new(); sampler.archetypes().len()];
     let saturated = sampler.archetypes().len() * sampler.workload_pool().len();
     for index in 0..config.sessions {
         let spec = sampler.sample(config.seed, index);
         if seen.insert((spec.archetype, spec.workload.id())) {
-            combos.push((spec.archetype, spec.workload));
+            sampled[spec.archetype].push(spec.workload);
         }
-        if combos.len() == saturated {
+        if seen.len() == saturated {
             break;
         }
     }
-    let verdicts = executor.map(&combos, |(archetype, workload)| {
-        let mut o = oracle_impl(workload, &scenarios[*archetype], &Executor::sequential());
-        o.sweep.clear();
-        o
-    });
-    let mut table: Vec<BTreeMap<String, OracleFrequencies>> =
-        vec![BTreeMap::new(); sampler.archetypes().len()];
-    for ((archetype, workload), verdict) in combos.into_iter().zip(verdicts) {
-        table[archetype].insert(workload.id(), verdict);
-    }
-    table
+    scenarios
+        .iter()
+        .zip(&sampled)
+        .map(|(scenario, workloads)| {
+            let workloads: Vec<&Workload> = workloads.iter().collect();
+            let verdicts = oracle_grid(&workloads, scenario, executor);
+            workloads
+                .iter()
+                .zip(verdicts)
+                .map(|(workload, mut verdict)| {
+                    verdict.sweep.clear();
+                    (workload.id(), verdict)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Runs the fleet. Called through
@@ -401,6 +410,39 @@ mod tests {
         // at least match the interactive baseline's.
         let interactive = report.sheet("interactive").expect("present");
         assert!(oracle.ppw.mean() >= interactive.ppw.mean() * 0.98);
+    }
+
+    #[test]
+    fn oracle_table_matches_per_workload_rerun_sweeps() {
+        use crate::runner::{oracle_from_sweep, sweep_frequencies_rerun_with};
+        let mut config = tiny_config();
+        config.sessions = 6;
+        let sampler = SessionSampler::new(config.archetypes.clone());
+        let scenarios: Vec<ScenarioConfig> = sampler
+            .archetypes()
+            .iter()
+            .map(|a| archetype_scenario(&config, a).0)
+            .collect();
+        let executor = Executor::new(Parallelism::Fixed(3));
+        let table = oracle_table(&config, &sampler, &scenarios, &executor);
+        for index in 0..config.sessions {
+            let spec = sampler.sample(config.seed, index);
+            let scenario = &scenarios[spec.archetype];
+            let freqs: Vec<Frequency> = scenario.board.dvfs.frequencies().collect();
+            let sweep = sweep_frequencies_rerun_with(
+                &spec.workload,
+                scenario,
+                &freqs,
+                &Executor::sequential(),
+            );
+            let mut expected = oracle_from_sweep(sweep, scenario);
+            expected.sweep.clear();
+            assert_eq!(
+                table[spec.archetype].get(&spec.workload.id()),
+                Some(&expected),
+                "session {index}"
+            );
+        }
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //! warm-up: the measured governor itself (the legacy behaviour, whose
 //! prefix depends on the governor under test), or a pinned frequency.
 //!
-//! A pinned warm-up makes the prefix *frequency-invariant*: every point
-//! of a frequency sweep shares the exact same warm-up trajectory. Sweeps
-//! exploit that with fork-at-warmup — simulate the shared prefix once,
-//! [`dora_soc::Board::snapshot`] it, and fan one per-frequency
-//! continuation per executor worker — instead of re-simulating the
-//! warm-up 14 times. When the prefix is not frequency-invariant
-//! ([`WarmupPolicy::Measured`]) sweeps fall back to full re-runs.
+//! A pinned point's warm-up never sees the page: it depends only on the
+//! co-runner kernel and the frequency pinned while warming (the measured
+//! frequency under [`WarmupPolicy::Measured`], the warm-up pin under
+//! [`WarmupPolicy::Pinned`]), given the grid's board, seed and warm-up
+//! length. [`pinned_grid`] exploits that: it simulates each distinct
+//! prefix once, [`dora_soc::Board::snapshot`]s it, and continues every
+//! point of the prefix from a fresh board restored from the snapshot —
+//! bit-identical to re-simulating the warm-up per point, which
+//! [`sweep_frequencies_rerun_with`] still does as the reference.
 //!
 //! Probes attach to the measured window only: [`run_page_observed`]
 //! warms the board first and attaches the probe before the measured
@@ -55,16 +57,16 @@ pub const CORUN_CORE: usize = 2;
 pub enum WarmupPolicy {
     /// The governor under measurement also governs the warm-up, so its
     /// hysteresis state is warm when the measured load starts. This is
-    /// the legacy behaviour and the default — but the warm-up trajectory
-    /// then depends on the governor (and, in a sweep, on the pinned
-    /// frequency), so sweeps cannot share a prefix and must re-simulate
-    /// the warm-up for every point.
+    /// the legacy behaviour and the default. The warm-up trajectory then
+    /// depends on the governor; for a pinned point it depends on the
+    /// kernel and the pinned frequency, so [`pinned_grid`] shares one
+    /// prefix per (kernel, frequency) across the grid's pages.
     Measured,
     /// A [`PinnedGovernor`] at the given frequency drives the warm-up,
     /// independent of the governor under measurement. The warm-up prefix
-    /// is then frequency-invariant, and frequency sweeps simulate it once
-    /// and fork per-frequency continuations from a
-    /// [`dora_soc::BoardSnapshot`].
+    /// is then frequency-invariant, so [`pinned_grid`] shares one prefix
+    /// per kernel across every page and frequency, forking each point
+    /// from a [`dora_soc::BoardSnapshot`].
     Pinned(Frequency),
 }
 
@@ -590,57 +592,145 @@ fn sweep_point(workload: &Workload, config: &ScenarioConfig, f: Frequency) -> Sw
     }
 }
 
+/// What a pinned point's thermal warm-up depends on beyond the board,
+/// seed and warm-up length that every point of a grid shares: the
+/// co-runner kernel (compared by value) and the frequency pinned while
+/// warming.
+#[derive(PartialEq)]
+struct WarmupKey<'a> {
+    kernel: &'a dora_coworkloads::Kernel,
+    pin: Frequency,
+}
+
+impl<'a> WarmupKey<'a> {
+    /// The warm-up [`warmed_board`] runs before measuring `workload`
+    /// pinned at `f` under `config`.
+    fn new(workload: &'a Workload, f: Frequency, config: &ScenarioConfig) -> WarmupKey<'a> {
+        // No `..`: a new input fails to compile until it joins the key
+        // or is named here as fixed for the grid or unread by the warm-up.
+        let ScenarioConfig {
+            // Fixed for the grid.
+            seed: _,
+            board: _,
+            warmup: _,
+            // Read only by the measured load.
+            deadline: _,
+            timeout: _,
+            warmup_policy,
+        } = config;
+        let Workload {
+            // The warm-up runs its own browsing pair, never the page.
+            page: _,
+            kernel,
+        } = workload;
+        let pin = match *warmup_policy {
+            WarmupPolicy::Measured => f,
+            WarmupPolicy::Pinned(warmup_f) => warmup_f,
+        };
+        WarmupKey { kernel, pin }
+    }
+}
+
+/// Groups the indices of a pinned grid by warm-up prefix, in order of
+/// first occurrence: every point of a group warms up identically.
+pub(crate) fn prefix_groups(
+    points: &[(&Workload, Frequency)],
+    config: &ScenarioConfig,
+) -> Vec<Vec<usize>> {
+    let mut keys: Vec<WarmupKey<'_>> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, &(workload, f)) in points.iter().enumerate() {
+        let key = WarmupKey::new(workload, f, config);
+        match keys.iter().position(|k| *k == key) {
+            Some(g) => groups[g].push(i),
+            None => {
+                keys.push(key);
+                groups.push(vec![i]);
+            }
+        }
+    }
+    groups
+}
+
+/// Measures every `(workload, frequency)` point under a
+/// [`PinnedGovernor`] (named `pinned`), fanned out across `executor`,
+/// and returns the results in input order.
+///
+/// Points whose warm-ups coincide (same kernel and warm-up pin, see
+/// [`WarmupPolicy`]) share one simulated prefix: each group warms once,
+/// snapshots the warm board, and measures each of its points on a fresh
+/// board restored from the snapshot. Restore is exact, so every result
+/// is bit-identical to [`run_scenario`] with a fresh `PinnedGovernor` at
+/// that point, at any executor width. Groups are the unit of work, and
+/// a worker holds one group's snapshot at a time.
+///
+/// # Panics
+///
+/// Panics if a frequency is not in the board's DVFS table.
+#[expect(
+    clippy::expect_used,
+    reason = "a snapshot restores onto a board of its own config: documented invariant"
+)]
+pub fn pinned_grid(
+    points: &[(&Workload, Frequency)],
+    config: &ScenarioConfig,
+    executor: &Executor,
+) -> Vec<RunResult> {
+    let groups = prefix_groups(points, config);
+    let measured = executor.map(&groups, |group| {
+        let mut runs = Vec::with_capacity(group.len());
+        // Every point of the group warms up as its first point does.
+        let Some(&(first, first_f)) = group.first().map(|&i| &points[i]) else {
+            return runs;
+        };
+        let mut pinned = PinnedGovernor::new("pinned", first_f);
+        let snapshot = warmed_board(Some(&first.kernel), &mut pinned, config).snapshot();
+        for &i in group {
+            let (workload, f) = points[i];
+            let mut board = Board::new(config.board.clone(), config.seed);
+            board
+                .restore(&snapshot)
+                .expect("the snapshot was taken on a board of this config");
+            let mut pinned = PinnedGovernor::new("pinned", f);
+            let result = measured_load(
+                &mut board,
+                &workload.page,
+                Some(&workload.kernel),
+                &mut pinned,
+                config,
+            );
+            runs.push((i, result));
+        }
+        runs
+    });
+    let mut results: Vec<(usize, RunResult)> = measured.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, result)| result).collect()
+}
+
 /// Measures a workload at each pinned frequency (the paper's per-figure
-/// frequency sweeps and the `Offline_opt` enumeration), fanned out across
-/// `executor`.
+/// frequency sweeps and the `Offline_opt` enumeration) through
+/// [`pinned_grid`], in frequency order and bit-identical at any executor
+/// width.
 ///
-/// Each point is an independent seeded simulation, so the returned sweep
-/// is bit-identical at any executor width, in frequency order.
-///
-/// Under [`WarmupPolicy::Pinned`] the warm-up prefix is
-/// frequency-invariant, so it is simulated **once**, snapshotted, and
-/// every point continues from a fork of the snapshot — bit-identical to
-/// (but much cheaper than) re-running the warm-up per point, which
-/// [`sweep_frequencies_rerun_with`] does and which this function falls
-/// back to under [`WarmupPolicy::Measured`].
+/// Under [`WarmupPolicy::Pinned`] every point shares one warm-up prefix;
+/// under [`WarmupPolicy::Measured`] each frequency warms its own.
+/// [`sweep_frequencies_rerun_with`] is the per-point reference.
 pub fn sweep_frequencies_with(
     workload: &Workload,
     config: &ScenarioConfig,
     frequencies: &[Frequency],
     executor: &Executor,
 ) -> Vec<SweepPoint> {
-    let WarmupPolicy::Pinned(warmup_f) = config.warmup_policy else {
-        // The warm-up depends on the measured (pinned) frequency: no
-        // shared prefix exists, so every point re-runs in full.
-        return sweep_frequencies_rerun_with(workload, config, frequencies, executor);
-    };
-    // Simulate the shared, frequency-invariant prefix exactly once.
-    let mut warm_gov = PinnedGovernor::new("warmup-pin", warmup_f);
-    let warmed = warmed_board(Some(&workload.kernel), &mut warm_gov, config);
-    let snapshot = warmed.snapshot();
-    executor.map(frequencies, |&f| {
-        let mut fork = Board::new(config.board.clone(), config.seed);
-        if fork.restore(&snapshot).is_err() {
-            // Defensive: a structural mismatch means the prefix cannot be
-            // reused; measure this point the slow, always-correct way.
-            return sweep_point(workload, config, f);
-        }
-        let mut pinned = PinnedGovernor::new("pinned", f);
-        let result = measured_load(
-            &mut fork,
-            &workload.page,
-            Some(&workload.kernel),
-            &mut pinned,
-            config,
-        );
-        SweepPoint {
-            frequency: f,
-            result,
-        }
-    })
+    let points: Vec<(&Workload, Frequency)> = frequencies.iter().map(|&f| (workload, f)).collect();
+    pinned_grid(&points, config, executor)
+        .into_iter()
+        .zip(frequencies)
+        .map(|(result, &frequency)| SweepPoint { frequency, result })
+        .collect()
 }
 
-/// [`sweep_frequencies_with`] without fork-at-warmup: every point is an
+/// [`sweep_frequencies_with`] without a shared prefix: every point is an
 /// independent full simulation, warm-up included. This is the reference
 /// implementation sweeps are checked against (and benchmarked against in
 /// `benches/forksweep.rs`).
@@ -679,6 +769,35 @@ pub(crate) fn oracle_impl(
     let freqs: Vec<Frequency> = config.board.dvfs.frequencies().collect();
     let sweep = sweep_frequencies_with(workload, config, &freqs, executor);
     oracle_from_sweep(sweep, config)
+}
+
+/// [`oracle_impl`] for many workloads as one [`pinned_grid`], so each
+/// distinct warm-up is simulated once across all of them; one verdict
+/// per workload, in input order.
+pub(crate) fn oracle_grid(
+    workloads: &[&Workload],
+    config: &ScenarioConfig,
+    executor: &Executor,
+) -> Vec<OracleFrequencies> {
+    let freqs: Vec<Frequency> = config.board.dvfs.frequencies().collect();
+    let points: Vec<(&Workload, Frequency)> = workloads
+        .iter()
+        .flat_map(|&w| freqs.iter().map(move |&f| (w, f)))
+        .collect();
+    let mut results = pinned_grid(&points, config, executor).into_iter();
+    workloads
+        .iter()
+        .map(|_| {
+            // `freqs` leads the zip, so each sweep takes exactly its own
+            // `freqs.len()` results.
+            let sweep = freqs
+                .iter()
+                .zip(results.by_ref())
+                .map(|(&frequency, result)| SweepPoint { frequency, result })
+                .collect();
+            oracle_from_sweep(sweep, config)
+        })
+        .collect()
 }
 
 /// Derives the Section II-C verdicts from a completed full-table sweep.
@@ -895,6 +1014,56 @@ mod tests {
             &crate::executor::Executor::new(crate::executor::Parallelism::Fixed(3)),
         );
         assert_eq!(forked, forked_parallel);
+    }
+
+    #[test]
+    fn pinned_grid_matches_per_point_runs() {
+        use crate::executor::Parallelism;
+        let set = WorkloadSet::paper54();
+        // Three pages that share a co-runner kernel, and one that does not.
+        let shared = &set.workloads()[0].kernel;
+        let mut workloads: Vec<&Workload> = set
+            .workloads()
+            .iter()
+            .filter(|w| w.kernel == *shared)
+            .take(3)
+            .collect();
+        workloads.extend(set.workloads().iter().find(|w| w.kernel != *shared));
+        assert_eq!(workloads.len(), 4);
+        for soc in ["msm8974", "biglittle-a15a7"] {
+            let board = dora_soc::SocProfile::by_name(soc)
+                .expect("registered profile")
+                .board_config();
+            let freqs: Vec<Frequency> = board.dvfs.frequencies().step_by(6).collect();
+            let pin = board.dvfs.nearest(Frequency::from_mhz(1190.4));
+            let points: Vec<(&Workload, Frequency)> = workloads
+                .iter()
+                .flat_map(|&w| freqs.iter().map(move |&f| (w, f)))
+                .collect();
+            for (policy, prefixes) in [
+                (WarmupPolicy::Measured, 2 * freqs.len()),
+                (WarmupPolicy::Pinned(pin), 2),
+            ] {
+                let config = ScenarioConfig::builder()
+                    .board(board.clone())
+                    .warmup(SimDuration::from_secs(1))
+                    .warmup_policy(policy)
+                    .build();
+                assert_eq!(prefix_groups(&points, &config).len(), prefixes);
+                let reference: Vec<RunResult> = points
+                    .iter()
+                    .map(|&(w, f)| run_scenario(w, &mut PinnedGovernor::new("pinned", f), &config))
+                    .collect();
+                for jobs in [1, 3] {
+                    let executor = Executor::new(Parallelism::Fixed(jobs));
+                    assert_eq!(
+                        pinned_grid(&points, &config, &executor),
+                        reference,
+                        "{soc}, {policy:?}, {jobs} jobs"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

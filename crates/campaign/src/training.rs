@@ -4,19 +4,26 @@
 //! are taken by executing multiple workload combinations at different
 //! frequency settings." This module runs those sweeps in the simulator:
 //!
-//! * [`training_campaign`] — pinned-frequency loads of the
-//!   Webpage-Inclusive workloads across the DVFS table, emitting
+//! * [`CampaignDriver::training_campaign`] — pinned-frequency loads of
+//!   the Webpage-Inclusive workloads across the DVFS table, emitting
 //!   [`TrainingObservation`]s for the trainer. The full sweep (42
 //!   workloads × 14 frequencies = 588 runs) comfortably exceeds the
-//!   paper's "over 300 measurements".
-//! * [`leakage_calibration`] — idle thermal-soak measurements across
-//!   operating points and ambient temperatures, emitting
-//!   [`LeakageObservation`]s for the Eq. 5 fit. On the bench this is a
-//!   rail measurement of the idle SoC (total minus the constant platform
-//!   draw) after the die settles at each condition.
+//!   paper's "over 300 measurements". It runs as one [`pinned_grid`]:
+//!   a point's warm-up never sees its page, so under the default
+//!   [`WarmupPolicy::Measured`] the 588 points warm only 126 distinct
+//!   prefixes (9 co-runner kernels × 14 frequencies).
+//! * [`CampaignDriver::leakage_calibration`] — idle thermal-soak
+//!   measurements across operating points and ambient temperatures,
+//!   emitting [`LeakageObservation`]s for the Eq. 5 fit. On the bench
+//!   this is a rail measurement of the idle SoC (total minus the
+//!   constant platform draw) after the die settles at each condition.
+//!
+//! [`CampaignDriver::training_campaign`]: crate::driver::CampaignDriver::training_campaign
+//! [`CampaignDriver::leakage_calibration`]: crate::driver::CampaignDriver::leakage_calibration
+//! [`WarmupPolicy::Measured`]: crate::runner::WarmupPolicy::Measured
 
 use crate::executor::Executor;
-use crate::runner::{run_scenario, ScenarioConfig};
+use crate::runner::{pinned_grid, run_scenario, RunResult, ScenarioConfig};
 use crate::workload::{Workload, WorkloadSet};
 use dora::models::PredictorInputs;
 use dora::trainer::TrainingObservation;
@@ -45,7 +52,21 @@ pub fn measure_observation(
     config: &ScenarioConfig,
 ) -> TrainingObservation {
     let mut pinned = PinnedGovernor::new("train", frequency);
-    let result = run_scenario(workload, &mut pinned, config);
+    observation(
+        workload,
+        frequency,
+        &run_scenario(workload, &mut pinned, config),
+        config,
+    )
+}
+
+/// The [`TrainingObservation`] of a load measured pinned at `frequency`.
+fn observation(
+    workload: &Workload,
+    frequency: Frequency,
+    result: &RunResult,
+    config: &ScenarioConfig,
+) -> TrainingObservation {
     let inputs = PredictorInputs::for_frequency(
         workload.page.features,
         frequency,
@@ -65,25 +86,36 @@ pub fn measure_observation(
 /// behind [`crate::driver::CampaignDriver::training_campaign`]: one
 /// observation per (training workload, frequency).
 ///
-/// Each measurement is an independent seeded simulation, so the returned
-/// observations are bit-identical to the sequential sweep, in the same
+/// The grid runs through [`pinned_grid`], so each distinct warm-up is
+/// simulated once, and the observations are bit-identical to
+/// [`measure_observation`] per point at any executor width, in
 /// workload-major, frequency-minor order.
 pub(crate) fn training_campaign_impl(
     set: &WorkloadSet,
     config: &TrainingCampaignConfig,
     executor: &Executor,
 ) -> Vec<TrainingObservation> {
+    let grid = training_grid(set, config);
+    pinned_grid(&grid, &config.scenario, executor)
+        .iter()
+        .zip(&grid)
+        .map(|(result, &(workload, f))| observation(workload, f, result, &config.scenario))
+        .collect()
+}
+
+/// The training campaign's points: every Webpage-Inclusive workload of
+/// `set` at every configured frequency, workload-major.
+pub(crate) fn training_grid<'a>(
+    set: &'a WorkloadSet,
+    config: &TrainingCampaignConfig,
+) -> Vec<(&'a Workload, Frequency)> {
     let freqs: Vec<Frequency> = match &config.frequencies {
         Some(fs) => fs.clone(),
         None => config.scenario.board.dvfs.frequencies().collect(),
     };
-    let grid: Vec<(&Workload, Frequency)> = set
-        .inclusive()
+    set.inclusive()
         .flat_map(|w| freqs.iter().map(move |&f| (w, f)))
-        .collect();
-    executor.map(&grid, |&(workload, f)| {
-        measure_observation(workload, f, &config.scenario)
-    })
+        .collect()
 }
 
 /// Idle leakage calibration, behind
@@ -240,6 +272,25 @@ mod tests {
             assert_eq!(s.total_power, p.total_power);
             assert_eq!(s.inputs.l2_mpki, p.inputs.l2_mpki);
         }
+    }
+
+    #[test]
+    fn full_training_grid_warms_126_distinct_prefixes() {
+        use crate::runner::{prefix_groups, WarmupPolicy};
+        let set = WorkloadSet::paper54();
+        let config = TrainingCampaignConfig::default();
+        let grid = training_grid(&set, &config);
+        assert_eq!(grid.len(), 588, "42 workloads x 14 frequencies");
+        // Measured: the warm-up runs at the point's own pinned frequency,
+        // so a prefix is a (kernel, frequency) pair: 9 x 14.
+        assert_eq!(prefix_groups(&grid, &config.scenario).len(), 126);
+        // Pinned: every frequency warms at the pin, one prefix per kernel.
+        let pinned = config
+            .scenario
+            .to_builder()
+            .warmup_policy(WarmupPolicy::Pinned(Frequency::from_mhz(1190.4)))
+            .build();
+        assert_eq!(prefix_groups(&grid, &pinned).len(), 9);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * `total_cmp` / `min` / `max` — total-order comparison so callers never
 //!   need `partial_cmp().unwrap()` on quantity values.
 //!
-//! The companion frequency newtype lives in `dora-soc` ([`Frequency`]
+//! The companion frequency newtype lives in `dora-soc` (`Frequency`
 //! there predates this module and is kHz-quantized); everything else in
 //! the unit system is here, at the bottom of the dependency stack, so all
 //! crates can share it.

@@ -137,8 +137,8 @@ pub struct Opp {
 
 /// The MSM8974 operating points as integer `(kHz, millivolt)` pairs.
 ///
-/// Defined through [`checked_khz_mv`], so sortedness and
-/// duplicate-freedom are proven at compile time — a corrupted table
+/// Defined through the crate-private `checked_khz_mv`, so sortedness
+/// and duplicate-freedom are proven at compile time — a corrupted table
 /// edit fails `cargo build`, not a campaign three layers up.
 ///
 /// paper: Section II — Nexus 5 (Snapdragon 800 / MSM8974) with 14 OPPs
