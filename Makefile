@@ -4,7 +4,7 @@
 # pass (ROADMAP.md: `cargo build --release && cargo test -q`), and the
 # experiments transcript.
 
-.PHONY: verify fmt lint xtask-lint doc sarif bless-api lint-fix build test \
+.PHONY: verify fmt lint xtask-lint doc bless-api lint-fix build test \
         transcript bench miri
 
 verify: fmt lint xtask-lint doc build test transcript
@@ -15,29 +15,26 @@ fmt:
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# The seven-pass diagnostics framework (DESIGN.md §8, §12–§13),
+# The six-pass diagnostics framework (DESIGN.md §8, §12–§13),
 # configured by xtask/xtask.toml: units-escape (unit-suffixed pub
 # fields and typed-units boundary signatures), the partial_cmp ban,
 # crate layering (plus workspace lint inheritance), stale-config
-# validation, probe purity, paper-constant provenance, API-surface
-# snapshots. The crate headers are rustc's job
-# (`[workspace.lints.rust]` in Cargo.toml); panic sanctions, the
-# HashMap/HashSet and wall-clock bans and unit dimensions are clippy's
-# (the panic-family lints with `#[expect(…, reason)]`,
-# `disallowed-types`, and the `value()` and `Frequency` raw-accessor
-# disallowed methods, see clippy.toml); the DVFS tables check
-# themselves at compile time, and snapshot/restore/merge completeness
-# is exhaustive destructuring.
+# validation, paper-constant provenance, API-surface snapshots. The
+# crate headers are rustc's job (`[workspace.lints.rust]` in
+# Cargo.toml); panic sanctions, the HashMap/HashSet and wall-clock bans
+# and unit dimensions are clippy's (the panic-family lints with
+# `#[expect(…, reason)]`, `disallowed-types`, and the `value()` and
+# `Frequency` raw-accessor disallowed methods, see clippy.toml); the
+# DVFS tables check themselves at compile time, snapshot/restore/merge
+# completeness is exhaustive destructuring, dependency cycles are
+# cargo's, and the probe-off zero-allocation contract is a
+# counting-allocator test (crates/campaign/tests/probe_off_no_alloc.rs).
 # `cargo run -p xtask -- lint --explain <lint-id>` prints any pass's
 # long-form rationale. `--timing --budget-ms` is the runtime-regression
 # gate CI applies to the suite itself (total wall-clock AND a per-pass
 # share ceiling).
 xtask-lint:
 	cargo run -q -p xtask -- lint --timing --budget-ms 10000
-
-# Machine-readable reports (also uploaded as a CI artifact).
-sarif:
-	cargo run -q -p xtask -- lint --format sarif > xtask-lint.sarif
 
 # Regenerate xtask/api/<crate>.txt after an intentional API change.
 bless-api:

@@ -33,7 +33,8 @@
 //! Observation goes through the typed probe bus
 //! ([`Board::attach_probe`]): events are built lazily, so with no probe
 //! attached the stepping path performs no allocation and no formatting.
-//! The `probe-purity` xtask pass enforces that property on this file.
+//! A counting-allocator test (`dora-campaign`'s `probe_off_no_alloc`)
+//! enforces that property.
 //! Boards can also be checkpointed and forked mid-run via
 //! [`Board::snapshot`] (see `snapshot`).
 
@@ -127,11 +128,11 @@ impl QuantumPlan {
             replayable: false,
             dt: SimDuration::ZERO,
             params,
-            active: Vec::new(),     // alloc: one-time construction
-            profiles: Vec::new(),   // alloc: one-time construction
-            clocks: Vec::new(),     // alloc: one-time construction
-            cores: Vec::new(),      // alloc: one-time construction
-            core_utils: Vec::new(), // alloc: one-time construction
+            active: Vec::new(),
+            profiles: Vec::new(),
+            clocks: Vec::new(),
+            cores: Vec::new(),
+            core_utils: Vec::new(),
             activity: PowerBreakdown::default(),
             counts: StepWork {
                 quanta: 0,
@@ -288,10 +289,8 @@ impl Board {
                 task: None,
                 finish_time: None,
             })
-            // alloc: one-time construction, not the stepping hot path.
             .collect();
         let counters = CounterSet::new(config.num_cores);
-        // alloc: one-time construction, not the stepping hot path.
         let freq_indices = vec![0; config.clusters.len()];
         let plan = QuantumPlan::new(ContentionParams {
             tier: bus_tier(&config, &freq_indices),
@@ -303,7 +302,6 @@ impl Board {
             slots,
             counters,
             freq_indices,
-            // alloc: one-time construction, not the stepping hot path.
             cluster_of: config.affinity.clone(),
             now: SimTime::ZERO,
             energy: Joules::ZERO,
@@ -498,7 +496,7 @@ impl Board {
                     .as_deref()
                     .map(|t| t.name())
                     .unwrap_or("")
-                    // alloc: lazy — the name is only copied when a probe listens.
+                    // Lazy: the name is only copied when a probe listens.
                     .to_string(),
             });
         Ok(())

@@ -97,8 +97,8 @@ impl SharedCache {
     /// Tasks with zero access rate receive no occupancy and a miss ratio of
     /// 1.0 (vacuously — they issue no accesses).
     pub fn apportion(&self, demands: &[CacheDemand]) -> Vec<CacheShare> {
-        // alloc: convenience wrapper; hot callers hold their own buffers
-        // and go through `apportion_into` instead.
+        // A convenience wrapper: hot callers hold their own buffers and
+        // go through `apportion_into` instead.
         let mut shares = Vec::new();
         let mut scratch = ApportionScratch::default();
         self.apportion_into(demands, &mut shares, &mut scratch);

@@ -2,8 +2,8 @@
 //!
 //! These types used to live inside `board.rs`; they moved out when the
 //! board was split so that the stepping hot path (`board.rs`,
-//! `contention.rs`) contains no formatting or allocation — the
-//! `probe-purity` xtask pass holds it to that. Everything here is
+//! `contention.rs`) contains no formatting or allocation — a
+//! counting-allocator test holds it to that. Everything here is
 //! re-exported from [`crate::board`], so existing paths keep working.
 
 use crate::dvfs::{DvfsTable, Frequency};

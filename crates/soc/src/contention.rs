@@ -129,14 +129,14 @@ impl ContentionSolver {
         ContentionSolver {
             cache,
             memory,
-            instr_rates: Vec::new(), // alloc: one-time construction
-            miss_ratios: Vec::new(), // alloc: one-time construction
-            demands: Vec::new(),     // alloc: one-time construction
-            shares: Vec::new(),      // alloc: one-time construction
+            instr_rates: Vec::new(),
+            miss_ratios: Vec::new(),
+            demands: Vec::new(),
+            shares: Vec::new(),
             scratch: ApportionScratch::default(),
             dram_demand: 0.0,
             last_params: None,
-            last_inputs: Vec::new(), // alloc: one-time construction
+            last_inputs: Vec::new(),
         }
     }
 

@@ -157,10 +157,8 @@ impl LeakageTable {
                 .map(|cluster| {
                     (0..cluster.dvfs.len())
                         .map(|i| cluster.leakage.at(cluster.dvfs.opp(i).voltage))
-                        // alloc: one-time construction, not the stepping hot path.
                         .collect()
                 })
-                // alloc: one-time construction, not the stepping hot path.
                 .collect(),
         }
     }
@@ -204,14 +202,14 @@ impl PowerParams {
     pub fn validate(&self) -> Result<(), String> {
         let floor = self.platform_floor;
         if !(floor.is_finite() && floor >= Watts::ZERO) {
-            // alloc: configuration error path, never reached while stepping.
+            // A configuration error path, never reached while stepping.
             return Err(format!(
                 "platform_floor must be non-negative and finite, got {floor}"
             ));
         }
         let v = self.dram_j_per_byte;
         if !(v.is_finite() && v >= 0.0) {
-            // alloc: configuration error path, never reached while stepping.
+            // A configuration error path, never reached while stepping.
             return Err(format!(
                 "dram_j_per_byte must be non-negative and finite, got {v}"
             ));

@@ -1,45 +1,18 @@
 //! Typed view of `xtask.toml`.
 //!
 //! The config file owns everything a pass can be parameterized on:
-//! per-lint levels, per-lint file allowlists, the crate layer order, the
-//! designated paper-constants modules with their trivial-float
-//! exemptions, the probe-off hot paths, and the typed-units boundary.
+//! per-lint file allowlists, the crate layer order, the designated
+//! paper-constants modules with their trivial-float exemptions, and the
+//! typed-units boundary.
 //! Panic sanctions, the hash-collection ban and the raw-unit accessor
 //! ban are the compiler's (`#[expect(clippy::…)]` and clippy.toml).
 
 use crate::toml::{self, Value};
 use std::collections::BTreeMap;
 
-/// How findings of one lint are treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Level {
-    /// Findings fail the run (the default).
-    #[default]
-    Deny,
-    /// Findings are reported but do not fail the run.
-    Warn,
-    /// Findings are dropped.
-    Allow,
-}
-
-impl Level {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "deny" => Ok(Level::Deny),
-            "warn" => Ok(Level::Warn),
-            "allow" => Ok(Level::Allow),
-            other => Err(format!(
-                "unknown lint level `{other}` (expected deny | warn | allow)"
-            )),
-        }
-    }
-}
-
 /// The parsed configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Per-lint level overrides (`[levels]`).
-    pub levels: BTreeMap<String, Level>,
     /// Per-lint path-prefix allowlists (`[allow]`).
     pub allow: BTreeMap<String, Vec<String>>,
     /// The declared crate layers, bottom-up (`[layering] layers`). A crate
@@ -51,9 +24,6 @@ pub struct Config {
     /// trivial`): structural values like 0.0, 1.0, 1024.0 that encode no
     /// physical or model assumption.
     pub trivial_floats: Vec<f64>,
-    /// Path prefixes of probe-off hot-path files the probe-purity lint
-    /// scans for allocation/formatting (`[probe-purity] hot_paths`).
-    pub probe_hot_paths: Vec<String>,
     /// Path prefixes of the typed-units boundary crates the units-escape
     /// lint audits (`[units-escape] boundary_paths`).
     pub units_boundary_paths: Vec<String>,
@@ -86,14 +56,6 @@ impl Config {
                 "" => {
                     if let Some(key) = entries.keys().next() {
                         return Err(format!("top-level key `{key}` outside any table"));
-                    }
-                }
-                "levels" => {
-                    for (lint, v) in entries {
-                        let s = v
-                            .as_str()
-                            .ok_or_else(|| format!("[levels] {lint} must be a string"))?;
-                        config.levels.insert(lint.clone(), Level::parse(s)?);
                     }
                 }
                 "allow" => {
@@ -140,14 +102,6 @@ impl Config {
                         }
                     }
                 }
-                "probe-purity" => {
-                    for (key, v) in entries {
-                        if key != "hot_paths" {
-                            return Err(format!("unknown key `{key}` in [probe-purity]"));
-                        }
-                        config.probe_hot_paths = string_list(v, "[probe-purity] hot_paths")?;
-                    }
-                }
                 "units-escape" => {
                     for (key, v) in entries {
                         match key.as_str() {
@@ -170,11 +124,6 @@ impl Config {
         Ok(config)
     }
 
-    /// The effective level of a lint (deny unless overridden).
-    pub fn level(&self, lint: &str) -> Level {
-        self.levels.get(lint).copied().unwrap_or_default()
-    }
-
     /// Whether `file` is allowlisted for `lint` (path-prefix match).
     pub fn is_allowed(&self, lint: &str, file: &str) -> bool {
         self.allow
@@ -193,10 +142,6 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"
-[levels]
-partial-cmp = "warn"
-probe-purity = "allow"
-
 [allow]
 units-escape = ["crates/experiments/", "crates/cli/"]
 
@@ -218,9 +163,6 @@ unit_types = ["Seconds", "Watts"]
     #[test]
     fn full_sample_round_trips() {
         let c = Config::from_toml(SAMPLE).expect("parses");
-        assert_eq!(c.level("partial-cmp"), Level::Warn);
-        assert_eq!(c.level("probe-purity"), Level::Allow);
-        assert_eq!(c.level("units-escape"), Level::Deny);
         assert!(c.is_allowed("units-escape", "crates/cli/src/args.rs"));
         assert!(!c.is_allowed("units-escape", "crates/soc/src/dvfs.rs"));
         assert_eq!(c.layers.len(), 2);
@@ -235,12 +177,6 @@ unit_types = ["Seconds", "Watts"]
     fn unknown_units_escape_key_is_rejected() {
         let err = Config::from_toml("[units-escape]\nboundary = []\n").expect_err("bad");
         assert!(err.contains("unknown key `boundary`"), "{err}");
-    }
-
-    #[test]
-    fn bad_level_is_rejected() {
-        let err = Config::from_toml("[levels]\nx = \"fatal\"\n").expect_err("bad");
-        assert!(err.contains("unknown lint level"), "{err}");
     }
 
     #[test]
@@ -261,6 +197,8 @@ unit_types = ["Seconds", "Watts"]
             "determinism",
             "determinism-taint",
             "merge-associativity",
+            "probe-purity",
+            "levels",
         ] {
             let err = Config::from_toml(&format!("[{table}]\n\"a\" = 1\n")).expect_err("bad");
             assert!(err.contains("unknown table"), "{table}: {err}");

@@ -1,9 +1,10 @@
 //! The diagnostic model every pass emits into.
 //!
-//! A [`Diagnostic`] is the unit of output: a stable lint id, a severity, a
-//! [`Span`] pointing into the repository, a one-line message, and optional
-//! help text. Renderers (`render` module) turn slices of diagnostics into
-//! human text, JSON, or SARIF without knowing which pass produced them.
+//! A [`Diagnostic`] is the unit of output: a stable lint id, a [`Span`]
+//! pointing into the repository, a one-line message, and optional help
+//! text. Every diagnostic that survives `xtask.toml`'s allowlists fails
+//! the run. The `render` module turns slices of diagnostics into human
+//! text without knowing which pass produced them.
 
 use std::fmt;
 
@@ -60,38 +61,11 @@ impl fmt::Display for Span {
     }
 }
 
-/// How a finding affects the lint run's exit status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Reported but non-fatal (a lint configured `level = "warn"`).
-    Warning,
-    /// Fails the run.
-    Error,
-}
-
-impl Severity {
-    /// The lowercase keyword used in human, JSON and SARIF output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// One finding from one pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable kebab-case lint id (doubles as the SARIF rule id).
+    /// Stable kebab-case lint id.
     pub lint: &'static str,
-    /// Whether the finding fails the run.
-    pub severity: Severity,
     /// Where the finding points.
     pub span: Span,
     /// One-line description of the violation.
@@ -101,12 +75,10 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// An error-severity diagnostic (the pass default; the driver may
-    /// downgrade it per `xtask.toml` levels).
+    /// A finding of `lint` at `span`.
     pub fn error(lint: &'static str, span: Span, message: impl Into<String>) -> Self {
         Diagnostic {
             lint,
-            severity: Severity::Error,
             span,
             message: message.into(),
             help: None,
@@ -123,11 +95,7 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}[{}]: {} ({})",
-            self.severity, self.lint, self.message, self.span
-        )
+        write!(f, "error[{}]: {} ({})", self.lint, self.message, self.span)
     }
 }
 
@@ -140,11 +108,6 @@ mod tests {
         assert_eq!(Span::file("a.rs").to_string(), "a.rs");
         assert_eq!(Span::line("a.rs", 3).to_string(), "a.rs:3");
         assert_eq!(Span::at("a.rs", 3, 7).to_string(), "a.rs:3:7");
-    }
-
-    #[test]
-    fn severity_orders_warning_below_error() {
-        assert!(Severity::Warning < Severity::Error);
     }
 
     #[test]

@@ -59,20 +59,6 @@ impl TokenKind {
             TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
         )
     }
-
-    /// Whether the token is a string/char-like literal whose *contents*
-    /// must never match a lint needle.
-    pub fn is_textual_literal(self) -> bool {
-        matches!(
-            self,
-            TokenKind::Char
-                | TokenKind::Byte
-                | TokenKind::Str
-                | TokenKind::ByteStr
-                | TokenKind::RawStr
-                | TokenKind::RawByteStr
-        )
-    }
 }
 
 /// One token: a kind plus the `[lo, hi)` byte span in the source.

@@ -3,23 +3,22 @@
 //!
 //! Architecture (DESIGN.md §8, §12):
 //!
-//! * [`diag`] — the [`Diagnostic`] model: lint id, severity, file/line/
-//!   column [`Span`], message, help.
+//! * [`diag`] — the [`Diagnostic`] model: lint id, file/line/column
+//!   [`Span`], message, help.
 //! * [`lex`] / [`items`] — the dependency-free syntax layer: a full
 //!   Rust lexer with byte-exact spans, and an item tree (functions,
 //!   consts, structs) extracted from the token stream.
 //! * [`source`] / [`workspace`] — source loading (each file carries its
 //!   tokens, items and a column-preserving stripped view) and the crate
 //!   dependency graph.
-//! * [`config`] — `xtask.toml`: per-lint levels, allowlists, the crate
-//!   layer order, constants modules, probe hot paths, units-boundary
-//!   paths. Panic sanctions, the raw-unit accessor ban and the
-//!   hash-collection and clock bans are clippy's (`#[expect(…, reason)]`,
-//!   `clippy.toml`).
+//! * [`config`] — `xtask.toml`: per-lint allowlists, the crate layer
+//!   order, constants modules, units-boundary paths. Panic sanctions,
+//!   the raw-unit accessor ban and the hash-collection and clock bans
+//!   are clippy's (`#[expect(…, reason)]`, `clippy.toml`).
 //! * [`passes`] — the [`Pass`] trait and registry. Each lint is a plugin
 //!   over a shared read-only [`Context`].
-//! * [`render`] — human, `--format json` and `--format sarif` emitters,
-//!   plus the `BENCH_lint.json` record.
+//! * [`render`] — the human report, `--explain` pages and the
+//!   `BENCH_lint.json` record.
 //!
 //! Every pass is pure over the [`Context`], so fixtures test them without
 //! touching the filesystem; only [`Context::load`] and the `bless-api`
@@ -32,7 +31,6 @@
 pub mod config;
 pub mod diag;
 pub mod items;
-pub mod justify;
 pub mod lex;
 pub mod passes;
 pub mod render;
@@ -40,8 +38,8 @@ pub mod source;
 pub mod toml;
 pub mod workspace;
 
-pub use config::{Config, Level};
-pub use diag::{Diagnostic, Severity, Span};
+pub use config::Config;
+pub use diag::{Diagnostic, Span};
 pub use passes::Pass;
 pub use source::SourceFile;
 pub use workspace::Manifest;
@@ -182,11 +180,10 @@ impl Context {
 }
 
 /// Runs every registered pass over the context and applies `xtask.toml`
-/// policy: per-lint/per-file allowlists drop findings, `level = "allow"`
-/// drops a lint entirely, `level = "warn"` downgrades errors to warnings.
+/// policy: per-lint/per-file allowlists drop findings.
 ///
-/// The returned list is sorted by span then lint id, so output (and the
-/// JSON/SARIF emitted from it) is deterministic regardless of pass order.
+/// The returned list is sorted by span then lint id, so output is
+/// deterministic regardless of pass order.
 pub fn run_passes(cx: &Context) -> Vec<Diagnostic> {
     run_passes_timed(cx).0
 }
@@ -274,22 +271,11 @@ where
 }
 
 /// Applies `xtask.toml` policy to one pass's raw findings: per-lint/
-/// per-file allowlists drop findings, `level = "allow"` drops a lint
-/// entirely, `level = "warn"` downgrades errors to warnings.
+/// per-file allowlists drop findings.
 pub fn apply_policy(config: &Config, raw: Vec<Diagnostic>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for mut d in raw {
-        if config.is_allowed(d.lint, &d.span.file) {
-            continue;
-        }
-        match config.level(d.lint) {
-            Level::Allow => continue,
-            Level::Warn => d.severity = Severity::Warning,
-            Level::Deny => {}
-        }
-        out.push(d);
-    }
-    out
+    raw.into_iter()
+        .filter(|d| !config.is_allowed(d.lint, &d.span.file))
+        .collect()
 }
 
 /// The canonical diagnostic order: span, then lint id. The driver sorts

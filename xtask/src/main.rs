@@ -3,17 +3,16 @@
 //!
 //! Commands:
 //!
-//! * `lint [--format human|json|sarif] [--only <id,id>] [--timing]
-//!   [--budget-ms <n>] [--explain <id>]` — run every registered pass
-//!   over the tree (`xtask::run_passes_timed`); exit 1 when any
-//!   error-severity finding survives `xtask.toml` policy, 2 on tool
-//!   failure. `--timing` prints a per-pass runtime + finding-count
-//!   report to stderr and writes `BENCH_lint.json` at the repo root;
-//!   `--budget-ms` additionally fails the run when wall-clock exceeds
-//!   the budget or any single pass exceeds its per-pass share of it (the
-//!   CI runtime-regression gate). `--explain <id>` prints one pass's
-//!   reference text (what it checks, config keys, justification syntax)
-//!   and exits without linting.
+//! * `lint [--only <id,id>] [--timing] [--budget-ms <n>]
+//!   [--explain <id>]` — run every registered pass over the tree
+//!   (`xtask::run_passes_timed`); exit 1 when any finding survives
+//!   `xtask.toml`'s allowlists, 2 on tool failure. `--timing` prints a
+//!   per-pass runtime + finding-count report to stderr and writes
+//!   `BENCH_lint.json` at the repo root; `--budget-ms` additionally
+//!   fails the run when wall-clock exceeds the budget or any single pass
+//!   exceeds its per-pass share of it (the CI runtime-regression gate).
+//!   `--explain <id>` prints one pass's reference text (what it checks,
+//!   config keys, justification syntax) and exits without linting.
 //! * `bless-api` — regenerate the `xtask/api/<crate>.txt` public-API
 //!   snapshots after an intentional surface change.
 //! * `passes` — list registered lint ids and descriptions.
@@ -31,8 +30,7 @@ const USAGE: &str = "\
 usage: cargo run -p xtask -- <command>
 
 commands:
-  lint [--format human|json|sarif] [--only <id,id>] [--timing] [--budget-ms <n>]
-       [--explain <id>]
+  lint [--only <id,id>] [--timing] [--budget-ms <n>] [--explain <id>]
         run the static-analysis passes; non-zero exit on findings
         --timing prints a per-pass runtime + finding-count report and
         writes BENCH_lint.json; --budget-ms fails the run when
@@ -44,16 +42,8 @@ commands:
         list registered passes
 ";
 
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
-
 /// Parsed `lint` subcommand options.
 struct LintArgs {
-    format: Format,
     only: Option<Vec<String>>,
     timing: bool,
     budget_ms: Option<u64>,
@@ -62,7 +52,6 @@ struct LintArgs {
 
 fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
     let mut parsed = LintArgs {
-        format: Format::Human,
         only: None,
         timing: false,
         budget_ms: None,
@@ -71,16 +60,6 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--format" => {
-                let value = args.get(i + 1).ok_or("--format needs a value")?;
-                parsed.format = match value.as_str() {
-                    "human" => Format::Human,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format `{other}`")),
-                };
-                i += 2;
-            }
             "--only" => {
                 let value = args.get(i + 1).ok_or("--only needs a value")?;
                 parsed.only = Some(value.split(',').map(str::to_string).collect::<Vec<_>>());
@@ -165,7 +144,6 @@ fn timing_report(
 fn lint(root: &Path, args: &[String]) -> Result<i32, String> {
     let opts = parse_lint_args(args)?;
     let LintArgs {
-        format,
         only,
         timing,
         budget_ms,
@@ -202,29 +180,17 @@ fn lint(root: &Path, args: &[String]) -> Result<i32, String> {
         std::fs::write(&bench, json).map_err(|e| format!("writing {}: {e}", bench.display()))?;
         eprintln!("wrote {}", bench.display());
     }
-    let (errors, warnings) = render::tally(&diags);
-    match format {
-        Format::Human => {
-            print!("{}", render::human(&diags));
-            if errors == 0 {
-                println!("xtask lint: clean ({warnings} warning(s))");
-            } else {
-                eprintln!("xtask lint: {errors} error(s), {warnings} warning(s)");
-            }
-        }
-        Format::Json => print!("{}", render::json(&diags)),
-        Format::Sarif => {
-            let passes = registry();
-            let rules: Vec<(&str, &str)> =
-                passes.iter().map(|p| (p.id(), p.description())).collect();
-            print!("{}", render::sarif(&diags, &rules));
-        }
+    print!("{}", render::human(&diags));
+    if diags.is_empty() {
+        println!("xtask lint: clean");
+    } else {
+        eprintln!("xtask lint: {} error(s)", diags.len());
     }
     if budget_exceeded {
         eprintln!("xtask lint: pass runtime exceeded --budget-ms; see timing report above");
         return Ok(1);
     }
-    Ok(i32::from(errors > 0))
+    Ok(i32::from(!diags.is_empty()))
 }
 
 fn bless_api(root: &Path) -> Result<i32, String> {

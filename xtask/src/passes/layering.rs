@@ -2,11 +2,11 @@
 //!
 //! `[layering] layers` in `xtask.toml` lists the workspace crates
 //! bottom-up. A crate's normal (non-dev) dependencies must sit in its own
-//! layer or a lower one: upward edges are rejected, as are dependency
-//! cycles (which same-layer edges could otherwise smuggle in) and crates
-//! missing from the declaration entirely. Every member must also declare
-//! `[lints] workspace = true`, so the workspace's rustc lints
-//! (`unsafe_code` and `missing_docs` denied) reach each crate.
+//! layer or a lower one: upward edges are rejected, as are crates missing
+//! from the declaration entirely. Cargo itself refuses cycles among
+//! normal dependencies, the only edges checked here. Every member must
+//! also declare `[lints] workspace = true`, so the workspace's rustc
+//! lints (`unsafe_code` and `missing_docs` denied) reach each crate.
 
 use crate::diag::{Diagnostic, Span};
 use crate::workspace::Manifest;
@@ -16,72 +16,21 @@ use std::collections::BTreeMap;
 /// The pass. See the module docs.
 pub struct CrateLayering;
 
-fn find_cycle(manifests: &[Manifest]) -> Option<Vec<String>> {
-    let names: BTreeMap<&str, &Manifest> = manifests.iter().map(|m| (m.name.as_str(), m)).collect();
-    // 0 = unvisited, 1 = on the current DFS path, 2 = done.
-    let mut state: BTreeMap<&str, u8> = BTreeMap::new();
-    fn dfs<'a>(
-        node: &'a str,
-        names: &BTreeMap<&'a str, &'a Manifest>,
-        state: &mut BTreeMap<&'a str, u8>,
-        path: &mut Vec<&'a str>,
-    ) -> Option<Vec<String>> {
-        state.insert(node, 1);
-        path.push(node);
-        if let Some(m) = names.get(node) {
-            for dep in m.normal_deps() {
-                let Some((&dep_name, _)) = names.get_key_value(dep.name.as_str()) else {
-                    continue;
-                };
-                match state.get(dep_name).copied().unwrap_or(0) {
-                    1 => {
-                        let start = path.iter().position(|&n| n == dep_name).unwrap_or(0);
-                        let mut cycle: Vec<String> =
-                            path[start..].iter().map(|s| (*s).to_string()).collect();
-                        cycle.push(dep_name.to_string());
-                        return Some(cycle);
-                    }
-                    0 => {
-                        if let Some(c) = dfs(dep_name, names, state, path) {
-                            return Some(c);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        path.pop();
-        state.insert(node, 2);
-        None
-    }
-    let mut keys: Vec<&str> = names.keys().copied().collect();
-    keys.sort_unstable();
-    for name in keys {
-        if state.get(name).copied().unwrap_or(0) == 0 {
-            let mut path = Vec::new();
-            if let Some(c) = dfs(name, &names, &mut state, &mut path) {
-                return Some(c);
-            }
-        }
-    }
-    None
-}
-
 impl super::Pass for CrateLayering {
     fn id(&self) -> &'static str {
         "crate-layering"
     }
 
     fn description(&self) -> &'static str {
-        "crate dependencies respect the declared layer order, acyclically; every crate inherits the workspace lints"
+        "crate dependencies respect the declared layer order; every crate inherits the workspace lints"
     }
 
     fn explain(&self) -> &'static str {
         "Checks workspace crate dependencies against the declared layer\n\
          order: a crate may depend only on crates in its own or a lower\n\
-         layer, every workspace crate must be assigned to a layer, and\n\
-         the dependency graph must be acyclic. Every manifest must also\n\
-         declare `[lints] workspace = true`, which carries the\n\
+         layer, and every workspace crate must be assigned to a layer\n\
+         (cargo itself refuses dependency cycles). Every manifest must\n\
+         also declare `[lints] workspace = true`, which carries the\n\
          workspace's denied `unsafe_code` and `missing_docs`.\n\
          \n\
          Config (`xtask.toml`):\n\
@@ -153,20 +102,6 @@ impl super::Pass for CrateLayering {
                 }
             }
         }
-        if let Some(cycle) = find_cycle(&cx.manifests) {
-            let first = cycle.first().cloned().unwrap_or_default();
-            let span = workspace
-                .get(first.as_str())
-                .map_or_else(|| Span::file("Cargo.toml"), |m| Span::file(&m.path));
-            out.push(
-                Diagnostic::error(
-                    self.id(),
-                    span,
-                    format!("dependency cycle: {}", cycle.join(" -> ")),
-                )
-                .with_help("break the cycle; same-layer edges must still form a DAG"),
-            );
-        }
         out
     }
 }
@@ -228,20 +163,6 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("upward dependency"), "{diags:?}");
         assert_eq!(diags[0].span, Span::line("crates/base/Cargo.toml", 10));
-    }
-
-    #[test]
-    fn same_layer_cycle_is_rejected() {
-        let cx = Context {
-            manifests: vec![manifest("mid", &["mid2"]), manifest("mid2", &["mid"])],
-            config: config(),
-            ..Context::default()
-        };
-        let diags = CrateLayering.run(&cx);
-        assert!(
-            diags.iter().any(|d| d.message.contains("dependency cycle")),
-            "{diags:?}"
-        );
     }
 
     #[test]

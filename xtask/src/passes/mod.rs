@@ -2,8 +2,8 @@
 //!
 //! Adding a lint (DESIGN.md §8): create a module here, implement [`Pass`]
 //! over the read-only [`Context`], register it in [`registry`], and give
-//! it a kebab-case id. Ids are stable — they key `[levels]` / `[allow]`
-//! entries in `xtask.toml` and become SARIF rule ids in CI.
+//! it a kebab-case id. Ids are stable — they key `[allow]` entries in
+//! `xtask.toml` and `--only` / `--explain` arguments.
 
 use crate::diag::Diagnostic;
 use crate::Context;
@@ -12,7 +12,6 @@ pub mod api_surface;
 pub mod constants;
 pub mod layering;
 pub mod partial_cmp;
-pub mod probe_purity;
 pub mod stale_config;
 pub mod units_escape;
 
@@ -20,9 +19,9 @@ pub mod units_escape;
 /// the driver ([`crate::run_passes_timed`]) may run them from worker
 /// threads.
 pub trait Pass: Send + Sync {
-    /// Stable kebab-case lint id (`xtask.toml` key, SARIF rule id).
+    /// Stable kebab-case lint id (the `xtask.toml` `[allow]` key).
     fn id(&self) -> &'static str;
-    /// One-line description, shown by `xtask passes` and in SARIF rules.
+    /// One-line description, shown by `xtask passes` and `--explain`.
     fn description(&self) -> &'static str;
     /// Multi-line reference shown by `lint --explain <id>`: what the
     /// pass checks, its `xtask.toml` config keys, and the
@@ -30,8 +29,8 @@ pub trait Pass: Send + Sync {
     /// `stale-config` pass fails the run if any registered pass ships
     /// an empty explainer.
     fn explain(&self) -> &'static str;
-    /// Runs the pass. Diagnostics are emitted at their natural severity;
-    /// the driver applies `xtask.toml` levels and allowlists afterwards.
+    /// Runs the pass. The driver applies `xtask.toml` allowlists to the
+    /// diagnostics afterwards.
     fn run(&self, cx: &Context) -> Vec<Diagnostic>;
 }
 
@@ -42,7 +41,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(partial_cmp::PartialCmp),
         Box::new(layering::CrateLayering),
         Box::new(stale_config::StaleConfig),
-        Box::new(probe_purity::ProbePurity),
         Box::new(constants::PaperConstants),
         Box::new(api_surface::ApiSurface),
     ]

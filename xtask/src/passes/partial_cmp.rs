@@ -62,8 +62,7 @@ impl super::Pass for PartialCmp {
          `f64::total_cmp`, which is a total order over every bit pattern\n\
          and keeps campaign reductions deterministic.\n\
          \n\
-         Config: none of its own; the generic `[levels]` / `[allow]`\n\
-         policy applies."
+         Config: none of its own; the generic `[allow]` policy applies."
     }
 
     fn run(&self, cx: &Context) -> Vec<Diagnostic> {

@@ -3,12 +3,11 @@
 //!
 //! Allowlists and scan scopes rot silently: a file rename strips an
 //! `[allow]` prefix of its targets, a crate rename orphans a
-//! `[layering]` entry, a retired pass leaves its `[levels]` override
+//! `[layering]` entry, a retired pass leaves its `[allow]` entry
 //! behind — and every one of those *weakens* the gate without failing
-//! it. This pass sweeps the whole file: lint ids in `[levels]` /
-//! `[allow]` must be registered passes, path prefixes must match at
-//! least one loaded file, and package names in `[layering]` must exist
-//! in a manifest. Findings are errors — a config that names ghosts
+//! it. This pass sweeps the whole file: lint ids in `[allow]` must be
+//! registered passes, path prefixes must match at least one loaded
+//! file, and package names in `[layering]` must exist in a manifest. Findings are errors — a config that names ghosts
 //! fails the run, so the file can only describe the tree as it is.
 //!
 //! `[units-escape] unit_types` is exempt: the unit newtypes are
@@ -56,14 +55,10 @@ impl super::Pass for StaleConfig {
             );
         };
 
-        // Lint ids keying [levels] and [allow].
-        let level_keys: Vec<(&str, &String)> =
-            cx.config.levels.keys().map(|k| ("levels", k)).collect();
-        let allow_keys: Vec<(&str, &String)> =
-            cx.config.allow.keys().map(|k| ("allow", k)).collect();
-        for (table, lint) in level_keys.into_iter().chain(allow_keys) {
+        // Lint ids keying [allow].
+        for lint in cx.config.allow.keys() {
             if !lint_ids.contains(lint.as_str()) {
-                err(format!("[{table}] names unknown lint `{lint}`"));
+                err(format!("[allow] names unknown lint `{lint}`"));
             }
         }
         // Path prefixes must match at least one loaded file.
@@ -77,10 +72,6 @@ impl super::Pass for StaleConfig {
                 (
                     "[constants] modules",
                     cx.config.constants_modules.iter().collect(),
-                ),
-                (
-                    "[probe-purity] hot_paths",
-                    cx.config.probe_hot_paths.iter().collect(),
                 ),
                 (
                     "[units-escape] boundary_paths",
@@ -123,7 +114,6 @@ impl super::Pass for StaleConfig {
 mod tests {
     use super::super::Pass;
     use super::*;
-    use crate::diag::Severity;
     use crate::source::SourceFile;
     use crate::Config;
 
@@ -141,34 +131,32 @@ mod tests {
     #[test]
     fn resolvable_entries_are_clean() {
         let diags = StaleConfig.run(&cx(
-            "[allow]\nunits-escape = [\"crates/soc/\"]\n\n[probe-purity]\nhot_paths = [\"crates/soc/src/agg.rs\"]\n",
+            "[allow]\nunits-escape = [\"crates/soc/\"]\n\n[constants]\nmodules = [\"crates/soc/src/agg.rs\"]\n",
         ));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn unknown_lint_id_is_flagged() {
-        // Retired passes: a leftover level or allowlist for one must be
-        // reported like any typo.
+        // Retired passes: a leftover allowlist for one must be reported
+        // like any typo.
         for id in [
             "no-such-lint",
             "dimensional-flow",
             "panic-reachability",
             "determinism-taint",
             "merge-associativity",
+            "probe-purity",
         ] {
-            for (table, value) in [("levels", "\"warn\""), ("allow", "[\"crates/soc/\"]")] {
-                let diags = StaleConfig.run(&cx(&format!("[{table}]\n{id} = {value}\n")));
-                assert_eq!(diags.len(), 1, "{diags:?}");
-                assert_eq!(diags[0].severity, Severity::Error);
-                assert_eq!(diags[0].span.file, "xtask/xtask.toml");
-                assert!(
-                    diags[0]
-                        .message
-                        .contains(&format!("[{table}] names unknown lint `{id}`")),
-                    "{diags:?}"
-                );
-            }
+            let diags = StaleConfig.run(&cx(&format!("[allow]\n{id} = [\"crates/soc/\"]\n")));
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].span.file, "xtask/xtask.toml");
+            assert!(
+                diags[0]
+                    .message
+                    .contains(&format!("[allow] names unknown lint `{id}`")),
+                "{diags:?}"
+            );
         }
     }
 

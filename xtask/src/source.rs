@@ -2,14 +2,12 @@
 //! passes.
 //!
 //! Every [`SourceFile`] carries its [`crate::lex`] token stream and
-//! [`crate::items`] item tree, computed once at load. The textual views
-//! ([`library_code`], [`blank_strings`]) are reconstructed from token
-//! spans, so string literals, char literals, raw strings, and nested
-//! block comments are all handled exactly — the former line-oriented
-//! scanners' blind spots (`//` inside a string literal truncating the
-//! line; raw strings and char literals passing through unblanked) are
-//! gone. Blanking replaces bytes with spaces, preserving both line
-//! numbers *and* columns, so reported spans stay true.
+//! [`crate::items`] item tree, computed once at load. The stripped view
+//! ([`library_code`]) is reconstructed from token spans, so string
+//! literals, char literals, raw strings, and nested block comments are
+//! all handled exactly — a `//` inside a string literal no longer
+//! truncates the line. Blanking replaces bytes with spaces, preserving
+//! both line numbers *and* columns, so reported spans stay true.
 
 use crate::items::ItemSet;
 use crate::lex::{lex, Token, TokenKind};
@@ -98,35 +96,6 @@ pub fn library_code(source: &str) -> String {
     strip_with(source, &tokens, &items.cfg_test_spans)
 }
 
-/// Replaces the contents of string, raw-string, char, and byte literals
-/// with spaces (delimiters kept, length and line structure preserved), so
-/// token scans cannot match inside any textual literal.
-///
-/// Lexer-backed: raw strings (`r#"…"#`), char literals (`'"'`, `'\''`),
-/// and byte strings are all blanked — the former scanner left them alone.
-pub fn blank_strings(source: &str) -> String {
-    let tokens = lex(source);
-    let mut spans = Vec::new();
-    for tok in &tokens {
-        if !tok.kind.is_textual_literal() {
-            continue;
-        }
-        let text = tok.text(source);
-        // Blank strictly between the opening and closing delimiter so the
-        // literal still reads as one (`""`-shaped) token.
-        let Some(open) = text.find(['"', '\'']) else {
-            continue;
-        };
-        let Some(close) = text.rfind(['"', '\'']) else {
-            continue;
-        };
-        if close > open + 1 {
-            spans.push((tok.lo + open + 1, tok.lo + close));
-        }
-    }
-    blank_spans(source, &spans)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,32 +146,6 @@ mod tests {
         let stripped = library_code(src);
         assert!(stripped.contains("after_the_string()"));
         assert!(stripped.contains("http://example.com"));
-    }
-
-    #[test]
-    fn strings_blank_to_same_length() {
-        let s = blank_strings("let x = \"HashMap \\\" inside\"; HashMap");
-        assert_eq!(s.len(), "let x = \"HashMap \\\" inside\"; HashMap".len());
-        assert_eq!(s.matches("HashMap").count(), 1);
-    }
-
-    // Regression: raw strings and char literals used to pass through
-    // `blank_strings` unblanked.
-    #[test]
-    fn raw_strings_and_chars_are_blanked() {
-        let src = "let r = r#\"HashMap \"quoted\" inside\"#; let c = 'H'; HashMap";
-        let s = blank_strings(src);
-        assert_eq!(s.len(), src.len());
-        assert_eq!(s.matches("HashMap").count(), 1);
-        assert!(!s.contains("'H'"));
-    }
-
-    #[test]
-    fn escaped_quote_char_does_not_derail_blanking() {
-        let src = "let q = '\\''; let s = \"text\"; text";
-        let s = blank_strings(src);
-        assert_eq!(s.len(), src.len());
-        assert_eq!(s.matches("text").count(), 1);
     }
 
     #[test]

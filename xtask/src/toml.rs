@@ -8,6 +8,11 @@
 
 use std::collections::BTreeMap;
 
+/// How deeply arrays may nest. Each level is one recursive call, so the
+/// cap keeps a hostile input from overflowing the stack; the config
+/// itself nests two deep.
+const MAX_ARRAY_DEPTH: usize = 64;
+
 /// A parsed TOML value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -123,7 +128,9 @@ impl<'a> Parser<'a> {
 
     fn parse_string(&mut self) -> Result<String, String> {
         self.bump(); // opening quote
-        let mut out = String::new();
+                     // Bytes, not chars: a multi-byte UTF-8 character arrives one byte
+                     // at a time and is decoded once the string closes.
+        let mut out = Vec::new();
         loop {
             // Peek before bumping so the reported line is the one the
             // string started on, not the line after the stray newline.
@@ -131,21 +138,21 @@ impl<'a> Parser<'a> {
                 None | Some(b'\n') => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.bump();
-                    return Ok(out);
+                    return String::from_utf8(out).map_err(|_| self.err("string is not UTF-8"));
                 }
                 Some(b'\\') => {
                     self.bump();
                     match self.bump() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
+                        Some(b'"') => out.push(b'"'),
+                        Some(b'\\') => out.push(b'\\'),
+                        Some(b'n') => out.push(b'\n'),
+                        Some(b't') => out.push(b'\t'),
                         _ => return Err(self.err("unsupported escape in string")),
                     }
                 }
                 Some(b) => {
                     self.bump();
-                    out.push(b as char);
+                    out.push(b);
                 }
             }
         }
@@ -176,10 +183,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, String> {
+    /// Parses one value; `depth` counts the arrays it sits inside.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, String> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b'[') => {
+                if depth == MAX_ARRAY_DEPTH {
+                    return Err(
+                        self.err(&format!("arrays nest deeper than {MAX_ARRAY_DEPTH} levels"))
+                    );
+                }
                 self.bump();
                 let mut items = Vec::new();
                 loop {
@@ -188,7 +201,7 @@ impl<'a> Parser<'a> {
                         self.bump();
                         return Ok(Value::Array(items));
                     }
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_trivia();
                     match self.peek() {
                         Some(b',') => {
@@ -241,7 +254,7 @@ impl<'a> Parser<'a> {
                         return Err(self.err(&format!("expected `=` after key `{key}`")));
                     }
                     self.skip_inline();
-                    let value = self.parse_value()?;
+                    let value = self.parse_value(0)?;
                     let entries = doc.entry(table.clone()).or_default();
                     if entries.insert(key.clone(), value).is_some() {
                         return Err(self.err(&format!("duplicate key `{key}` in `[{table}]`")));
@@ -291,6 +304,24 @@ mod tests {
     fn duplicate_keys_are_rejected() {
         let err = parse("a = 1\na = 2\n").expect_err("duplicate");
         assert!(err.contains("duplicate key `a`"), "{err}");
+    }
+
+    #[test]
+    fn non_ascii_strings_read_back_unchanged() {
+        let doc = parse("[t]\na = \"é → ∑ 🦀\"\n\"clé\" = 1\n").expect("parses");
+        assert_eq!(doc["t"]["a"].as_str(), Some("é → ∑ 🦀"));
+        assert_eq!(doc["t"]["clé"].as_int(), Some(1));
+    }
+
+    #[test]
+    fn array_nesting_is_capped_without_recursing_past_the_cap() {
+        let nested = |depth: usize| format!("a = {}{}\n", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_ARRAY_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_ARRAY_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("arrays nest deeper than 64 levels"), "{err}");
+        // Unbounded recursion overflowed a 2 MiB test thread's stack here.
+        let err = parse(&format!("a = {}", "[".repeat(100_000))).expect_err("too deep");
+        assert!(err.starts_with("xtask.toml:1:"), "{err}");
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! End-to-end fixture tests: each semantic pass must turn a synthetic
-//! violating tree into a non-zero exit (error-severity diagnostics
-//! surviving `run_passes` policy), and the same tree repaired must come
+//! violating tree into a non-zero exit (diagnostics surviving
+//! `run_passes` policy), and the same tree repaired must come
 //! back clean. The units-escape and stale-config fixtures additionally
 //! pin the expected span and help text.
 
 use xtask::source::SourceFile;
 use xtask::workspace::parse_manifest;
-use xtask::{render, run_passes, Config, Context};
+use xtask::{run_passes, Config, Context};
 
 fn exit_code(cx: &Context) -> i32 {
-    let (errors, _) = render::tally(&run_passes(cx));
-    i32::from(errors > 0)
+    i32::from(!run_passes(cx).is_empty())
 }
 
 /// Whether `lint` reports any error on this context. The clean-side
@@ -242,10 +241,10 @@ fn escaping_f64_fails_and_typed_signature_passes() {
 #[test]
 fn stale_config_entry_fails_and_resolving_entry_passes() {
     let src = "pub fn step(&mut self) {}\n";
-    // The config points probe-purity at a hot path that no longer exists.
+    // The config points paper-constants at a module that no longer exists.
     let cx = Context {
         files: vec![SourceFile::new("crates/soc/src/board.rs", src)],
-        config: Config::from_toml("[probe-purity]\nhot_paths = [\"crates/soc/src/gone.rs\"]\n")
+        config: Config::from_toml("[constants]\nmodules = [\"crates/soc/src/gone.rs\"]\n")
             .expect("config"),
         ..Context::default()
     };
@@ -257,9 +256,8 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
         .expect("stale-config must fire");
     assert_eq!(hit.span.file, "xtask/xtask.toml");
     assert!(
-        hit.message.contains(
-            "[probe-purity] hot_paths prefix `crates/soc/src/gone.rs` matches no loaded file"
-        ),
+        hit.message
+            .contains("[constants] modules prefix `crates/soc/src/gone.rs` matches no loaded file"),
         "{hit:?}"
     );
     assert!(
@@ -272,7 +270,7 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
     // The same entry pointed at the live file passes.
     let cx = Context {
         files: vec![SourceFile::new("crates/soc/src/board.rs", src)],
-        config: Config::from_toml("[probe-purity]\nhot_paths = [\"crates/soc/src/board.rs\"]\n")
+        config: Config::from_toml("[constants]\nmodules = [\"crates/soc/src/board.rs\"]\n")
             .expect("config"),
         ..Context::default()
     };
@@ -281,7 +279,8 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
     // A lint id left behind by a retired pass is caught the same way.
     let cx = Context {
         files: vec![SourceFile::new("crates/soc/src/board.rs", src)],
-        config: Config::from_toml("[levels]\nmerge-associativity = \"warn\"\n").expect("config"),
+        config: Config::from_toml("[allow]\nmerge-associativity = [\"crates/soc/\"]\n")
+            .expect("config"),
         ..Context::default()
     };
     assert!(lint_fires(&cx, "stale-config"));
@@ -289,7 +288,7 @@ fn stale_config_entry_fails_and_resolving_entry_passes() {
     assert!(
         diags.iter().any(|d| d.lint == "stale-config"
             && d.message
-                .contains("[levels] names unknown lint `merge-associativity`")),
+                .contains("[allow] names unknown lint `merge-associativity`")),
         "{diags:?}"
     );
 }
